@@ -9,8 +9,7 @@ from .coupling import (Classification, Coupled, Decoupled, Degenerate,
                        DegenerateReason, DesignMatrix, Uncoupled,
                        affected_frs, binarize, classify, sequence)
 from .distributions import (Empirical, Normal, Pdf, RngState, Triangular,
-                            Uniform, draw_from, from_samples,
-                            interval_probability, sample, sample_n)
+                            Uniform, draw_from, from_samples)
 from .errors import SimulationDivergence, SpecFormatError
 from .info import (InfoResult, McConfig, McStats, Method, SystemInfoReport,
                    bits_from_probability, conditional_chain_information,
@@ -32,7 +31,7 @@ __all__ = [
     "__version__",
     # distributions
     "Pdf", "Uniform", "Normal", "Triangular", "Empirical", "RngState",
-    "from_samples", "sample", "sample_n", "draw_from", "interval_probability",
+    "from_samples", "draw_from",
     # spec model
     "DesignRange", "FunctionalRequirement", "DesignParameter", "DesignSpec",
     "parse_spec", "render_spec", "validate_spec", "range_bounds",

@@ -187,9 +187,6 @@ def _build_model(spec: DesignSpec):
     """Sampling model for the Monte Carlo routes, or None when the spec
     gives nothing to sample from."""
     if spec.scenario is not None:
-        _require(len(spec.frs) == 3,
-                 "scenario analysis requires exactly 3 FRs "
-                 "(fill level, temperature, mix duration)")
         return ScenarioModel(spec.scenario)
     if spec.matrix is not None:
         dp_pdfs = [dp.uncertainty if dp.uncertainty is not None
@@ -297,9 +294,6 @@ def _cmd_simulate(args) -> int:
     spec = _load(args.spec_path)
     if spec.scenario is None:
         raise SpecFormatError("no scenario block in spec; nothing to simulate")
-    _require(len(spec.frs) == 3,
-             "scenario simulation requires exactly 3 FRs "
-             "(fill level, temperature, mix duration)")
     _require(args.seed >= 0, "--seed must be a non-negative integer")
     if args.cycles is not None:
         _require(args.cycles >= 1, "--cycles must be a positive integer")

@@ -132,19 +132,11 @@ class Degenerate:
 Classification = Uncoupled | Decoupled | Coupled | Degenerate
 
 
-def _as_matrix(matrix) -> DesignMatrix:
-    return matrix if isinstance(matrix, DesignMatrix) else DesignMatrix(matrix)
-
-
-def _check_epsilon(epsilon):
-    if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon)) or epsilon < 0:
-        raise ValueError("epsilon must be a finite number >= 0")
-
-
 def binarize(matrix, epsilon: float = 0.0) -> np.ndarray:
     """Boolean dependency pattern: True where ``|A[i][j]| > epsilon``."""
-    dm = _as_matrix(matrix)
-    _check_epsilon(epsilon)
+    dm = matrix if isinstance(matrix, DesignMatrix) else DesignMatrix(matrix)
+    if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon)) or epsilon < 0:
+        raise ValueError("epsilon must be a finite number >= 0")
     return np.abs(dm.entries) > epsilon
 
 
@@ -217,13 +209,11 @@ def classify(matrix, epsilon: float = 0.0) -> Classification:
     ``epsilon`` is the magnitude below which entries count as zero
     (strict comparison, so the default 0.0 keeps every nonzero entry).
     """
-    dm = _as_matrix(matrix)
-    _check_epsilon(epsilon)
-    m, n = dm.shape
+    dep = binarize(matrix, epsilon)
+    m, n = dep.shape
     if m != n:
         return Degenerate(DegenerateReason.NON_SQUARE)
 
-    dep = np.abs(dm.entries) > epsilon
     dep_rows = [np.flatnonzero(dep[i]).tolist() for i in range(m)]
     size, match_fr = _max_matching(dep_rows, n)
     if size < m:
@@ -297,8 +287,8 @@ def sequence(classification: Classification) -> tuple[tuple[int, int], ...]:
 
 def affected_frs(matrix, dp: int, epsilon: float = 0.0) -> set[int]:
     """Indices of FRs influenced by DP ``dp`` (entries above ``epsilon``)."""
-    dm = _as_matrix(matrix)
-    _check_epsilon(epsilon)
-    if not (isinstance(dp, int) and 0 <= dp < dm.n_dps):
-        raise ValueError(f"dp index {dp} out of range for {dm.n_dps} DPs")
-    return set(np.flatnonzero(np.abs(dm.entries[:, dp]) > epsilon).tolist())
+    dep = binarize(matrix, epsilon)
+    n_dps = dep.shape[1]
+    if not (isinstance(dp, int) and 0 <= dp < n_dps):
+        raise ValueError(f"dp index {dp} out of range for {n_dps} DPs")
+    return set(np.flatnonzero(dep[:, dp]).tolist())

@@ -1,20 +1,23 @@
 """Probability models and reproducible sampling.
 
 Four distribution families are supported: uniform, normal, triangular and
-empirical (resampling from stored observations). Every family exposes a
-density, an exact CDF and interval probabilities computed as CDF differences,
-so interval masses are additive and total mass is 1 to within floating point.
+empirical (resampling from stored observations). Every family exposes an
+exact CDF and interval probabilities computed as CDF differences, so
+interval masses are additive and total mass is 1 to within floating point.
 
 Random number generation
 ------------------------
-All sampling is driven by :class:`RngState`, an explicit immutable value
-(root seed, substream path, operation counter). The underlying generator is
-the counter-based Philox 4x64 algorithm; the substream path feeds numpy's
-``SeedSequence`` spawn keys and each sampling operation consumes a disjoint
-2**64-draw region of the counter space. Because state never hides inside a
-mutable object, any result can be reproduced from the seed alone, and
-substreams derived with :meth:`RngState.substream` are independent of the
-order in which they are consumed.
+There is one way to sample::
+
+    draw_from(pdf, RngState(seed).substream(k).generator(), n)
+
+:class:`RngState` is an explicit immutable value (root seed and substream
+path). Its generator is the counter-based Philox 4x64 algorithm keyed by
+numpy's ``SeedSequence`` with the substream path as spawn key, so any result
+can be reproduced from the seed alone, and substreams derived with
+:meth:`RngState.substream` are independent of the order in which they are
+consumed. Successive draws from one generator continue its stream; a caller
+that needs an independent, reproducible stream derives another substream.
 
 Normal variates are generated by the inverse-CDF method (Philox uniforms
 mapped through the inverse normal CDF); this choice is fixed for the
@@ -24,7 +27,7 @@ package, so a given seed always yields the same samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,15 +42,8 @@ __all__ = [
     "Triangular",
     "Empirical",
     "from_samples",
-    "sample",
-    "sample_n",
     "draw_from",
-    "interval_probability",
 ]
-
-# Each sampling operation owns this many draws of Philox counter space; the
-# 256-bit counter leaves room for 2**192 operations per substream.
-_REGION = 1 << 64
 
 # Largest uniform grid used when inverting the CDF: (k + 0.5) / 2**53 for
 # k < 2**53 keeps inverse-CDF inputs strictly inside (0, 1).
@@ -64,35 +60,24 @@ class RngState:
         Root seed, non-negative.
     stream : tuple of int
         Substream derivation path (SeedSequence spawn key).
-    draws : int
-        Number of completed sampling operations on this substream.
     """
 
     seed: int
     stream: tuple[int, ...] = ()
-    draws: int = 0
 
     def __post_init__(self):
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.draws < 0:
-            raise ValueError("draws must be non-negative")
 
     def substream(self, key: int) -> "RngState":
         """Derive the independent substream identified by ``key``."""
         if not isinstance(key, int) or key < 0:
             raise ValueError("substream key must be a non-negative integer")
-        return RngState(self.seed, self.stream + (key,), 0)
-
-    def advanced(self) -> "RngState":
-        """State after one sampling operation."""
-        return replace(self, draws=self.draws + 1)
+        return RngState(self.seed, self.stream + (key,))
 
     def generator(self) -> Generator:
-        """Fresh numpy Generator positioned at this state's counter region."""
-        bitgen = Philox(SeedSequence(self.seed, spawn_key=self.stream))
-        bitgen.advance(self.draws * _REGION)
-        return Generator(bitgen)
+        """Fresh numpy Generator at the start of this substream."""
+        return Generator(Philox(SeedSequence(self.seed, spawn_key=self.stream)))
 
 
 def _open_uniform(gen: Generator, n: int) -> np.ndarray:
@@ -102,9 +87,6 @@ def _open_uniform(gen: Generator, n: int) -> np.ndarray:
 
 class Pdf:
     """Base class for probability models."""
-
-    def density(self, x):
-        raise NotImplementedError
 
     def cdf(self, x):
         raise NotImplementedError
@@ -135,11 +117,6 @@ class Uniform(Pdf):
         if not self.lo < self.hi:
             raise ValueError(f"uniform requires lo < hi, got [{self.lo}, {self.hi}]")
 
-    def density(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        inside = (x >= self.lo) & (x <= self.hi)
-        return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)[()]
-
     def cdf(self, x):
         x = np.asarray(x, dtype=np.float64)
         t = (x - self.lo) / (self.hi - self.lo)
@@ -164,11 +141,6 @@ class Normal(Pdf):
             raise ValueError("normal parameters must be finite")
         if self.sigma <= 0:
             raise ValueError(f"normal requires sigma > 0, got {self.sigma}")
-
-    def density(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        z = (x - self.mu) / self.sigma
-        return (np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi)))[()]
 
     def cdf(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -198,21 +170,6 @@ class Triangular(Pdf):
                 f"triangular requires lo <= mode <= hi and lo < hi, got "
                 f"({self.lo}, {self.mode}, {self.hi})"
             )
-
-    def density(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        lo, mode, hi = self.lo, self.mode, self.hi
-        width = hi - lo
-        out = np.zeros_like(x, dtype=np.float64)
-        if mode > lo:
-            rising = (x >= lo) & (x < mode)
-            out = np.where(rising, 2.0 * (x - lo) / (width * (mode - lo)), out)
-        if hi > mode:
-            falling = (x >= mode) & (x <= hi)
-            out = np.where(falling, 2.0 * (hi - x) / (width * (hi - mode)), out)
-        else:
-            out = np.where(x == mode, 2.0 / width, out)
-        return out[()]
 
     def cdf(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -248,10 +205,8 @@ class Empirical(Pdf):
     """Distribution defined by stored observations.
 
     The CDF counts samples exactly (fraction of observations <= x), so
-    interval probabilities are exact sample fractions. The density is a
-    fixed-bin histogram with Freedman-Diaconis bin width (at least one bin),
-    which is a smoothing convenience only; probabilities never go through it.
-    Sampling draws uniformly from the stored observations.
+    interval probabilities are exact sample fractions. Sampling draws
+    uniformly from the stored observations.
     """
 
     samples: tuple[float, ...]
@@ -268,29 +223,6 @@ class Empirical(Pdf):
         arr = np.sort(np.asarray(self.samples, dtype=np.float64))
         arr.setflags(write=False)
         return arr
-
-    @cached_property
-    def _histogram(self):
-        arr = self._sorted
-        span = arr[-1] - arr[0]
-        if span == 0.0:
-            return None
-        q25, q75 = np.percentile(arr, [25.0, 75.0])
-        width = 2.0 * (q75 - q25) / len(arr) ** (1.0 / 3.0)
-        bins = 1 if width <= 0 else min(int(math.ceil(span / width)), 4096)
-        counts, edges = np.histogram(arr, bins=bins, range=(arr[0], arr[-1]))
-        heights = counts / (len(arr) * np.diff(edges))
-        return edges, heights
-
-    def density(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if self._histogram is None:
-            atom = self._sorted[0]
-            return np.where(x == atom, np.inf, 0.0)[()]
-        edges, heights = self._histogram
-        idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(heights) - 1)
-        inside = (x >= edges[0]) & (x <= edges[-1])
-        return np.where(inside, heights[idx], 0.0)[()]
 
     def cdf(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -319,29 +251,10 @@ def from_samples(values) -> Empirical:
     return Empirical(tuple(float(v) for v in arr))
 
 
-def interval_probability(pdf: Pdf, lo: float, hi: float) -> float:
-    """Probability that ``pdf`` falls inside ``[lo, hi]``."""
-    return pdf.interval_probability(lo, hi)
-
-
 def draw_from(pdf: Pdf, gen: Generator, n: int) -> np.ndarray:
-    """Low-level hook: draw ``n`` values from an explicit numpy Generator.
+    """Draw ``n`` values of ``pdf`` from ``gen``, advancing its stream.
 
-    For simulators that manage their own generator objects; everything else
-    should prefer :func:`sample_n`, which threads :class:`RngState`.
+    This is the package's only sampling entry point. Take ``gen`` from
+    :meth:`RngState.generator` so the draws can be reproduced from the seed.
     """
     return pdf._draw(gen, n)
-
-
-def sample_n(pdf: Pdf, rng: RngState, n: int):
-    """Draw ``n`` values. Returns ``(ndarray, next RngState)``."""
-    if n < 0:
-        raise ValueError("sample count must be non-negative")
-    values = pdf._draw(rng.generator(), n)
-    return values, rng.advanced()
-
-
-def sample(pdf: Pdf, rng: RngState):
-    """Draw a single value. Returns ``(float, next RngState)``."""
-    values, nxt = sample_n(pdf, rng, 1)
-    return float(values[0]), nxt

@@ -14,7 +14,7 @@ The JSON document format is pinned here::
       "system_pdfs": {"<fr id>": pdf},   # optional
       "noise_pdfs":  {"<fr id>": pdf},   # optional
       "epsilon": 0.0,                    # optional, >= 0
-      "scenario": {...}                  # optional tank block
+      "scenario": {...}                  # optional tank block; needs exactly 3 FRs
     }
 
     pdf: {"kind": "uniform",    "lo", "hi"}
@@ -119,6 +119,10 @@ class DesignSpec:
         if not (isinstance(self.epsilon, (int, float)) and math.isfinite(self.epsilon)
                 and self.epsilon >= 0):
             raise ValueError("epsilon must be a finite number >= 0")
+        if self.scenario is not None and len(self.frs) != 3:
+            raise ValueError(
+                f"scenario requires exactly 3 FRs (fill level, temperature, "
+                f"mix duration), got {len(self.frs)}")
 
     def fr_ids(self) -> tuple[str, ...]:
         return tuple(fr.id for fr in self.frs)
@@ -461,8 +465,4 @@ def validate_spec(spec: DesignSpec) -> list[str]:
     for key in list(spec.system_pdfs) + list(spec.noise_pdfs):
         if key not in fr_ids:
             issues.append(f"pdf map references unknown FR id {key!r}")
-    if spec.scenario is not None and len(spec.frs) != 3:
-        issues.append(
-            f"scenario requires exactly 3 FRs (level, temperature, duration), "
-            f"got {len(spec.frs)}")
     return issues

@@ -294,6 +294,24 @@ def test_simulate_rejects_bad_cycle_count(capsys):
     assert "--cycles" in err
 
 
+def test_scenario_with_two_frs_exits_one(capsys, tmp_path):
+    spec = {
+        "frs": [
+            {"id": "level", "nominal": 7, "tol_minus": 0.05, "tol_plus": 0.05},
+            {"id": "temperature", "nominal": 65, "tol_minus": 0.5, "tol_plus": 0.5},
+        ],
+        "dps": [],
+        "scenario": {"cycles": 3},
+    }
+    path = tmp_path / "two_frs.json"
+    path.write_text(json.dumps(spec))
+    for argv in (["info", str(path)], ["simulate", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "exactly 3 FRs" in err
+
+
 # ---------------------------------------------------------------------------
 # validate
 

@@ -159,6 +159,9 @@ def test_non_square_matrix_is_degenerate():
     cls = classify(np.ones((2, 3)))
     assert isinstance(cls, Degenerate)
     assert cls.reason is DegenerateReason.NON_SQUARE
+    # The shape never excuses a bad threshold.
+    with pytest.raises(ValueError, match="epsilon"):
+        classify(np.ones((2, 3)), epsilon=-1.0)
 
 
 def test_zero_row_means_no_perfect_matching():

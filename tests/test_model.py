@@ -271,10 +271,16 @@ def test_scenario_counts_as_a_probability_source():
 
 
 def test_scenario_with_wrong_fr_count_is_flagged():
-    spec = _spec(matrix=None, system_pdfs={"f1": Uniform(0.0, 2.0)},
-                 scenario=TankConfig())
-    issues = validate_spec(spec)
-    assert any("exactly 3 FRs" in msg for msg in issues)
+    with pytest.raises(ValueError, match="exactly 3 FRs"):
+        _spec(matrix=None, system_pdfs={"f1": Uniform(0.0, 2.0)},
+              scenario=TankConfig())
+    doc = {
+        "frs": [{"id": "f1", "nominal": 1.0, "tol_minus": 0.1, "tol_plus": 0.1}],
+        "dps": [],
+        "scenario": {},
+    }
+    with pytest.raises(SpecFormatError, match="exactly 3 FRs"):
+        parse_spec(json.dumps(doc))
 
 
 def test_validation_is_pure_and_repeatable():
