@@ -15,17 +15,23 @@ influence of DP j on FR i) is classified by structure alone:
   square one whose zero pattern admits no full assignment).
 
 Classification steps: binarize entries against a magnitude threshold
-``epsilon`` (strictly greater-than), find a maximum bipartite matching by
-augmenting paths, build the digraph on matched pairs (pair p depends on pair
-q when p's FR is influenced by q's DP), and take strongly connected
-components. The block structure is invariant to which maximum matching is
-found; orders and block listings use stable tie-breaks (FR declaration
-order), so results are deterministic.
+``epsilon`` (strictly greater-than), find a perfect FR-DP matching, build
+the digraph on matched pairs (pair p depends on pair q when p's FR is
+influenced by q's DP), and take its strongly connected components. This is
+the Dulmage-Mendelsohn decomposition of the pattern into block-triangular
+form (Duff & Reid): the components are the diagonal blocks, and listed in
+dependency order they make the permuted matrix block lower-triangular.
+
+The blocks do not depend on which perfect matching is found; the matching
+is fixed by searching FRs and DPs in index order, and orders and block
+listings break ties by FR declaration order, so results are deterministic.
+Both graph searches keep explicit stacks, so no input depth recurses.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -52,11 +58,7 @@ class DesignMatrix:
     """Immutable wrapper for a real, finite, 2-D influence matrix."""
 
     def __init__(self, entries):
-        arr = np.array(entries, dtype=np.float64, copy=True)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("design matrix must be 2-D with at least one row and column")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("design matrix entries must all be finite")
+        arr = _checked(entries).copy()
         arr.setflags(write=False)
         self._entries = arr
 
@@ -85,6 +87,16 @@ class DesignMatrix:
 
     def __hash__(self):
         return hash(self._entries.tobytes())
+
+
+def _checked(entries) -> np.ndarray:
+    """``entries`` as a 2-D, non-empty, finite float array, copied only if needed."""
+    arr = np.asarray(entries, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError("design matrix must be 2-D with at least one row and column")
+    if not np.isfinite(arr).all():
+        raise ValueError("design matrix entries must all be finite")
+    return arr
 
 
 class DegenerateReason(Enum):
@@ -134,72 +146,88 @@ Classification = Uncoupled | Decoupled | Coupled | Degenerate
 
 def binarize(matrix, epsilon: float = 0.0) -> np.ndarray:
     """Boolean dependency pattern: True where ``|A[i][j]| > epsilon``."""
-    dm = matrix if isinstance(matrix, DesignMatrix) else DesignMatrix(matrix)
+    entries = matrix.entries if isinstance(matrix, DesignMatrix) else _checked(matrix)
     if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon)) or epsilon < 0:
         raise ValueError("epsilon must be a finite number >= 0")
-    return np.abs(dm.entries) > epsilon
+    return (entries > epsilon) | (entries < -epsilon)
 
 
-def _max_matching(dep_rows, n_dps):
-    """Maximum bipartite matching by augmenting paths (Kuhn).
+def _max_matching(dep):
+    """DP matched to each FR of a square pattern, or None at the first FR
+    that cannot be matched (then no perfect matching exists).
 
-    Returns (size, match_fr) where match_fr[i] is the DP matched to FR i or
-    -1. Deterministic: FRs and their candidate DPs are tried in index order.
+    Kuhn's algorithm with a stack of FRs in place of recursion: FRs in index
+    order each search depth first for an augmenting path, every FR on it
+    tries its DPs in index order, and a DP is visited once per search. All
+    DPs before an FR's scan position are visited, so its next DP is the
+    lowest unvisited one in its row. Rows and the unvisited set are ints
+    with bit ``width - 1 - j`` for DP j, so that DP is the highest set bit
+    of ``row & free``, found in one step however many DPs were skipped.
     """
-    match_dp = [-1] * n_dps
-    match_fr = [-1] * len(dep_rows)
-
-    def augment(fr, visited):
-        for dp in dep_rows[fr]:
-            if not visited[dp]:
-                visited[dp] = True
-                if match_dp[dp] == -1 or augment(match_dp[dp], visited):
-                    match_dp[dp] = fr
-                    match_fr[fr] = dp
-                    return True
-        return False
-
-    size = 0
-    for fr in range(len(dep_rows)):
-        if augment(fr, [False] * n_dps):
-            size += 1
-    return size, match_fr
+    packed = np.packbits(dep, axis=1)
+    width = 8 * packed.shape[1]
+    rows = [int.from_bytes(row, "big") for row in packed]
+    # DP j is known by the bit length ``b = width - j`` of its bit.
+    bit = [0] + [1 << k for k in range(width)]
+    owner = [-1] * (width + 1)
+    held = [0] * len(rows)
+    full = (1 << width) - 1
+    for start in range(len(rows)):
+        free, frs, row = full, [start], rows[start]
+        while True:
+            cand = row & free
+            if cand:
+                b = cand.bit_length()
+                free ^= bit[b]
+                fr = owner[b]
+                if fr < 0:
+                    break
+                frs.append(fr)
+                row = rows[fr]
+            else:
+                frs.pop()
+                if not frs:
+                    return None
+                row = rows[frs[-1]]
+        # Augment: each FR on the path takes the DP of the FR after it.
+        for fr in reversed(frs):
+            owner[b] = fr
+            held[fr], b = b, held[fr]
+    return width - np.array(held)
 
 
 def _strongly_connected(adj):
-    """Tarjan's algorithm; components are returned as sorted vertex lists."""
+    """Tarjan's algorithm with a stack of edge iterators in place of
+    recursion; components are returned as sorted vertex lists."""
     n = len(adj)
-    index = [None] * n
-    low = [0] * n
-    onstack = [False] * n
-    stack = []
-    counter = [0]
-    comps = []
-
-    def strong(v):
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        onstack[v] = True
-        for w in adj[v]:
-            if index[w] is None:
-                strong(w)
-                low[v] = min(low[v], low[w])
-            elif onstack[w]:
-                low[v] = min(low[v], index[w])
-        if low[v] == index[v]:
-            comp = []
-            while True:
-                w = stack.pop()
-                onstack[w] = False
-                comp.append(w)
-                if w == v:
+    index, low = [-1] * n, [0] * n  # index -1: unvisited, n: component out
+    stack, comps, tick = [], [], itertools.count()
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = next(tick)
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = next(tick)
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
                     break
-            comps.append(sorted(comp))
-
-    for v in range(n):
-        if index[v] is None:
-            strong(v)
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        index[comp[-1]] = n
+                    comps.append(sorted(comp))
     return comps
 
 
@@ -214,22 +242,23 @@ def classify(matrix, epsilon: float = 0.0) -> Classification:
     if m != n:
         return Degenerate(DegenerateReason.NON_SQUARE)
 
-    dep_rows = [np.flatnonzero(dep[i]).tolist() for i in range(m)]
-    size, match_fr = _max_matching(dep_rows, n)
-    if size < m:
+    match_fr = _max_matching(dep)
+    if match_fr is None:
         return Degenerate(DegenerateReason.NO_PERFECT_MATCHING)
 
-    # Pair i owns FR i and its matched DP; pair i depends on pair j when
-    # FR i is influenced by pair j's DP.
-    owner = [0] * n
-    for fr, dp in enumerate(match_fr):
-        owner[dp] = fr
-    adj = [sorted(owner[dp] for dp in dep_rows[i] if owner[dp] != i) for i in range(m)]
+    # Pair i is FR i with its matched DP; pair i depends on pair j when FR i
+    # is influenced by pair j's DP. Edges come from one pass over the pattern.
+    owner = np.argsort(match_fr)  # the FR matched to each DP
+    dep[np.arange(n), match_fr] = False  # a pair does not depend on itself
+    flat = np.flatnonzero(dep)
+    on = owner[flat % n].tolist()
+    ends = np.searchsorted(flat, np.arange(n, n * n + 1, n)).tolist()
+    adj = [on[start:end] for start, end in zip([0] + ends, ends)]
 
     comps = _strongly_connected(adj)
-    pairs = tuple((i, match_fr[i]) for i in range(m))
+    pairs = tuple(enumerate(match_fr.tolist()))
 
-    if all(len(c) == 1 for c in comps):
+    if len(comps) == m:
         if not any(adj):
             return Uncoupled(pairs)
         return Decoupled(tuple(pairs[i] for i in _dependency_order(adj)))
@@ -238,9 +267,8 @@ def classify(matrix, epsilon: float = 0.0) -> Classification:
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
-    block_adj = [sorted({comp_of[w] for w in adj[v] if comp_of[w] != comp_of[v]})
-                 for v in range(m)]
-    cond = [sorted({c for v in comp for c in block_adj[v]}) for comp in comps]
+    cond = [sorted({comp_of[w] for v in comp for w in adj[v]} - {ci})
+            for ci, comp in enumerate(comps)]
     order = _dependency_order(cond, key=lambda ci: comps[ci][0])
     blocks = tuple(tuple(pairs[v] for v in comps[ci]) for ci in order)
     return Coupled(blocks)

@@ -109,6 +109,33 @@ def test_classify_writes_report_file(capsys, tmp_path):
     assert json.loads(out_path.read_text())["command"] == "classify"
 
 
+def test_classify_and_info_on_a_1500_pair_ring(capsys, tmp_path):
+    # FR i depends on DPs i and i + 1 (mod n): every pair lies on one cycle
+    # of n pairs, far longer than Python's default recursion limit.
+    n = 1500
+    matrix = [[0] * n for _ in range(n)]
+    for i in range(n):
+        matrix[i][i] = matrix[i][(i + 1) % n] = 1
+    spec = {
+        "frs": [{"id": f"fr{i}", "nominal": 0, "tol_minus": 1, "tol_plus": 1}
+                for i in range(n)],
+        "dps": [{"id": f"dp{i}", "nominal": 0} for i in range(n)],
+        "matrix": matrix,
+    }
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(spec))
+    code, doc = run_json(capsys, "classify", str(path))
+    assert code == 2
+    blocks = doc["classification"]["blocks"]
+    assert len(blocks) == 1
+    assert sorted(int(fr[2:]) for fr, _ in blocks[0]) == list(range(n))
+    code, doc = run_json(capsys, "info", str(path), "--method", "joint",
+                         "--samples", "10")
+    assert code == 0
+    assert doc["classification"]["class"] == "coupled"
+    assert doc["info"]["method"] == "joint"
+
+
 # ---------------------------------------------------------------------------
 # info
 

@@ -313,3 +313,83 @@ def test_block_structure_matches_matching_free_definition():
             assert sorted(len(b) for b in cls.blocks) == [2]
         else:  # the two off-diagonal variants are triangular -> decoupled
             assert isinstance(cls, Decoupled)
+
+
+# ---------------------------------------------------------------------------
+# Exact matchings: which pairs a coupled block lists depends on the matching
+# found, so these pin it (FRs and DPs searched in index order).
+
+
+@pytest.mark.parametrize("mask, blocks", [
+    (np.ones((2, 2)), (((0, 1), (1, 0)),)),
+    (np.ones((3, 3)), (((0, 2), (1, 1), (2, 0)),)),
+    ([[0, 0, 1, 1, 1, 1], [1, 0, 1, 0, 0, 1], [1, 1, 0, 0, 0, 1],
+      [1, 0, 1, 0, 0, 1], [1, 0, 1, 0, 0, 1], [1, 1, 0, 1, 0, 1]],
+     (((1, 5), (3, 2), (4, 0)), ((2, 1),), ((5, 3),), ((0, 4),))),
+    ([[0, 0, 0, 0, 1, 0], [1, 0, 0, 0, 1, 1], [0, 0, 1, 1, 1, 1],
+      [0, 1, 1, 1, 0, 1], [0, 1, 1, 1, 0, 1], [1, 1, 1, 0, 1, 0]],
+     (((0, 4),), ((1, 5), (2, 3), (3, 2), (4, 1), (5, 0)))),
+    ([[0, 1, 1, 0, 0, 0], [0, 0, 1, 0, 0, 1], [1, 1, 0, 1, 0, 1],
+      [0, 0, 0, 1, 0, 0], [1, 1, 0, 1, 1, 0], [0, 1, 1, 0, 0, 0]],
+     (((0, 2), (5, 1)), ((1, 5),), ((3, 3),), ((2, 0),), ((4, 4),))),
+])
+def test_coupled_blocks_list_the_pinned_matching(mask, blocks):
+    cls = classify(np.asarray(mask, dtype=float))
+    assert isinstance(cls, Coupled)
+    assert cls.blocks == blocks
+
+
+# ---------------------------------------------------------------------------
+# Large patterns: no recursion depth limit, and agreement with scipy's
+# graph routines as an independent oracle
+
+
+def _permuted(mask, seed):
+    rng = np.random.default_rng(seed)
+    n = mask.shape[0]
+    return mask[np.ix_(rng.permutation(n), rng.permutation(n))]
+
+
+def test_two_thousand_pair_ring_is_one_coupled_block():
+    n = 2000
+    rows = np.arange(n)
+    mask = np.zeros((n, n), dtype=bool)
+    mask[rows, rows] = mask[rows, (rows + 1) % n] = True
+    cls = classify(_permuted(mask, 11).astype(float))
+    assert isinstance(cls, Coupled)
+    assert len(cls.blocks) == 1
+    assert sorted(fr for fr, _ in cls.blocks[0]) == list(range(n))
+
+
+def test_permuted_dense_lower_triangle_is_decoupled():
+    mask = _permuted(np.tril(np.ones((300, 300), dtype=bool)), 12)
+    cls = classify(mask.astype(float))
+    assert isinstance(cls, Decoupled)
+    assert _sequence_is_valid(mask, cls.order)
+
+
+def test_large_sparse_blocks_match_scipy_strong_components():
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
+
+    n = 2000
+    rng = np.random.default_rng(13)
+    rows = np.arange(n)
+    mask = np.zeros((n, n), dtype=bool)
+    mask[rows[:-1], rows[:-1]] = mask[rows[:-1], rows[1:]] = True
+    mask[n - 1, 0] = True
+    mask[rows, rng.integers(0, n, n)] = True
+    mask = _permuted(mask, 14)
+
+    match = maximum_bipartite_matching(csr_matrix(mask), perm_type="column")
+    owner = np.empty(n, dtype=np.int64)
+    owner[match] = rows
+    frs, dps = np.nonzero(mask)
+    pairs = csr_matrix((np.ones(frs.size), (frs, owner[dps])), shape=(n, n))
+    _, labels = connected_components(pairs, directed=True, connection="strong")
+    expected = {frozenset(np.flatnonzero(labels == lab).tolist())
+                for lab in np.unique(labels)}
+
+    cls = classify(mask.astype(float))
+    assert isinstance(cls, Coupled)
+    assert {frozenset(fr for fr, _ in block) for block in cls.blocks} == expected
