@@ -2,7 +2,7 @@
 designs: classify design matrices (uncoupled / decoupled / coupled /
 degenerate), measure how improbable it is that a realized design satisfies
 its requirements (in bits), and propagate design-parameter uncertainty
-forward through linear, black-box, or simulated process models.
+forward through linear or simulated process models.
 """
 
 from .coupling import (Classification, Coupled, Decoupled, Degenerate,
@@ -17,10 +17,9 @@ from .info import (InfoResult, McConfig, McStats, Method, SystemInfoReport,
                    system_information_independent, system_information_joint)
 from .model import (DesignParameter, DesignRange, DesignSpec,
                     FunctionalRequirement, parse_spec, range_bounds,
-                    render_spec, validate_spec)
-from .propagation import (BlackBoxModel, LinearModel, SampleSet,
-                          ScenarioModel, estimate_design_matrix, propagate,
-                          simulate_tank)
+                    validate_spec)
+from .propagation import (LinearModel, SampleSet, ScenarioModel,
+                          estimate_design_matrix, simulate_tank)
 from .report import (classification_doc, info_doc, render_json, render_text,
                      spec_echo)
 from .tank import TankConfig, tank_response
@@ -34,7 +33,7 @@ __all__ = [
     "from_samples", "draw_from",
     # spec model
     "DesignRange", "FunctionalRequirement", "DesignParameter", "DesignSpec",
-    "parse_spec", "render_spec", "validate_spec", "range_bounds",
+    "parse_spec", "validate_spec", "range_bounds",
     # coupling
     "DesignMatrix", "Classification", "Uncoupled", "Decoupled", "Coupled",
     "Degenerate", "DegenerateReason", "classify", "binarize", "sequence",
@@ -45,8 +44,8 @@ __all__ = [
     "system_information_independent", "system_information_joint",
     "system_information_from_samples", "conditional_chain_information",
     # propagation
-    "SampleSet", "LinearModel", "BlackBoxModel", "ScenarioModel",
-    "propagate", "estimate_design_matrix", "simulate_tank",
+    "SampleSet", "LinearModel", "ScenarioModel",
+    "estimate_design_matrix", "simulate_tank",
     "TankConfig", "tank_response",
     # reports
     "render_json", "render_text", "classification_doc", "info_doc",

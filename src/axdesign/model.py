@@ -23,9 +23,12 @@ The JSON document format is pinned here::
        | {"kind": "empirical",  "samples": [...]}
 
 Unknown fields are rejected everywhere. ``parse_spec`` reports JSON syntax
-errors with their position and schema violations with the offending field
-path; ``validate_spec`` returns semantic violations as data rather than
-raising.
+errors with their position and type violations with the offending field
+path. The structural rules (at least one FR, unique ids, the matrix shape,
+pdf maps keyed by known FRs, the scenario's 3 FRs) are invariants of
+:class:`DesignSpec`, so they hold however a spec is built.
+``validate_spec`` reports only the semantic issues a well-formed spec may
+still have, as data rather than raising.
 """
 
 from __future__ import annotations
@@ -45,10 +48,8 @@ __all__ = [
     "DesignSpec",
     "range_bounds",
     "parse_spec",
-    "render_spec",
     "validate_spec",
     "pdf_from_obj",
-    "pdf_to_obj",
 ]
 
 
@@ -116,6 +117,29 @@ class DesignSpec:
     scenario: TankConfig | None = None
 
     def __post_init__(self):
+        if not self.frs:
+            raise ValueError("a spec needs at least one FR")
+        for kind, ids in (("FR", self.fr_ids()), ("DP", self.dp_ids())):
+            seen = set()
+            for item_id in ids:
+                if item_id in seen:
+                    raise ValueError(f"duplicate {kind} id {item_id!r}")
+                seen.add(item_id)
+        if self.matrix is not None:
+            if len(self.matrix) != len(self.frs):
+                raise ValueError(f"matrix must have one row per FR ({len(self.frs)})")
+            if not self.dps:
+                raise ValueError("a matrix needs at least one DP column")
+            for i, row in enumerate(self.matrix):
+                if len(row) != len(self.dps):
+                    raise ValueError(
+                        f"matrix row {i} must have one entry per DP ({len(self.dps)})")
+        fr_ids = set(self.fr_ids())
+        for name, pdfs in (("system_pdfs", self.system_pdfs),
+                           ("noise_pdfs", self.noise_pdfs)):
+            for key in pdfs:
+                if key not in fr_ids:
+                    raise ValueError(f"{name} names unknown FR id {key!r}")
         if not (isinstance(self.epsilon, (int, float)) and math.isfinite(self.epsilon)
                 and self.epsilon >= 0):
             raise ValueError("epsilon must be a finite number >= 0")
@@ -204,19 +228,6 @@ def pdf_from_obj(obj, where: str = "pdf") -> Pdf:
         raise SpecFormatError(str(exc), where) from exc
 
 
-def pdf_to_obj(pdf: Pdf) -> dict:
-    """Encode one pdf as its JSON object form."""
-    if isinstance(pdf, Uniform):
-        return {"kind": "uniform", "lo": pdf.lo, "hi": pdf.hi}
-    if isinstance(pdf, Normal):
-        return {"kind": "normal", "mu": pdf.mu, "sigma": pdf.sigma}
-    if isinstance(pdf, Triangular):
-        return {"kind": "triangular", "lo": pdf.lo, "mode": pdf.mode, "hi": pdf.hi}
-    if isinstance(pdf, Empirical):
-        return {"kind": "empirical", "samples": list(pdf.samples)}
-    raise TypeError(f"not a known pdf type: {type(pdf).__name__}")
-
-
 _SCENARIO_NUMBERS = ("level_low", "level_high", "temp_setpoint", "mix_duration", "timestep")
 _GAIN_KEYS = ("mixer_to_temp", "heater_to_level", "mixer_to_level")
 _NOISE_KEYS = ("level", "temp", "duration", "inlet")
@@ -252,27 +263,6 @@ def _scenario_from_obj(obj, where="scenario") -> TankConfig:
         return TankConfig(**kwargs)
     except ValueError as exc:
         raise SpecFormatError(str(exc), where) from exc
-
-
-def _scenario_to_obj(cfg: TankConfig) -> dict:
-    out = {
-        "level_low": cfg.level_low,
-        "level_high": cfg.level_high,
-        "temp_setpoint": cfg.temp_setpoint,
-        "mix_duration": cfg.mix_duration,
-        "timestep": cfg.timestep,
-        "cycles": cfg.cycles,
-    }
-    if cfg.sensor_noise:
-        out["sensor_noise"] = {ch: pdf_to_obj(p) for ch, p in cfg.sensor_noise.items()}
-    gains = {
-        "mixer_to_temp": cfg.mixer_to_temp,
-        "heater_to_level": cfg.heater_to_level,
-        "mixer_to_level": cfg.mixer_to_level,
-    }
-    if any(v != 0.0 for v in gains.values()):
-        out["coupling_gains"] = gains
-    return out
 
 
 _FR_KEYS = ("id", "description", "nominal", "tol_minus", "tol_plus", "unit")
@@ -320,21 +310,17 @@ def _dp_from_obj(obj, where) -> DesignParameter:
         raise SpecFormatError(str(exc), where) from exc
 
 
-def _pdf_map_from_obj(obj, where, fr_ids) -> dict[str, Pdf]:
+def _pdf_map_from_obj(obj, where) -> dict[str, Pdf]:
     _require_object(obj, where)
-    out = {}
-    for key, val in obj.items():
-        if key not in fr_ids:
-            raise SpecFormatError(f"unknown FR id {key!r}", where)
-        out[key] = pdf_from_obj(val, f"{where}.{key}")
-    return out
+    return {key: pdf_from_obj(val, f"{where}.{key}") for key, val in obj.items()}
 
 
 def parse_spec(text: str) -> DesignSpec:
     """Parse a JSON design-spec document.
 
     Raises :class:`SpecFormatError` with the error position for malformed
-    JSON, or with the offending field path for schema violations. Semantic
+    JSON, with the offending field path for type violations, and at
+    ``document`` for a broken :class:`DesignSpec` invariant. Semantic
     problems that are representable (zero-width ranges, missing probability
     sources) are left to :func:`validate_spec`.
     """
@@ -354,26 +340,15 @@ def parse_spec(text: str) -> DesignSpec:
     frs = tuple(_fr_from_obj(o, f"frs[{i}]") for i, o in enumerate(doc["frs"]))
     dps = tuple(_dp_from_obj(o, f"dps[{i}]") for i, o in enumerate(doc["dps"]))
 
-    fr_ids = [fr.id for fr in frs]
-    for i, fr_id in enumerate(fr_ids):
-        if fr_id in fr_ids[:i]:
-            raise SpecFormatError(f"duplicate FR id {fr_id!r}", f"frs[{i}]")
-    dp_ids = [dp.id for dp in dps]
-    for i, dp_id in enumerate(dp_ids):
-        if dp_id in dp_ids[:i]:
-            raise SpecFormatError(f"duplicate DP id {dp_id!r}", f"dps[{i}]")
-
     matrix = None
     if "matrix" in doc:
         raw = doc["matrix"]
-        if not isinstance(raw, list) or len(raw) != len(frs):
-            raise SpecFormatError(
-                f"matrix must have one row per FR ({len(frs)})", "matrix")
+        if not isinstance(raw, list):
+            raise SpecFormatError("matrix must be an array of rows", "matrix")
         rows = []
         for i, row in enumerate(raw):
-            if not isinstance(row, list) or len(row) != len(dps):
-                raise SpecFormatError(
-                    f"row {i} must have one entry per DP ({len(dps)})", "matrix")
+            if not isinstance(row, list):
+                raise SpecFormatError(f"row {i} must be an array", "matrix")
             for j, v in enumerate(row):
                 if isinstance(v, bool) or not isinstance(v, (int, float)) \
                         or not math.isfinite(float(v)):
@@ -382,9 +357,9 @@ def parse_spec(text: str) -> DesignSpec:
             rows.append(tuple(float(v) for v in row))
         matrix = tuple(rows)
 
-    system_pdfs = _pdf_map_from_obj(doc["system_pdfs"], "system_pdfs", fr_ids) \
+    system_pdfs = _pdf_map_from_obj(doc["system_pdfs"], "system_pdfs") \
         if "system_pdfs" in doc else {}
-    noise_pdfs = _pdf_map_from_obj(doc["noise_pdfs"], "noise_pdfs", fr_ids) \
+    noise_pdfs = _pdf_map_from_obj(doc["noise_pdfs"], "noise_pdfs") \
         if "noise_pdfs" in doc else {}
 
     epsilon = _number(doc, "epsilon", "epsilon", required=False, default=0.0)
@@ -396,73 +371,20 @@ def parse_spec(text: str) -> DesignSpec:
         raise SpecFormatError(str(exc), "document") from exc
 
 
-def render_spec(spec: DesignSpec) -> str:
-    """Render a spec back to its JSON document form (parse round-trips)."""
-    doc: dict = {"frs": [], "dps": []}
-    for fr in spec.frs:
-        obj = {"id": fr.id}
-        if fr.description:
-            obj["description"] = fr.description
-        obj["nominal"] = fr.design_range.nominal
-        obj["tol_minus"] = fr.design_range.tol_minus
-        obj["tol_plus"] = fr.design_range.tol_plus
-        if fr.unit:
-            obj["unit"] = fr.unit
-        doc["frs"].append(obj)
-    for dp in spec.dps:
-        obj = {"id": dp.id}
-        if dp.description:
-            obj["description"] = dp.description
-        obj["nominal"] = dp.nominal
-        if dp.uncertainty is not None:
-            obj["uncertainty"] = pdf_to_obj(dp.uncertainty)
-        doc["dps"].append(obj)
-    if spec.matrix is not None:
-        doc["matrix"] = [list(row) for row in spec.matrix]
-    if spec.system_pdfs:
-        doc["system_pdfs"] = {k: pdf_to_obj(v) for k, v in spec.system_pdfs.items()}
-    if spec.noise_pdfs:
-        doc["noise_pdfs"] = {k: pdf_to_obj(v) for k, v in spec.noise_pdfs.items()}
-    if spec.epsilon != 0.0:
-        doc["epsilon"] = spec.epsilon
-    if spec.scenario is not None:
-        doc["scenario"] = _scenario_to_obj(spec.scenario)
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def validate_spec(spec: DesignSpec) -> list[str]:
     """Semantic validation; returns violations as strings (empty = valid).
 
     Pure: the spec is not modified and repeated calls agree.
     """
     issues = []
-    fr_ids = list(spec.fr_ids())
-    dp_ids = list(spec.dp_ids())
-    for i, fr_id in enumerate(fr_ids):
-        if fr_id in fr_ids[:i]:
-            issues.append(f"duplicate FR id {fr_id!r}")
-    for i, dp_id in enumerate(dp_ids):
-        if dp_id in dp_ids[:i]:
-            issues.append(f"duplicate DP id {dp_id!r}")
     for fr in spec.frs:
         dr = fr.design_range
         if dr.tol_minus == 0 and dr.tol_plus == 0:
             issues.append(f"FR {fr.id!r}: zero-width design range")
-    if spec.matrix is not None:
-        rows = len(spec.matrix)
-        cols = {len(r) for r in spec.matrix}
-        if rows != len(spec.frs) or (spec.matrix and cols != {len(spec.dps)}):
-            shape = f"{rows}x{'/'.join(str(c) for c in sorted(cols)) or '0'}"
-            issues.append(
-                f"matrix shape {shape} does not match "
-                f"{len(spec.frs)} FRs x {len(spec.dps)} DPs")
     for fr in spec.frs:
         if (fr.id not in spec.system_pdfs and spec.matrix is None
                 and spec.scenario is None):
             issues.append(
                 f"FR {fr.id!r} has no system range source "
                 f"(no system pdf, design matrix, or scenario)")
-    for key in list(spec.system_pdfs) + list(spec.noise_pdfs):
-        if key not in fr_ids:
-            issues.append(f"pdf map references unknown FR id {key!r}")
     return issues

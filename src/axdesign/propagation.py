@@ -1,17 +1,16 @@
 """Forward uncertainty propagation from design parameters to requirements.
 
-Three model flavours share one sampling protocol
-(``sample_frs(rng, n) -> (n, n_frs) ndarray``):
+Two model flavours share one sampling protocol
+(``sample_frs(rng, n) -> (n, n_frs) ndarray``) and one point map
+(``evaluate(dp_values) -> FR values``):
 
 * :class:`LinearModel` — FR = A @ DP + noise, with a pdf per DP and an
   optional additive noise pdf per FR row.
-* :class:`BlackBoxModel` — an arbitrary vector function of the DPs,
-  optionally with DP pdfs so it can be sampled.
 * :class:`ScenarioModel` — the batch-process tank simulator
   (:mod:`axdesign.tank`); each sample row is one simulated cycle.
 
-:func:`propagate` runs a model and wraps the draws in a :class:`SampleSet`
-(named columns, rectangular, finite, CSV-exportable).
+:func:`simulate_tank` runs the simulator and wraps the cycles in a
+:class:`SampleSet` (named columns, rectangular, finite, CSV-exportable).
 :func:`estimate_design_matrix` recovers the local influence matrix of any
 model exposing ``evaluate`` by central finite differences — exact for
 linear maps at any step size.
@@ -24,10 +23,9 @@ reproducible for a given seed and independent across columns.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,9 +36,7 @@ from .tank import TankConfig, simulate, tank_response
 __all__ = [
     "SampleSet",
     "LinearModel",
-    "BlackBoxModel",
     "ScenarioModel",
-    "propagate",
     "estimate_design_matrix",
     "simulate_tank",
     "TANK_COLUMNS",
@@ -74,31 +70,13 @@ class SampleSet:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def column(self, name: str) -> np.ndarray:
-        try:
-            return self.values[:, self.columns.index(name)]
-        except ValueError:
-            raise KeyError(f"no column named {name!r}") from None
-
-    def to_csv(self, target) -> None:
-        """Write as CSV with the column names as header. ``target`` is a
-        path or a writable text file."""
-        if hasattr(target, "write"):
-            self._write_csv(target)
-        else:
-            with open(target, "w", newline="") as handle:
-                self._write_csv(handle)
-
-    def _write_csv(self, handle) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(self.columns)
-        for row in self.values:
-            writer.writerow([repr(float(v)) for v in row])
-
-    def csv_text(self) -> str:
-        buf = io.StringIO()
-        self._write_csv(buf)
-        return buf.getvalue()
+    def to_csv(self, path) -> None:
+        """Write to ``path`` as CSV with the column names as header."""
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(self.columns)
+            for row in self.values:
+                writer.writerow([repr(float(v)) for v in row])
 
 
 def _substreamed_draws(pdfs, rng: RngState, n: int, base: int) -> np.ndarray:
@@ -157,53 +135,10 @@ class LinearModel:
         return frs
 
 
-class BlackBoxModel:
-    """Arbitrary DP-vector -> FR-vector function.
-
-    ``fn`` maps a 1-D DP array to a 1-D FR array-like. Sampling requires
-    ``dp_pdfs``; evaluation alone (e.g. for finite differences) does not.
-    """
-
-    def __init__(self, fn: Callable, dp_pdfs: Sequence[Pdf] | None = None):
-        if not callable(fn):
-            raise ValueError("fn must be callable")
-        self.fn = fn
-        self.dp_pdfs = tuple(dp_pdfs) if dp_pdfs is not None else None
-        if self.dp_pdfs is not None:
-            for j, pdf in enumerate(self.dp_pdfs):
-                if not isinstance(pdf, Pdf):
-                    raise ValueError(f"dp_pdfs[{j}] is not a Pdf")
-
-    def evaluate(self, dp_values) -> np.ndarray:
-        out = np.asarray(self.fn(np.asarray(dp_values, dtype=np.float64)),
-                         dtype=np.float64)
-        if out.ndim != 1:
-            raise ValueError(f"black-box output must be a 1-D FR vector, got shape {out.shape}")
-        return out
-
-    def sample_frs(self, rng: RngState, n: int) -> np.ndarray:
-        if self.dp_pdfs is None:
-            raise ValueError("sampling a black-box model requires dp_pdfs")
-        dps = _substreamed_draws(self.dp_pdfs, rng, n, base=0)
-        rows = []
-        for i in range(n):
-            try:
-                row = self.evaluate(dps[i])
-            except Exception as exc:
-                raise RuntimeError(f"black-box evaluation failed at trial {i}: {exc}") from exc
-            if rows and row.shape != rows[0].shape:
-                raise RuntimeError(
-                    f"black-box output changed length at trial {i}")
-            rows.append(row)
-        return np.vstack(rows)
-
-
 class ScenarioModel:
     """Tank-scenario sampler: each FR sample row is one simulated cycle,
     and ``evaluate`` is the noise-free two-cycle setpoint response map
     (suitable for finite-difference influence estimation)."""
-
-    column_names = TANK_COLUMNS
 
     def __init__(self, config: TankConfig):
         if not isinstance(config, TankConfig):
@@ -215,27 +150,6 @@ class ScenarioModel:
 
     def sample_frs(self, rng: RngState, n: int) -> np.ndarray:
         return simulate(self.config, rng, cycles=n)
-
-
-def propagate(model, rng: RngState, n: int,
-              columns: Sequence[str] | None = None) -> SampleSet:
-    """Draw ``n`` FR sample rows from ``model`` into a :class:`SampleSet`.
-
-    Column names come from ``columns``, else the model's ``column_names``
-    attribute, else ``fr1..frK``.
-    """
-    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
-        raise ValueError("n must be a positive integer")
-    if not isinstance(rng, RngState):
-        raise ValueError("rng must be an RngState")
-    values = np.asarray(model.sample_frs(rng, n), dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != n:
-        raise ValueError(f"model produced shape {values.shape}, expected ({n}, n_frs)")
-    if columns is None:
-        columns = getattr(model, "column_names", None)
-    if columns is None:
-        columns = tuple(f"fr{j + 1}" for j in range(values.shape[1]))
-    return SampleSet(columns=tuple(columns), values=values)
 
 
 def estimate_design_matrix(model, dp_nominals, step: float) -> DesignMatrix:

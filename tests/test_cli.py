@@ -339,6 +339,21 @@ def test_scenario_with_two_frs_exits_one(capsys, tmp_path):
         assert "exactly 3 FRs" in err
 
 
+@pytest.mark.parametrize("spec", [
+    {"frs": [], "dps": []},
+    {"frs": [{"id": "f", "nominal": 1, "tol_minus": 0.1, "tol_plus": 0.1}],
+     "dps": [], "matrix": [[]]},
+])
+def test_empty_specs_exit_one_without_a_traceback(capsys, tmp_path, spec):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(spec))
+    for command in ("classify", "info", "validate"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1, command
+        assert out == ""
+        assert err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # validate
 
