@@ -14,7 +14,9 @@ Four subcommands over a JSON design-spec file:
 * ``simulate`` — run the tank scenario, optionally write the per-cycle
   samples as CSV (``--out``), and report the empirical information
   content. Exit 5 if the simulation diverges.
-* ``validate`` — structural checks beyond parsing; exit 1 if issues.
+* ``validate`` — report FRs with a zero-width design range or with no
+  system range source (no system pdf, design matrix or scenario); exit 1
+  if there are any. Structural errors already fail at parse.
 
 Parse and validation failures exit 1 with a message on stderr. All report
 output is deterministic: the same spec, seed, and flags produce

@@ -19,9 +19,19 @@ can be reproduced from the seed alone, and substreams derived with
 consumed. Successive draws from one generator continue its stream; a caller
 that needs an independent, reproducible stream derives another substream.
 
-Normal variates are generated by the inverse-CDF method (Philox uniforms
-mapped through the inverse normal CDF); this choice is fixed for the
-package, so a given seed always yields the same samples.
+Every family consumes exactly one ``gen.random()`` value per draw, so ``n``
+draws advance the stream by ``n`` values whatever the family, and a caller
+that does not need the next ``k`` draws skips them with ``gen.random(k)``:
+the draws after the skip are those a single call would have returned.
+
+* Uniform scales ``gen.random()`` onto [lo, hi).
+* Normal and triangular variates are generated by the inverse-CDF method:
+  each ``gen.random()`` value k / 2**53 becomes the open uniform
+  (k + 0.5) / 2**53, clamped to 1 - 2**-53 for the top k, where the sum
+  rounds up to 1.0. This choice is fixed for the package, so a given seed
+  always yields the same samples.
+* Empirical picks observation ``floor(gen.random() * n_obs)`` of the sorted
+  observations.
 """
 
 from __future__ import annotations
@@ -45,9 +55,10 @@ __all__ = [
     "draw_from",
 ]
 
-# Largest uniform grid used when inverting the CDF: (k + 0.5) / 2**53 for
-# k < 2**53 keeps inverse-CDF inputs strictly inside (0, 1).
-_OPEN_DENOM = float(1 << 53)
+# Extremes of the open uniform (k + 0.5) / 2**53: k = 0, and the top k
+# clamped, which is also the largest ``gen.random()`` value.
+_U_LO = 2.0**-54
+_U_HI = 1.0 - 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -81,8 +92,13 @@ class RngState:
 
 
 def _open_uniform(gen: Generator, n: int) -> np.ndarray:
-    """Uniforms strictly inside (0, 1), safe for inverse-CDF transforms."""
-    return (gen.integers(0, 1 << 53, size=n).astype(np.float64) + 0.5) / _OPEN_DENOM
+    """Uniforms strictly inside (0, 1), safe for inverse-CDF transforms.
+
+    One ``gen.random()`` value each, shifted by half a grid step.
+    """
+    u = gen.random(n)
+    u += _U_LO
+    return np.minimum(u, _U_HI, out=u)
 
 
 class Pdf:
@@ -98,6 +114,11 @@ class Pdf:
         return float(self.cdf(hi)) - float(self.cdf(lo))
 
     def _draw(self, gen: Generator, n: int) -> np.ndarray:
+        raise NotImplementedError
+
+    @property
+    def _support(self) -> tuple[float, float]:
+        """(lo, hi) holding every value ``_draw`` can return."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -125,6 +146,10 @@ class Uniform(Pdf):
     def _draw(self, gen, n):
         return self.lo + gen.random(n) * (self.hi - self.lo)
 
+    @cached_property
+    def _support(self):
+        return self.lo, self.lo + _U_HI * (self.hi - self.lo)
+
     def describe(self):
         return f"uniform[{self.lo:g}, {self.hi:g}]"
 
@@ -149,6 +174,11 @@ class Normal(Pdf):
     def _draw(self, gen, n):
         # Inverse-CDF method; uniforms kept strictly inside (0, 1).
         return self.mu + self.sigma * ndtri(_open_uniform(gen, n))
+
+    @cached_property
+    def _support(self):
+        return (float(self.mu + self.sigma * ndtri(_U_LO)),
+                float(self.mu + self.sigma * ndtri(_U_HI)))
 
     def describe(self):
         return f"normal(mu={self.mu:g}, sigma={self.sigma:g})"
@@ -188,13 +218,22 @@ class Triangular(Pdf):
         return out[()]
 
     def _draw(self, gen, n):
-        u = _open_uniform(gen, n)
+        return self._inverse_cdf(_open_uniform(gen, n))
+
+    def _inverse_cdf(self, u):
         lo, mode, hi = self.lo, self.mode, self.hi
         width = hi - lo
         split = (mode - lo) / width
-        left = lo + np.sqrt(u * width * (mode - lo)) if mode > lo else np.full(n, lo)
-        right = hi - np.sqrt((1.0 - u) * width * (hi - mode)) if hi > mode else np.full(n, hi)
+        left = lo + np.sqrt(u * width * (mode - lo)) if mode > lo else np.full(len(u), lo)
+        right = hi - np.sqrt((1.0 - u) * width * (hi - mode)) if hi > mode else np.full(len(u), hi)
         return np.where(u < split, left, right)
+
+    @cached_property
+    def _support(self):
+        # Each branch is monotone in u, so the extremes sit at the extreme
+        # uniforms (up to rounding where the branches meet at the mode).
+        lo, hi = self._inverse_cdf(np.array([_U_LO, _U_HI]))
+        return float(lo), float(hi)
 
     def describe(self):
         return f"triangular({self.lo:g}, {self.mode:g}, {self.hi:g})"
@@ -206,7 +245,8 @@ class Empirical(Pdf):
 
     The CDF counts samples exactly (fraction of observations <= x), so
     interval probabilities are exact sample fractions. Sampling draws
-    uniformly from the stored observations.
+    uniformly from the stored observations, one ``gen.random()`` value per
+    draw indexing their sorted copy.
     """
 
     samples: tuple[float, ...]
@@ -230,8 +270,13 @@ class Empirical(Pdf):
         return (counts / len(self._sorted))[()]
 
     def _draw(self, gen, n):
-        arr = np.asarray(self.samples, dtype=np.float64)
-        return arr[gen.integers(0, len(arr), size=n)]
+        arr = self._sorted
+        idx = (gen.random(n) * len(arr)).astype(np.intp)
+        return arr[np.minimum(idx, len(arr) - 1, out=idx)]
+
+    @cached_property
+    def _support(self):
+        return float(self._sorted[0]), float(self._sorted[-1])
 
     def describe(self):
         return f"empirical(n={len(self.samples)})"

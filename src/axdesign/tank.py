@@ -62,6 +62,9 @@ LEVEL_DRIFT_PER_RUN = 1.0  # m of transmitter drift per reference runtime, per u
 
 _NOISE_CHANNELS = ("level", "temp", "duration", "inlet")
 _PHASE_RETRIES = 4  # chunks of sensor readings searched before divergence
+# Relative widening of a noise pdf's support when ruling readings out, so
+# that rounding in the support's endpoints cannot rule out a crossing.
+_SUPPORT_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -113,23 +116,40 @@ def _cross(gen, pdf, start, step, target, bias, upward, cycle, what):
     ``start + step * t`` (computed in closed form so a noiseless trajectory
     has no accumulation error) and the transmitter reports
     ``true + noise - bias``.
+
+    Readings are searched in chunks, one noise draw per reading. Readings
+    that could not cross even with the most extreme value ``pdf`` can
+    return are not transformed: their uniforms are consumed with
+    ``gen.random`` and the rest of the chunk is drawn, which leaves the
+    stream and every drawn value as if the whole chunk had been drawn.
     """
     if step != 0.0:
         need = max(0.0, (target - start) / step)
     else:
         need = 0.0
     chunk = int(need) + 64
-    t0 = 0
-    for _ in range(_PHASE_RETRIES):
+    crossed = np.greater_equal if upward else np.less_equal
+    if pdf is not None:
+        lo, hi = pdf._support
+        pad = _SUPPORT_MARGIN * (hi - lo)
+        reach = hi + pad if upward else lo - pad
+    for t0 in range(0, _PHASE_RETRIES * chunk, chunk):
         t = np.arange(t0, t0 + chunk, dtype=np.float64)
         true = start + step * t
         measured = true - bias
+        i0 = 0
         if pdf is not None:
-            measured = measured + draw_from(pdf, gen, chunk)
-        hits = measured >= target if upward else measured <= target
-        if hits.any():
-            return float(true[int(np.argmax(hits))])
-        t0 += chunk
+            can = crossed(measured + reach, target)
+            i0 = int(can.argmax())
+            if not can[i0]:  # no reading in this chunk can cross
+                gen.random(chunk)
+                continue
+            gen.random(i0)
+            measured = measured[i0:] + draw_from(pdf, gen, chunk - i0)
+        hits = crossed(measured, target)
+        i = int(hits.argmax())
+        if hits[i]:
+            return float(true[i0 + i])
     raise SimulationDivergence(f"{what} never crossed its setpoint", cycle)
 
 

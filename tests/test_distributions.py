@@ -241,3 +241,48 @@ def test_normal_draws_are_symmetric_about_the_mean():
     values = draw_from(Normal(10.0, 2.0), RngState(seed=5).generator(), 100_000)
     above = float((values > 10.0).mean())
     assert abs(above - 0.5) < 3.0 * math.sqrt(0.25 / 100_000)
+
+
+# ---------------------------------------------------------------------------
+# One gen.random() value per draw, and the extremes of that value
+
+
+@pytest.mark.parametrize("pdf", ALL_FAMILIES, ids=lambda p: p.describe())
+@pytest.mark.parametrize("a,b", [(0, 5), (1, 1), (7, 100), (1000, 3)])
+def test_draws_take_one_uniform_each(pdf: Pdf, a: int, b: int):
+    whole = draw_from(pdf, RngState(seed=31).generator(), a + b)
+    gen = RngState(seed=31).generator()
+    head = draw_from(pdf, gen, a)
+    assert np.array_equal(np.concatenate([head, draw_from(pdf, gen, b)]), whole)
+    # Skipping a draws with gen.random leaves the tail unchanged.
+    gen = RngState(seed=31).generator()
+    gen.random(a)
+    assert np.array_equal(draw_from(pdf, gen, b), whole[a:])
+
+
+class _ExtremeGenerator:
+    """Stands in for a Generator: random() alternates its two extreme
+    values, 0.0 and the largest double below 1."""
+
+    def random(self, n):
+        return np.resize([0.0, 1.0 - 2.0**-53], n)
+
+
+EDGE_FAMILIES = ALL_FAMILIES + [
+    Uniform(0.1, 0.3),
+    Normal(1e6, 1e-3),
+    Triangular(0.0, 0.0, 2.0),
+    Triangular(0.1, 0.3, 0.3),
+    Empirical((4.2,)),
+]
+
+
+@pytest.mark.parametrize("pdf", EDGE_FAMILIES, ids=lambda p: p.describe())
+def test_extreme_uniforms_give_finite_draws_inside_the_support(pdf: Pdf):
+    # The top gen.random() value must not round to an inverse-CDF input of
+    # exactly 1.0, which gives a normal draw of +inf.
+    values = draw_from(pdf, _ExtremeGenerator(), 4)
+    lo, hi = pdf._support
+    assert np.all(np.isfinite(values))
+    assert np.all((lo <= values) & (values <= hi))
+    assert values.min() == lo and values.max() == hi

@@ -3,18 +3,26 @@ divergence reporting, and the cross-channel carryover effects."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axdesign import (
+    Empirical,
     Normal,
     RngState,
     SimulationDivergence,
     TankConfig,
+    Triangular,
+    Uniform,
     simulate_tank,
     tank_response,
 )
-from axdesign.tank import simulate
+from axdesign.distributions import draw_from
+from axdesign.tank import _PHASE_RETRIES, _cross, simulate
 
 NOISY = {
     "level": Normal(0.0, 0.01),
@@ -83,6 +91,37 @@ def test_each_cycle_owns_its_substream():
     short = simulate(cfg, RngState(seed=7), cycles=5)
     long = simulate(cfg, RngState(seed=7), cycles=10)
     assert np.array_equal(short, long[:5])
+
+
+# sha256 of the float64 bytes of 400 coupled cycles, one table per noise
+# family on all four channels, computed with the search that draws and
+# tests every sensor reading; skipping readings must not move a bit.
+PINNED_GAINS = dict(mixer_to_temp=0.015, heater_to_level=0.3, mixer_to_level=0.02)
+PINNED_NOISE = {
+    "uniform": (
+        {"level": Uniform(-0.02, 0.02), "temp": Uniform(-0.2, 0.15),
+         "duration": Uniform(-0.5, 0.5), "inlet": Uniform(-0.3, 0.3)},
+        "359442a34903f5920d0deb1d554c60caf64adf36706a6efc8c66de028cfbd61b",
+    ),
+    "normal": (
+        {"level": Normal(0.001, 0.01), "temp": Normal(0.0, 0.1),
+         "duration": Normal(0.0, 0.3), "inlet": Normal(-0.05, 0.15)},
+        "4d97db1606ba52681bc97a07f2ffc84235bd5b162a82dc5d48121b37597a468c",
+    ),
+    "triangular": (
+        {"level": Triangular(-0.03, 0.0, 0.02), "temp": Triangular(-0.2, 0.05, 0.2),
+         "duration": Triangular(-0.6, 0.0, 0.6), "inlet": Triangular(-0.3, -0.3, 0.4)},
+        "1c1098341103a29da29348c82ce24e3c0a7a2cbd69d099537e01356f63caae96",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_NOISE))
+def test_coupled_noisy_tables_are_pinned(family):
+    noise, digest = PINNED_NOISE[family]
+    cfg = TankConfig(sensor_noise=noise, **PINNED_GAINS)
+    rows = simulate(cfg, RngState(seed=2024), cycles=400)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
 
 
 def test_simulate_tank_wrapper_matches_simulate():
@@ -163,6 +202,82 @@ def test_divergence_in_the_drain_phase():
     with pytest.raises(SimulationDivergence) as err:
         simulate(cfg, RngState(seed=0), cycles=2)
     assert "drain level" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# The crossing search skips readings that cannot cross; it must return what
+# drawing every reading returns and leave the stream where that leaves it.
+
+
+def _cross_every_reading(gen, pdf, start, step, target, bias, upward, cycle, what):
+    """Reference search: draws and tests every reading of every chunk."""
+    need = max(0.0, (target - start) / step) if step != 0.0 else 0.0
+    chunk = int(need) + 64
+    t0 = 0
+    for _ in range(_PHASE_RETRIES):
+        t = np.arange(t0, t0 + chunk, dtype=np.float64)
+        true = start + step * t
+        measured = true - bias
+        if pdf is not None:
+            measured = measured + draw_from(pdf, gen, chunk)
+        hits = measured >= target if upward else measured <= target
+        if hits.any():
+            return float(true[int(np.argmax(hits))])
+        t0 += chunk
+    raise SimulationDivergence(f"{what} never crossed its setpoint", cycle)
+
+
+def _outcome(search, seed, args):
+    gen = RngState(seed).generator()
+    try:
+        result = search(gen, *args, 0, "phase")
+    except SimulationDivergence:
+        result = "diverged"
+    return result, gen.random(4).tolist()
+
+
+finite = st.floats(-10.0, 10.0)
+width = st.floats(1e-3, 100.0)
+noise_pdfs = st.one_of(
+    st.none(),
+    st.builds(lambda lo, w: Uniform(lo, lo + w), finite, width),
+    st.builds(Normal, finite, st.floats(1e-3, 20.0)),
+    st.builds(lambda lo, f, w: Triangular(lo, lo + f * w, lo + w),
+              finite, st.floats(0.0, 1.0), width),
+    st.builds(lambda xs: Empirical(tuple(xs)), st.lists(finite, min_size=1, max_size=8)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    pdf=noise_pdfs,
+    start=finite,
+    step=st.one_of(st.just(0.0), st.floats(0.01, 1.0), st.floats(-1.0, -0.01)),
+    target=finite,
+    bias=st.floats(-1.0, 1.0),
+    upward=st.booleans(),
+)
+def test_cross_matches_drawing_every_reading(seed, pdf, start, step, target, bias, upward):
+    args = (pdf, start, step, target, bias, upward)
+    assert _outcome(_cross, seed, args) == _outcome(_cross_every_reading, seed, args)
+
+
+def test_cross_search_covers_each_outcome():
+    # The property above must see crossings in the first chunk, in a later
+    # chunk, and divergence; pin one case of each.
+    def run(pdf, start, step, target, bias, upward):
+        args = (pdf, start, step, target, bias, upward)
+        return _outcome(_cross, 3, args), _outcome(_cross_every_reading, 3, args)
+
+    first, ref = run(Normal(0.0, 0.01), 7.0, -0.01, 1.0, 0.0, False)
+    assert first == ref and first[0] == pytest.approx(1.0, abs=0.1)
+    # A transmitter reading 1 low: no reading of the first 164-reading chunk
+    # can cross, and the crossing sits in the second chunk at true ~ 2.
+    late, ref = run(Normal(0.0, 0.01), 0.0, 0.01, 1.0, 1.0, True)
+    assert late == ref and late[0] == pytest.approx(2.0, abs=0.1)
+    never, ref = run(Uniform(0.0, 1.0), 0.0, -0.01, 4.0, 0.0, True)
+    assert never == ref and never[0] == "diverged"
 
 
 # ---------------------------------------------------------------------------
