@@ -11,6 +11,9 @@ There is one way to sample::
 
     draw_from(pdf, RngState(seed).substream(k).generator(), n)
 
+where a :class:`Substreams` seated at substream k may stand in for the
+generator (see below).
+
 :class:`RngState` is an explicit immutable value (root seed and substream
 path). Its generator is the counter-based Philox 4x64 algorithm keyed by
 numpy's ``SeedSequence`` with the substream path as spawn key, so any result
@@ -19,19 +22,32 @@ can be reproduced from the seed alone, and substreams derived with
 consumed. Successive draws from one generator continue its stream; a caller
 that needs an independent, reproducible stream derives another substream.
 
-Every family consumes exactly one ``gen.random()`` value per draw, so ``n``
-draws advance the stream by ``n`` values whatever the family, and a caller
-that does not need the next ``k`` draws skips them with ``gen.random(k)``:
-the draws after the skip are those a single call would have returned.
+Every family maps one ``gen.random()`` value to one draw through its
+``_transform(u)``, the one place that family's sampling math lives.
+``_transform`` takes a float or an array (and gives the same bits either
+way), so ``draw_from(pdf, gen, n)`` is ``pdf._transform(gen.random(n))`` and
+a caller that needs a single value can write
+``pdf._transform(gen.random())`` without building an array. Because each
+draw takes exactly one value, ``n`` draws advance the stream by ``n`` values
+whatever the family.
 
-* Uniform scales ``gen.random()`` onto [lo, hi).
+* Uniform scales ``u`` onto [lo, hi).
 * Normal and triangular variates are generated by the inverse-CDF method:
-  each ``gen.random()`` value k / 2**53 becomes the open uniform
-  (k + 0.5) / 2**53, clamped to 1 - 2**-53 for the top k, where the sum
-  rounds up to 1.0. This choice is fixed for the package, so a given seed
-  always yields the same samples.
-* Empirical picks observation ``floor(gen.random() * n_obs)`` of the sorted
+  ``u = k / 2**53`` becomes the open uniform (k + 0.5) / 2**53, clamped to
+  1 - 2**-53 for the top k, where the sum rounds up to 1.0. This choice is
+  fixed for the package, so a given seed always yields the same samples.
+* Empirical picks observation ``floor(u * n_obs)`` of the sorted
   observations.
+
+Many short substreams, such as one per simulated cycle, are read through
+:class:`Substreams`: one Philox generator that is reseated by assigning its
+state rather than rebuilt. Philox is counter-based (Salmon et al., SC 2011),
+so seating it at value ``p`` of a substream costs the same for every ``p``,
+and ``Substreams.skip(m)`` passes over ``m`` values without drawing them.
+After ``seat(k)`` it yields exactly the values of
+``RngState(seed).substream(k).generator()``: the substream keys are
+computed by a uint32 restatement of ``SeedSequence`` that derives the keys
+of many substreams in one pass.
 """
 
 from __future__ import annotations
@@ -91,14 +107,143 @@ class RngState:
         return Generator(Philox(SeedSequence(self.seed, spawn_key=self.stream)))
 
 
-def _open_uniform(gen: Generator, n: int) -> np.ndarray:
-    """Uniforms strictly inside (0, 1), safe for inverse-CDF transforms.
+# numpy's SeedSequence (O'Neill's seed_seq design; the constants and steps
+# of numpy/random/bit_generator.pyx), restated on uint32 words.
+_MASK32 = 0xFFFFFFFF
+_XSHIFT = 16
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_KEY_BLOCK = 256  # substream keys derived per pass; divides 2**32
 
-    One ``gen.random()`` value each, shifted by half a grid step.
+
+def _words(x: int) -> list[int]:
+    """``x`` as SeedSequence splits it: little-endian uint32 words, 0 as [0]."""
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix, with its running hash constant."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> _XSHIFT
+
+    return hashmix
+
+
+def _mix(x, y):
+    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return result ^ result >> _XSHIFT
+
+
+def _substream_keys(seed: int, stream: tuple[int, ...], ks: np.ndarray) -> np.ndarray:
+    """Philox keys, shape (len(ks), 2) uint64, of the substreams
+    ``SeedSequence(seed, spawn_key=stream + (k,))`` for the uint32 ``ks``.
+
+    The entropy words are the seed's (zero-padded to the pool size, as
+    SeedSequence does when there is a spawn key), the stream's, then k's
+    single word. Every word before k's is mixed into the pool once, as a
+    Python integer; only the last word, k, is mixed as an array, which
+    wraps on uint32 overflow without a warning.
     """
-    u = gen.random(n)
-    u += _U_LO
-    return np.minimum(u, _U_HI, out=u)
+    entropy = _words(seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    for key in stream:
+        entropy += _words(key)
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        pool = [_mix(mixed, hashmix(word)) for mixed in pool]
+    pool = [_mix(mixed, hashmix(ks)) for mixed in pool]
+
+    # generate_state(2, uint64): one output word per pool word, read in
+    # pairs as little-endian uint64.
+    output = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([output(mixed) for mixed in pool], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class Substreams:
+    """The substreams of an :class:`RngState` on one reused Philox generator.
+
+    After :meth:`seat` ``(k)``, :meth:`random` returns exactly what
+    ``rng.substream(k).generator().random`` returns, and :meth:`skip`
+    passes over values without drawing them. Pass the object to
+    :func:`draw_from` in place of a Generator. Substream keys must be below
+    2**32.
+    """
+
+    def __init__(self, rng: RngState):
+        self._rng = rng
+        self._bitgen = Philox(0)
+        self._gen = Generator(self._bitgen)
+        self._block = -1
+        self._keys: list[list[int]] = []
+        self._k = 0
+        self._pos = 0
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def seat(self, k: int, p: int = 0) -> None:
+        """Put the generator at value ``p`` of substream ``k``."""
+        if not 0 <= k <= _MASK32:
+            raise ValueError("substream key must be in [0, 2**32)")
+        block, i = divmod(k, _KEY_BLOCK)
+        if block != self._block:
+            start = block * _KEY_BLOCK
+            ks = np.arange(start, start + _KEY_BLOCK, dtype=np.uint32)
+            self._keys = _substream_keys(self._rng.seed, self._rng.stream, ks).tolist()
+            self._block = block
+        # Philox gives 4 values per counter step and steps the counter
+        # before each block, so value p is word p % 4 of the block at
+        # counter p // 4 + 1: set the counter to p // 4 with an empty
+        # buffer, then draw p % 4 values.
+        state = self._state
+        state["state"]["key"] = self._keys[i]
+        state["state"]["counter"][0] = p >> 2
+        self._bitgen.state = state
+        if p & 3:
+            self._bitgen.random_raw(p & 3)
+        self._k = k
+        self._pos = p
+
+    def skip(self, m: int) -> None:
+        """Pass over the next ``m`` values of the current substream."""
+        if m:
+            self.seat(self._k, self._pos + m)
+
+    def random(self, n: int | None = None):
+        """As ``Generator.random``: the next value, or an array of ``n``."""
+        self._pos += 1 if n is None else n
+        return self._gen.random(n)
+
+
+def _open(u):
+    """The inverse-CDF input of ``u = k / 2**53``: (k + 0.5) / 2**53, kept
+    strictly inside (0, 1). An array ``u`` is overwritten."""
+    if isinstance(u, np.ndarray):
+        u += _U_LO
+        return np.minimum(u, _U_HI, out=u)
+    return min(u + _U_LO, _U_HI)
 
 
 class Pdf:
@@ -113,13 +258,18 @@ class Pdf:
             raise ValueError(f"interval lower bound {lo} exceeds upper bound {hi}")
         return float(self.cdf(hi)) - float(self.cdf(lo))
 
-    def _draw(self, gen: Generator, n: int) -> np.ndarray:
+    def _transform(self, u):
+        """The draw for ``u = gen.random()``, a float or an array of them.
+
+        Non-decreasing in ``u``; an array ``u`` may be overwritten.
+        """
         raise NotImplementedError
 
-    @property
+    @cached_property
     def _support(self) -> tuple[float, float]:
-        """(lo, hi) holding every value ``_draw`` can return."""
-        raise NotImplementedError
+        """(lo, hi) holding every value a draw can take: ``_transform`` at
+        the extreme ``gen.random()`` values, as it is non-decreasing."""
+        return float(self._transform(0.0)), float(self._transform(_U_HI))
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -143,12 +293,11 @@ class Uniform(Pdf):
         t = (x - self.lo) / (self.hi - self.lo)
         return np.clip(t, 0.0, 1.0)[()]
 
-    def _draw(self, gen, n):
-        return self.lo + gen.random(n) * (self.hi - self.lo)
-
-    @cached_property
-    def _support(self):
-        return self.lo, self.lo + _U_HI * (self.hi - self.lo)
+    def _transform(self, u):
+        # lo + u * (hi - lo), in place on an array.
+        u *= self.hi - self.lo
+        u += self.lo
+        return u
 
     def describe(self):
         return f"uniform[{self.lo:g}, {self.hi:g}]"
@@ -171,14 +320,12 @@ class Normal(Pdf):
         x = np.asarray(x, dtype=np.float64)
         return ndtr((x - self.mu) / self.sigma)[()]
 
-    def _draw(self, gen, n):
-        # Inverse-CDF method; uniforms kept strictly inside (0, 1).
-        return self.mu + self.sigma * ndtri(_open_uniform(gen, n))
-
-    @cached_property
-    def _support(self):
-        return (float(self.mu + self.sigma * ndtri(_U_LO)),
-                float(self.mu + self.sigma * ndtri(_U_HI)))
+    def _transform(self, u):
+        # Inverse-CDF method: mu + sigma * ndtri(open u), scaled in place.
+        x = ndtri(_open(u))
+        x *= self.sigma
+        x += self.mu
+        return x
 
     def describe(self):
         return f"normal(mu={self.mu:g}, sigma={self.sigma:g})"
@@ -217,23 +364,15 @@ class Triangular(Pdf):
             out = np.where((x > lo) & (x < hi), 1.0 - (hi - x) ** 2 / (width * width), out)
         return out[()]
 
-    def _draw(self, gen, n):
-        return self._inverse_cdf(_open_uniform(gen, n))
-
-    def _inverse_cdf(self, u):
+    def _transform(self, u):
+        # Inverse-CDF method. Each branch is monotone in u; they meet at the
+        # mode, up to rounding there.
         lo, mode, hi = self.lo, self.mode, self.hi
         width = hi - lo
-        split = (mode - lo) / width
-        left = lo + np.sqrt(u * width * (mode - lo)) if mode > lo else np.full(len(u), lo)
-        right = hi - np.sqrt((1.0 - u) * width * (hi - mode)) if hi > mode else np.full(len(u), hi)
-        return np.where(u < split, left, right)
-
-    @cached_property
-    def _support(self):
-        # Each branch is monotone in u, so the extremes sit at the extreme
-        # uniforms (up to rounding where the branches meet at the mode).
-        lo, hi = self._inverse_cdf(np.array([_U_LO, _U_HI]))
-        return float(lo), float(hi)
+        u = _open(u)
+        left = lo + np.sqrt(u * width * (mode - lo)) if mode > lo else lo
+        right = hi - np.sqrt((1.0 - u) * width * (hi - mode)) if hi > mode else hi
+        return np.where(u < (mode - lo) / width, left, right)[()]
 
     def describe(self):
         return f"triangular({self.lo:g}, {self.mode:g}, {self.hi:g})"
@@ -269,14 +408,13 @@ class Empirical(Pdf):
         counts = np.searchsorted(self._sorted, x, side="right")
         return (counts / len(self._sorted))[()]
 
-    def _draw(self, gen, n):
+    def _transform(self, u):
+        # Observation floor(u * n), clipped to the last; an array u receives
+        # the draws, so the indices are the only other array made.
         arr = self._sorted
-        idx = (gen.random(n) * len(arr)).astype(np.intp)
-        return arr[np.minimum(idx, len(arr) - 1, out=idx)]
-
-    @cached_property
-    def _support(self):
-        return float(self._sorted[0]), float(self._sorted[-1])
+        u *= len(arr)
+        out = u if isinstance(u, np.ndarray) else None
+        return arr.take(np.intp(u), mode="clip", out=out)
 
     def describe(self):
         return f"empirical(n={len(self.samples)})"
@@ -299,7 +437,9 @@ def from_samples(values) -> Empirical:
 def draw_from(pdf: Pdf, gen: Generator, n: int) -> np.ndarray:
     """Draw ``n`` values of ``pdf`` from ``gen``, advancing its stream.
 
-    This is the package's only sampling entry point. Take ``gen`` from
-    :meth:`RngState.generator` so the draws can be reproduced from the seed.
+    Take ``gen`` from :meth:`RngState.generator`, or pass a seated
+    :class:`Substreams`, so the draws can be reproduced from the seed. One
+    value without an array is ``pdf._transform(gen.random())``, the same
+    float as ``draw_from(pdf, gen, 1)[0]``.
     """
-    return pdf._draw(gen, n)
+    return pdf._transform(gen.random(n))

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Pdf, RngState, draw_from
+from .distributions import Pdf, RngState, Substreams, draw_from
 from .errors import SimulationDivergence
 
 __all__ = ["TankConfig", "tank_response"]
@@ -62,6 +62,7 @@ LEVEL_DRIFT_PER_RUN = 1.0  # m of transmitter drift per reference runtime, per u
 
 _NOISE_CHANNELS = ("level", "temp", "duration", "inlet")
 _PHASE_RETRIES = 4  # chunks of sensor readings searched before divergence
+_MAX_CHUNK = 2**22  # sensor readings per chunk; a phase needing more diverges
 # Relative widening of a noise pdf's support when ruling readings out, so
 # that rounding in the support's endpoints cannot rule out a crossing.
 _SUPPORT_MARGIN = 1e-6
@@ -109,7 +110,7 @@ class TankConfig:
                 raise ValueError(f"sensor noise channel {name!r} must be a Pdf")
 
 
-def _cross(gen, pdf, start, step, target, bias, upward, cycle, what):
+def _cross(stream, pdf, start, step, target, bias, upward, cycle, what):
     """True value at the first noisy reading across ``target``.
 
     Readings happen at t = 0, 1, 2, ...; the true value follows
@@ -117,16 +118,21 @@ def _cross(gen, pdf, start, step, target, bias, upward, cycle, what):
     has no accumulation error) and the transmitter reports
     ``true + noise - bias``.
 
-    Readings are searched in chunks, one noise draw per reading. Readings
-    that could not cross even with the most extreme value ``pdf`` can
-    return are not transformed: their uniforms are consumed with
-    ``gen.random`` and the rest of the chunk is drawn, which leaves the
-    stream and every drawn value as if the whole chunk had been drawn.
+    Readings are searched in chunks, one noise draw per reading from the
+    seated ``stream`` (a :class:`Substreams`). Readings that could not
+    cross even with the most extreme value ``pdf`` can return are not drawn:
+    ``stream.skip`` passes over their values and the rest of the chunk is
+    drawn, which leaves the stream and every drawn value as if the whole
+    chunk had been drawn. A phase whose first chunk would exceed
+    ``_MAX_CHUNK`` readings diverges.
     """
     if step != 0.0:
         need = max(0.0, (target - start) / step)
     else:
         need = 0.0
+    if need + 64 > _MAX_CHUNK:  # also catches an infinite need
+        raise SimulationDivergence(
+            f"{what} needs more than {_MAX_CHUNK} sensor readings per search chunk", cycle)
     chunk = int(need) + 64
     crossed = np.greater_equal if upward else np.less_equal
     if pdf is not None:
@@ -142,10 +148,10 @@ def _cross(gen, pdf, start, step, target, bias, upward, cycle, what):
             can = crossed(measured + reach, target)
             i0 = int(can.argmax())
             if not can[i0]:  # no reading in this chunk can cross
-                gen.random(chunk)
+                stream.skip(chunk)
                 continue
-            gen.random(i0)
-            measured = measured[i0:] + draw_from(pdf, gen, chunk - i0)
+            stream.skip(i0)
+            measured = measured[i0:] + draw_from(pdf, stream, chunk - i0)
         hits = crossed(measured, target)
         i = int(hits.argmax())
         if hits[i]:
@@ -157,8 +163,13 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
     """Run the cycle simulation; returns an (n, 3) array of achieved values.
 
     Columns: level at close of fill (m), temperature at mix start (degC),
-    mixing duration (s). Each cycle draws from its own substream of ``rng``,
-    so results are reproducible from the seed regardless of batching.
+    mixing duration (s). Cycle k draws from substream k of ``rng``, so
+    results are reproducible from the seed regardless of batching. All
+    cycles run on one :class:`Substreams` generator, seated at the start of
+    substream k for cycle k, which yields exactly the values of
+    ``rng.substream(k).generator()``; the crossing search skips the values
+    of readings that cannot cross, and the one-value inlet and duration
+    reads transform a single ``random()`` float.
 
     Raises :class:`SimulationDivergence` (with the cycle index) when a
     controlled phase fails to cross its setpoint within a generous budget of
@@ -180,25 +191,26 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
     prev_heat = 0.0  # degC added by the heater in the previous cycle
     prev_run = 0.0  # mixer runtime in the previous cycle, s
 
+    stream = Substreams(rng)
     for k in range(n):
-        gen = rng.substream(k).generator()
+        stream.seat(k)
         drift = (
             config.heater_to_level * prev_heat * LEVEL_DRIFT_PER_DEGC
             + config.mixer_to_level * (prev_run / MIX_REF) * LEVEL_DRIFT_PER_RUN
         )
 
         # Drain until the transmitter reads the low setpoint.
-        low = _cross(gen, lvl_pdf, level, -DRAIN_RATE * dt, config.level_low,
+        low = _cross(stream, lvl_pdf, level, -DRAIN_RATE * dt, config.level_low,
                      drift, False, k, "drain level")
 
         # Fill until the transmitter reads the high setpoint; the inlet
         # stream blends with the residue (exact mass-weighted mixing, the
         # telescoped form of per-step Euler blending).
-        achieved_level = _cross(gen, lvl_pdf, low, FILL_RATE * dt,
+        achieved_level = _cross(stream, lvl_pdf, low, FILL_RATE * dt,
                                 config.level_high, drift, True, k, "fill level")
         t_in = INLET_TEMP
         if inl_pdf is not None:
-            t_in += float(draw_from(inl_pdf, gen, 1)[0])
+            t_in += float(inl_pdf._transform(stream.random()))
         t_blend = t_in + low * (temp - t_in) / achieved_level
 
         # Heat to the setpoint. The thermostat cuts at the setpoint exactly
@@ -207,7 +219,7 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
         if t_blend >= config.temp_setpoint:
             achieved_temp = t_blend
         else:
-            stopped = _cross(gen, tmp_pdf, t_blend, HEAT_RATE * dt,
+            stopped = _cross(stream, tmp_pdf, t_blend, HEAT_RATE * dt,
                              config.temp_setpoint, 0.0, True, k, "heater temperature")
             achieved_temp = max(t_blend, min(stopped, config.temp_setpoint))
         heat_added = achieved_temp - t_blend
@@ -215,7 +227,7 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
         # Timed mix; agitation heat stays in the batch for the next cycle.
         run = config.mix_duration
         if dur_pdf is not None:
-            run = max(0.0, run + float(draw_from(dur_pdf, gen, 1)[0]))
+            run = max(0.0, run + float(dur_pdf._transform(stream.random())))
 
         out[k, 0] = achieved_level
         out[k, 1] = achieved_temp

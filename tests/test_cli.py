@@ -7,6 +7,7 @@ in the acceptance suite.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -313,6 +314,24 @@ def test_simulate_divergence_exits_five(capsys, tmp_path):
     assert code == 5
     assert "diverged" in err
     assert "cycle 0" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("simulate", "--cycles", "3"),
+    ("info", "--method", "joint", "--samples", "3"),
+])
+def test_tiny_timestep_diverges_instead_of_exhausting_memory(capsys, tmp_path, command):
+    # At 1e-7 s per step the drain phase needs ~6e8 sensor readings in one
+    # search chunk; it must stop with exit 5, not allocate gigabytes.
+    spec = json.loads(Path(TANK).read_text())
+    spec["scenario"]["timestep"] = 1e-7
+    path = tmp_path / "tiny_step.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: simulation diverged at cycle 0: drain level needs more than")
+    assert "Traceback" not in err
 
 
 def test_simulate_rejects_bad_cycle_count(capsys):

@@ -11,6 +11,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.random import SeedSequence
 from scipy import stats
 
 from axdesign import (
@@ -23,6 +26,7 @@ from axdesign import (
     draw_from,
     from_samples,
 )
+from axdesign.distributions import Substreams, _substream_keys
 
 # oracle: mpmath.ncdf(1) at 40 digits -> float64
 PHI_1 = 0.8413447460685429
@@ -260,12 +264,14 @@ def test_draws_take_one_uniform_each(pdf: Pdf, a: int, b: int):
     assert np.array_equal(draw_from(pdf, gen, b), whole[a:])
 
 
-class _ExtremeGenerator:
-    """Stands in for a Generator: random() alternates its two extreme
-    values, 0.0 and the largest double below 1."""
+class _FixedGenerator:
+    """Stands in for a Generator whose next random() values are given."""
+
+    def __init__(self, values):
+        self.values = values
 
     def random(self, n):
-        return np.resize([0.0, 1.0 - 2.0**-53], n)
+        return np.array(self.values[:n], dtype=np.float64)
 
 
 EDGE_FAMILIES = ALL_FAMILIES + [
@@ -281,8 +287,74 @@ EDGE_FAMILIES = ALL_FAMILIES + [
 def test_extreme_uniforms_give_finite_draws_inside_the_support(pdf: Pdf):
     # The top gen.random() value must not round to an inverse-CDF input of
     # exactly 1.0, which gives a normal draw of +inf.
-    values = draw_from(pdf, _ExtremeGenerator(), 4)
+    # The two extreme gen.random() values: 0.0 and the largest double below 1.
+    values = draw_from(pdf, _FixedGenerator([0.0, 1.0 - 2.0**-53] * 2), 4)
     lo, hi = pdf._support
     assert np.all(np.isfinite(values))
     assert np.all((lo <= values) & (values <= hi))
     assert values.min() == lo and values.max() == hi
+
+
+# ---------------------------------------------------------------------------
+# One value per draw through _transform, and Substreams against numpy's own
+# SeedSequence and fresh generators
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3])
+@pytest.mark.parametrize("stream", [(), (3,), (2**33,)])
+def test_substream_keys_match_seed_sequence(seed, stream):
+    ks = np.array([0, 1, 2, 255, 256, 70_000, 2**31, 2**32 - 1], dtype=np.uint32)
+    keys = _substream_keys(seed, stream, ks)
+    expected = [SeedSequence(seed, spawn_key=stream + (int(k),)).generate_state(2, np.uint64)
+                for k in ks]
+    assert keys.dtype == np.uint64
+    assert np.array_equal(keys, expected)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [0, 5, 256, 2**32 - 1])
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 4, 7, 1001])
+def test_seated_substreams_equal_fresh_generators(k, p):
+    rng = RngState(seed=2**40 + 9, stream=(4,))
+    fresh = rng.substream(k).generator().random(p + 600)
+    stream = Substreams(rng)
+    stream.seat(k, p)
+    assert np.array_equal(stream.random(5), fresh[p:p + 5])
+    pos = p + 5
+    # Skips of every residue mod 4, short and long, between draws of one
+    # value and of arrays.
+    for m in (0, 1, 2, 3, 4, 5, 63, 64, 257, 3):
+        stream.skip(m)
+        pos += m
+        assert stream.random() == fresh[pos]
+        assert np.array_equal(stream.random(2), fresh[pos + 1:pos + 3])
+        pos += 3
+    # Reseating after use starts the substream over.
+    stream.seat(k)
+    assert np.array_equal(stream.random(9), fresh[:9])
+
+
+def test_substream_keys_are_bounded():
+    stream = Substreams(RngState(seed=1))
+    with pytest.raises(ValueError):
+        stream.seat(2**32)
+    with pytest.raises(ValueError):
+        stream.seat(-1)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(pdf=st.sampled_from(EDGE_FAMILIES), k=st.integers(0, 2**53 - 1))
+@example(pdf=Normal(-1.0, 2.0), k=0)
+@example(pdf=Normal(-1.0, 2.0), k=2**53 - 1)
+@example(pdf=Triangular(0.0, 1.0, 3.0), k=0)
+@example(pdf=Triangular(0.0, 1.0, 3.0), k=2**53 - 1)
+@example(pdf=Uniform(2.0, 5.0), k=2**53 - 1)
+@example(pdf=Empirical((1.0, 2.0, 2.5, 4.0, 4.0, 7.0)), k=2**53 - 1)
+def test_transform_of_one_float_equals_the_array_draw(pdf, k):
+    u = k / 2**53  # a gen.random() value
+    one = pdf._transform(u)
+    assert np.ndim(one) == 0
+    drawn = draw_from(pdf, _FixedGenerator([u]), 1)
+    assert np.float64(one).tobytes() == drawn[0].tobytes()

@@ -21,7 +21,7 @@ from axdesign import (
     simulate_tank,
     tank_response,
 )
-from axdesign.distributions import draw_from
+from axdesign.distributions import Substreams, draw_from
 from axdesign.tank import _PHASE_RETRIES, _cross, simulate
 
 NOISY = {
@@ -205,8 +205,9 @@ def test_divergence_in_the_drain_phase():
 
 
 # ---------------------------------------------------------------------------
-# The crossing search skips readings that cannot cross; it must return what
-# drawing every reading returns and leave the stream where that leaves it.
+# The crossing search skips readings that cannot cross, on a reseated
+# Substreams generator; it must return what drawing every reading from a
+# fresh generator returns and leave the stream where that leaves it.
 
 
 def _cross_every_reading(gen, pdf, start, step, target, bias, upward, cycle, what):
@@ -227,8 +228,15 @@ def _cross_every_reading(gen, pdf, start, step, target, bias, upward, cycle, wha
     raise SimulationDivergence(f"{what} never crossed its setpoint", cycle)
 
 
-def _outcome(search, seed, args):
-    gen = RngState(seed).generator()
+def _outcome(search, seed, args, k=0):
+    """Result of ``search`` on substream k of ``seed``, and the next four
+    values of the stream after it. ``_cross`` runs on a Substreams seated
+    there, the reference on a fresh generator."""
+    if search is _cross:
+        gen = Substreams(RngState(seed))
+        gen.seat(k)
+    else:
+        gen = RngState(seed).substream(k).generator()
     try:
         result = search(gen, *args, 0, "phase")
     except SimulationDivergence:
@@ -251,6 +259,7 @@ noise_pdfs = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
+    k=st.integers(0, 2**32 - 1),
     pdf=noise_pdfs,
     start=finite,
     step=st.one_of(st.just(0.0), st.floats(0.01, 1.0), st.floats(-1.0, -0.01)),
@@ -258,9 +267,9 @@ noise_pdfs = st.one_of(
     bias=st.floats(-1.0, 1.0),
     upward=st.booleans(),
 )
-def test_cross_matches_drawing_every_reading(seed, pdf, start, step, target, bias, upward):
+def test_cross_matches_drawing_every_reading(seed, k, pdf, start, step, target, bias, upward):
     args = (pdf, start, step, target, bias, upward)
-    assert _outcome(_cross, seed, args) == _outcome(_cross_every_reading, seed, args)
+    assert _outcome(_cross, seed, args, k) == _outcome(_cross_every_reading, seed, args, k)
 
 
 def test_cross_search_covers_each_outcome():
