@@ -81,19 +81,10 @@ class SampleSet:
 
 def _substreamed_draws(pdfs, rng: RngState, n: int, base: int) -> np.ndarray:
     """One column per pdf, each drawn from substream ``base + column``.
-
-    ``None`` entries produce zero columns. A pdf whose support is one point
-    (such as a DP given only a nominal value) can draw nothing else, so its
-    column is filled with that point and no generator is built.
-    """
+    ``None`` entries produce zero columns."""
     out = np.zeros((n, len(pdfs)), dtype=np.float64)
     for j, pdf in enumerate(pdfs):
-        if pdf is None:
-            continue
-        lo, hi = pdf._support
-        if lo == hi:
-            out[:, j] = lo
-        else:
+        if pdf is not None:
             out[:, j] = draw_from(pdf, rng.substream(base + j).generator(), n)
     return out
 

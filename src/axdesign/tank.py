@@ -62,7 +62,10 @@ LEVEL_DRIFT_PER_RUN = 1.0  # m of transmitter drift per reference runtime, per u
 
 _NOISE_CHANNELS = ("level", "temp", "duration", "inlet")
 _PHASE_RETRIES = 4  # chunks of sensor readings searched before divergence
-_MAX_CHUNK = 2**22  # sensor readings per chunk; a phase needing more diverges
+# Most readings a search chunk may hold: the phase's whole budget then has
+# indices below 2**53, which float64 times hold exactly.
+_MAX_CHUNK = 2**51
+_SLICE = 2**20  # sensor readings drawn and tested per array
 # Relative widening of a noise pdf's support when ruling readings out, so
 # that rounding in the support's endpoints cannot rule out a crossing.
 _SUPPORT_MARGIN = 1e-6
@@ -110,6 +113,23 @@ class TankConfig:
                 raise ValueError(f"sensor noise channel {name!r} must be a Pdf")
 
 
+def _first(can, lo: int, hi: int) -> int:
+    """The first ``t`` in [lo, hi) with ``can(t)``, or ``hi`` if none; ``can``
+    must be monotone in ``t`` (either way)."""
+    if can(lo):
+        return lo
+    last = hi - 1
+    if not can(last):
+        return hi
+    while last - lo > 1:  # can(lo) is false and can(last) true
+        mid = (lo + last) // 2
+        if can(mid):
+            last = mid
+        else:
+            lo = mid
+    return last
+
+
 def _cross(stream, pdf, start, step, target, bias, upward, cycle, what):
     """True value at the first noisy reading across ``target``.
 
@@ -119,12 +139,16 @@ def _cross(stream, pdf, start, step, target, bias, upward, cycle, what):
     ``true + noise - bias``.
 
     Readings are searched in chunks, one noise draw per reading from the
-    seated ``stream`` (a :class:`Substreams`). Readings that could not
-    cross even with the most extreme value ``pdf`` can return are not drawn:
-    ``stream.skip`` passes over their values and the rest of the chunk is
-    drawn, which leaves the stream and every drawn value as if the whole
-    chunk had been drawn. A phase whose first chunk would exceed
-    ``_MAX_CHUNK`` readings diverges.
+    seated ``stream`` (a :class:`Substreams`). A reading can cross only if
+    its noiseless value, moved by the most extreme value ``pdf`` can
+    return, crosses; that test is monotone in t, so the first reading that
+    can cross is found by bisection on scalars (the same float operations
+    as on an array). ``stream.skip`` passes over the values of the earlier
+    readings, the rest are drawn and tested ``_SLICE`` at a time, and after
+    a hit the rest of the chunk is skipped. This leaves the stream and every
+    drawn value as if the whole chunk had been drawn, in bounded memory. A
+    phase needing more than ``_MAX_CHUNK`` readings per chunk raises
+    :class:`SimulationDivergence` as a size limit.
     """
     if step != 0.0:
         need = max(0.0, (target - start) / step)
@@ -132,30 +156,41 @@ def _cross(stream, pdf, start, step, target, bias, upward, cycle, what):
         need = 0.0
     if need + 64 > _MAX_CHUNK:  # also catches an infinite need
         raise SimulationDivergence(
-            f"{what} needs more than {_MAX_CHUNK} sensor readings per search chunk", cycle)
+            f"{what} needs more than 2**51 sensor readings per search chunk "
+            "(size limit; use a larger timestep)", cycle)
     chunk = int(need) + 64
-    crossed = np.greater_equal if upward else np.less_equal
+    reach = 0.0
     if pdf is not None:
         lo, hi = pdf._support
         pad = _SUPPORT_MARGIN * (hi - lo)
         reach = hi + pad if upward else lo - pad
+    # ``step * t`` for an int t below 2**53 is ``step * float(t)``.
+    if upward:
+        def can(t):
+            return start + step * t - bias + reach >= target
+        crossed = np.greater_equal
+    else:
+        def can(t):
+            return start + step * t - bias + reach <= target
+        crossed = np.less_equal
     for t0 in range(0, _PHASE_RETRIES * chunk, chunk):
-        t = np.arange(t0, t0 + chunk, dtype=np.float64)
-        true = start + step * t
-        measured = true - bias
-        i0 = 0
-        if pdf is not None:
-            can = crossed(measured + reach, target)
-            i0 = int(can.argmax())
-            if not can[i0]:  # no reading in this chunk can cross
-                stream.skip(chunk)
-                continue
-            stream.skip(i0)
-            measured = measured[i0:] + draw_from(pdf, stream, chunk - i0)
-        hits = crossed(measured, target)
-        i = int(hits.argmax())
-        if hits[i]:
-            return float(true[i0 + i])
+        end = t0 + chunk
+        i0 = _first(can, t0, end)
+        if pdf is None:  # with no noise the first reading that can cross does
+            if i0 < end:
+                return float(start + step * i0)
+            continue
+        stream.skip(i0 - t0)
+        for s0 in range(i0, end, _SLICE):
+            s1 = min(s0 + _SLICE, end)
+            true = start + step * np.arange(s0, s1, dtype=np.float64)
+            measured = true - bias
+            measured += draw_from(pdf, stream, s1 - s0)
+            hits = crossed(measured, target)
+            i = int(hits.argmax())
+            if hits[i]:
+                stream.skip(end - s1)
+                return float(true[i])
     raise SimulationDivergence(f"{what} never crossed its setpoint", cycle)
 
 

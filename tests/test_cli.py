@@ -316,21 +316,38 @@ def test_simulate_divergence_exits_five(capsys, tmp_path):
     assert "cycle 0" in err
 
 
-@pytest.mark.parametrize("command", [
-    ("simulate", "--cycles", "3"),
-    ("info", "--method", "joint", "--samples", "3"),
-])
-def test_tiny_timestep_diverges_instead_of_exhausting_memory(capsys, tmp_path, command):
-    # At 1e-7 s per step the drain phase needs ~6e8 sensor readings in one
-    # search chunk; it must stop with exit 5, not allocate gigabytes.
+def _tank_with_timestep(tmp_path, timestep):
     spec = json.loads(Path(TANK).read_text())
-    spec["scenario"]["timestep"] = 1e-7
-    path = tmp_path / "tiny_step.json"
+    spec["scenario"]["timestep"] = timestep
+    path = tmp_path / "timestep.json"
     path.write_text(json.dumps(spec))
-    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ("simulate", "--cycles", "2"),
+    ("info", "--method", "joint", "--samples", "2"),
+])
+def test_tiny_timestep_runs_in_bounded_memory(capsys, tmp_path, command):
+    # At 1e-7 s per step a fill phase needs ~1.2e9 sensor readings; the
+    # search draws only the readings that can cross, a slice at a time.
+    path = _tank_with_timestep(tmp_path, 1e-7)
+    code, out, err = run(capsys, command[0], path, *command[1:])
+    assert code == 0
+    assert err == ""
+    info = json.loads(out)["info"]
+    assert info["mc"]["n_samples"] == 2
+    assert [fr["probability"] for fr in info["per_fr"]] == [1, 1, 1]
+
+
+def test_timestep_past_the_search_size_limit_exits_five(capsys, tmp_path):
+    # A subnormal timestep makes a phase need infinitely many readings.
+    path = _tank_with_timestep(tmp_path, 1e-320)
+    code, out, err = run(capsys, "simulate", path, "--cycles", "1")
     assert code == 5
     assert out == ""
     assert err.startswith("error: simulation diverged at cycle 0: drain level needs more than")
+    assert "size limit" in err
     assert "Traceback" not in err
 
 

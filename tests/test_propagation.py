@@ -21,7 +21,6 @@ from axdesign import (
     Uncoupled,
     Uniform,
     classify,
-    draw_from,
     estimate_design_matrix,
     from_samples,
 )
@@ -73,23 +72,6 @@ def test_linear_model_point_masses_propagate_exactly():
                                     from_samples([120.0])])
     draws = model.sample_frs(RngState(seed=1), 5)
     assert np.array_equal(draws, np.tile([7.0, 65.0, 120.0], (5, 1)))
-
-
-def test_constant_columns_are_filled_without_a_generator(monkeypatch):
-    # A one-point pdf fills its column exactly and builds no generator; every
-    # other column still equals the draws of its own substream.
-    pdfs = [Normal(0.0, 1.0), from_samples([7.0]), Uniform(2.0, 3.0),
-            from_samples([-1.5, -1.5])]
-    built = []
-    generator = RngState.generator
-    monkeypatch.setattr(RngState, "generator",
-                        lambda self: built.append(self.stream) or generator(self))
-    dps = LinearModel(np.eye(4), pdfs).sample_dps(RngState(seed=13), 500)
-    assert built == [(0,), (2,)]
-    assert np.all(dps[:, 1] == 7.0) and np.all(dps[:, 3] == -1.5)
-    for j in (0, 2):
-        ref = draw_from(pdfs[j], generator(RngState(13).substream(j)), 500)
-        assert np.array_equal(dps[:, j], ref)
 
 
 def test_linear_model_scales_and_mixes_inputs():

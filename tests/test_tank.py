@@ -4,6 +4,7 @@ divergence reporting, and the cross-channel carryover effects."""
 from __future__ import annotations
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from axdesign import (
     simulate_tank,
     tank_response,
 )
+from axdesign import tank
 from axdesign.distributions import Substreams, draw_from
 from axdesign.tank import _PHASE_RETRIES, _cross, simulate
 
@@ -122,6 +124,15 @@ def test_coupled_noisy_tables_are_pinned(family):
     cfg = TankConfig(sensor_noise=noise, **PINNED_GAINS)
     rows = simulate(cfg, RngState(seed=2024), cycles=400)
     assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+
+
+def test_small_timestep_table_is_pinned():
+    # At 1e-5 s a fill phase needs ~1.2e7 readings per search chunk, more
+    # than one slice; the table is the one the whole-chunk search gave.
+    cfg = TankConfig(sensor_noise=PINNED_NOISE["normal"][0], timestep=1e-5, **PINNED_GAINS)
+    rows = simulate(cfg, RngState(seed=2024), cycles=3)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == (
+        "2a1b18b7166020cda93a8b16d3929a0842d27795ba64a9ae11af15e5970c286d")
 
 
 def test_simulate_tank_wrapper_matches_simulate():
@@ -270,6 +281,27 @@ noise_pdfs = st.one_of(
 def test_cross_matches_drawing_every_reading(seed, k, pdf, start, step, target, bias, upward):
     args = (pdf, start, step, target, bias, upward)
     assert _outcome(_cross, seed, args, k) == _outcome(_cross_every_reading, seed, args, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    pdf=noise_pdfs,
+    start=finite,
+    step=st.one_of(st.floats(0.01, 1.0), st.floats(-1.0, -0.01)),
+    target=finite,
+    bias=st.floats(-1.0, 1.0),
+    upward=st.booleans(),
+    size=st.integers(1, 9),
+)
+def test_cross_in_small_slices_matches_drawing_every_reading(
+        seed, pdf, start, step, target, bias, upward, size):
+    # Readings drawn a few at a time, with the rest of the chunk skipped
+    # after a hit, leave the result and the stream unchanged.
+    args = (pdf, start, step, target, bias, upward)
+    with mock.patch.object(tank, "_SLICE", size):
+        sliced = _outcome(_cross, seed, args)
+    assert sliced == _outcome(_cross_every_reading, seed, args)
 
 
 def test_cross_search_covers_each_outcome():
