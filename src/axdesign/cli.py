@@ -10,7 +10,8 @@ Four subcommands over a JSON design-spec file:
   ``joint`` (plain joint Monte Carlo), or ``auto`` — analytic whenever
   every FR has a system pdf and the design is uncoupled (or there is no
   dependency structure to speak of), otherwise the Monte Carlo route that
-  fits the classification. Exit 4 when the requested route cannot run.
+  fits the classification. Exit 4 when the requested route cannot run,
+  or when the Monte Carlo samples overflow float64.
 * ``simulate`` — run the tank scenario, optionally write the per-cycle
   samples as CSV (``--out``), and report the empirical information
   content. Exit 5 if the simulation diverges.
@@ -31,7 +32,7 @@ import sys
 
 from .coupling import Coupled, Decoupled, Degenerate, Uncoupled, classify
 from .distributions import RngState, from_samples
-from .errors import SimulationDivergence, SpecFormatError
+from .errors import NonFiniteSamples, SimulationDivergence, SpecFormatError
 from .info import (McConfig, conditional_chain_information, fr_information,
                    system_information_from_samples,
                    system_information_independent, system_information_joint)
@@ -115,6 +116,9 @@ def main(argv=None) -> int:
         return 1
     except _Inapplicable as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except NonFiniteSamples as exc:
+        print(f"error: {exc}: the model's values overflow float64", file=sys.stderr)
         return 4
     except SimulationDivergence as exc:
         print(f"error: simulation diverged at {exc}", file=sys.stderr)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["SpecFormatError", "SimulationDivergence"]
+__all__ = ["SpecFormatError", "SimulationDivergence", "NonFiniteSamples"]
 
 
 class SpecFormatError(ValueError):
@@ -23,3 +23,8 @@ class SimulationDivergence(RuntimeError):
     def __init__(self, message: str, cycle: int):
         self.cycle = cycle
         super().__init__(f"cycle {cycle}: {message}")
+
+
+class NonFiniteSamples(ValueError):
+    """A Monte Carlo sample table holds an inf or nan value (for a linear
+    model, its finite inputs overflow float64)."""

@@ -31,7 +31,25 @@ mapped to bits by the delta method (divide by ``p * ln 2``); a zero
 estimate has infinite bits-scale error, a certain one has zero.
 
 Sampling models are duck-typed: anything with
-``sample_frs(rng: RngState, n: int) -> (n, n_frs) ndarray`` works.
+``sample_frs(rng: RngState, n: int) -> (n, n_frs) ndarray`` works. A model
+that sets ``chunk_rows`` (:class:`~axdesign.propagation.LinearModel`, 8192
+rows) is sampled that many rows at a time, as
+``sample_frs(stream, rows, start)`` on one
+:class:`~axdesign.distributions.Substreams` of the run's seed, and each
+chunk is scored before the next is drawn. A chunk holds the rows
+``start … start+rows-1`` of the one-call table, so the counts, and the
+reports, do not depend on the chunking, and the memory of a linear-model
+run does not grow with the sample count. A model with ``chunk_rows = None``
+(the tank :class:`~axdesign.propagation.ScenarioModel`, whose rows are
+consecutive cycles of one run) or without the attribute is sampled in one
+call, and that one table is scored.
+
+Every route scores samples with one streaming tally: per-FR hits, and for
+each link of an FR order the rows inside every range so far (the joint
+route uses declaration order, so its last link is the joint count). A
+sample value that is not finite, for instance a linear model whose finite
+entries overflow float64, raises :class:`~axdesign.errors.NonFiniteSamples`
+naming the FR.
 """
 
 from __future__ import annotations
@@ -43,7 +61,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import Pdf, RngState
+from .distributions import Pdf, RngState, Substreams
+from .errors import NonFiniteSamples
 from .model import DesignRange, range_bounds
 
 __all__ = [
@@ -195,38 +214,71 @@ def _mc_result(hits: int, n: int) -> InfoResult:
     return InfoResult(probability=p, bits=bits, std_error=se_bits)
 
 
-def _inside_matrix(samples, ranges) -> np.ndarray:
-    """Boolean (n, m) table: sample inside its column's design range."""
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != len(ranges):
-        raise ValueError(
-            f"sample table has shape {arr.shape}, expected (n, {len(ranges)})")
-    if arr.shape[0] < 1:
+def _tally(tables, ranges, order, labels=None) -> tuple[int, list[int], list[int]]:
+    """Score sample tables chunk by chunk against the design ranges.
+
+    ``tables`` is an iterable of (rows, m) arrays, the chunks of one sample
+    table. Returns ``(n, hits, links)``: the row count, the rows inside
+    each FR's range (declaration order), and for each position k of
+    ``order`` the rows inside the ranges of ``order[:k+1]`` at once. The
+    links are the chain's survivors after each link, so ``links[-1]`` is the
+    joint count. Only one chunk's worth of masks is held at a time.
+    """
+    bounds = [_bounds(r) for r in ranges]
+    m = len(bounds)
+    n = 0
+    hits = [0] * m
+    links = [0] * m
+    for table in tables:
+        arr = np.asarray(table, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[1] != m:
+            raise ValueError(f"sample table has shape {arr.shape}, expected (n, {m})")
+        n += arr.shape[0]
+        alive = None
+        for k, j in enumerate(order):
+            col = arr[:, j]
+            if not np.isfinite(col).all():
+                label = f"FR {labels[j]}" if labels else f"column {j}"
+                raise NonFiniteSamples(f"sample values of {label} are not all finite")
+            lo, hi = bounds[j]
+            inside = col >= lo
+            inside &= col <= hi
+            hits[j] += int(np.count_nonzero(inside))
+            if alive is None:
+                alive = inside
+            else:
+                alive &= inside
+            links[k] += int(np.count_nonzero(alive))
+    if n < 1:
         raise ValueError("at least one sample row is required")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sample values must all be finite")
-    inside = np.empty(arr.shape, dtype=bool)
-    for j, rng_j in enumerate(ranges):
-        lo, hi = _bounds(rng_j)
-        inside[:, j] = (arr[:, j] >= lo) & (arr[:, j] <= hi)
-    return inside
+    return n, hits, links
 
 
-def _draw_inside(model, ranges, mc: McConfig) -> np.ndarray:
-    samples = model.sample_frs(RngState(seed=mc.seed), mc.n_samples)
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != mc.n_samples:
-        raise ValueError(
-            f"model produced shape {arr.shape}, expected ({mc.n_samples}, {len(ranges)})")
-    return _inside_matrix(arr, ranges)
+def _tables(model, mc: McConfig):
+    """The model's sample table for ``mc``: ``chunk_rows`` rows at a time
+    from one reseated :class:`Substreams`, or in one call when the model
+    has no ``chunk_rows``."""
+    rng = RngState(seed=mc.seed)
+    n = mc.n_samples
+    rows = getattr(model, "chunk_rows", None)
+    if rows is None:
+        yield model.sample_frs(rng, n)
+        return
+    stream = Substreams(rng)
+    for start in range(0, n, rows):
+        yield model.sample_frs(stream, min(rows, n - start), start)
 
 
-def _joint_report(inside: np.ndarray, seed: int | None,
+def _draw_tally(model, ranges, order, mc: McConfig, labels):
+    n, hits, links = _tally(_tables(model, mc), ranges, order, labels)
+    if n != mc.n_samples:
+        raise ValueError(f"model produced {n} sample rows, expected {mc.n_samples}")
+    return hits, links
+
+
+def _joint_report(n: int, hits, joint_hits: int, seed: int | None,
                   fr_ids: Sequence[str] | None) -> SystemInfoReport:
-    n = inside.shape[0]
-    per = tuple(_mc_result(int(inside[:, j].sum()), n)
-                for j in range(inside.shape[1]))
-    joint_hits = int(inside.all(axis=1).sum())
+    per = tuple(_mc_result(h, n) for h in hits)
     system = _mc_result(joint_hits, n)
     warnings = []
     if joint_hits == 0:
@@ -255,8 +307,8 @@ def system_information_joint(
     ranges = tuple(ranges)
     if not ranges:
         raise ValueError("at least one design range is required")
-    inside = _draw_inside(model, ranges, mc)
-    return _joint_report(inside, mc.seed, fr_ids)
+    hits, links = _draw_tally(model, ranges, range(len(ranges)), mc, fr_ids)
+    return _joint_report(mc.n_samples, hits, links[-1], mc.seed, fr_ids)
 
 
 def system_information_from_samples(
@@ -271,8 +323,8 @@ def system_information_from_samples(
     ranges = tuple(ranges)
     if not ranges:
         raise ValueError("at least one design range is required")
-    inside = _inside_matrix(samples, ranges)
-    return _joint_report(inside, seed, fr_ids)
+    n, hits, links = _tally([samples], ranges, range(len(ranges)), fr_ids)
+    return _joint_report(n, hits, links[-1], seed, fr_ids)
 
 
 def conditional_chain_information(
@@ -298,15 +350,14 @@ def conditional_chain_information(
         raise ValueError("at least one design range is required")
     labels = tuple(fr_ids) if fr_ids is not None else None
     idx_order = _resolve_order(order, len(ranges), labels)
-    inside = _draw_inside(model, ranges, mc)
+    _, links = _draw_tally(model, ranges, idx_order, mc, labels)
     n = mc.n_samples
 
     per = []
-    alive = np.ones(n, dtype=bool)
+    survivors = n
     starved_after = None
     total_bits = 0.0
     for position, idx in enumerate(idx_order):
-        survivors = int(alive.sum())
         if survivors == 0:
             if starved_after is None:
                 prev = idx_order[position - 1]
@@ -314,17 +365,17 @@ def conditional_chain_information(
             per.append(InfoResult(0.0, math.inf, math.inf))
             total_bits = math.inf
             continue
-        res = _mc_result(int((alive & inside[:, idx]).sum()), survivors)
+        res = _mc_result(links[position], survivors)
         per.append(res)
         total_bits += res.bits
-        alive &= inside[:, idx]
+        survivors = links[position]
     warnings = []
     if starved_after is not None:
         warnings.append(
             f"sample starvation: no samples survived past {starved_after}; "
             "later links are reported as zero probability with infinite error")
 
-    system = _mc_result(int(alive.sum()), n)
+    system = _mc_result(links[-1], n)
     chain_ids = tuple(labels[i] for i in idx_order) if labels else None
     return SystemInfoReport(
         method=Method.CONDITIONAL_CHAIN, per_fr=tuple(per),

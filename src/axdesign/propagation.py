@@ -18,6 +18,17 @@ linear maps at any step size.
 Determinism: every DP column, noise row, and simulated cycle draws from
 its own derived substream of the caller's ``RngState``, so results are
 reproducible for a given seed and independent across columns.
+
+Rows in chunks: a model with a ``chunk_rows`` attribute can be sampled
+``chunk_rows`` rows at a time. ``LinearModel.sample_frs(rng, n, start)``
+returns rows ``start … start+n-1`` of the table that one call for all rows
+gives, bit for bit: each draw takes one uniform, so row r of DP column j
+is value r of substream j, which a :class:`~axdesign.distributions.Substreams`
+seated at ``(j, start)`` reads directly. Passing one ``Substreams`` of the
+run's ``RngState`` as ``rng`` reuses one generator for every chunk, so
+sampling memory is set by the chunk, not by the sample count.
+:class:`ScenarioModel` rows are consecutive cycles of one Markov run, so it
+has ``chunk_rows = None`` and its table is sampled in one call.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .coupling import DesignMatrix
-from .distributions import Pdf, RngState, draw_from
+from .distributions import Pdf, RngState, Substreams, draw_from
 from .tank import TankConfig, simulate, tank_response
 
 __all__ = [
@@ -79,14 +90,25 @@ class SampleSet:
                 writer.writerow([repr(float(v)) for v in row])
 
 
-def _substreamed_draws(pdfs, rng: RngState, n: int, base: int) -> np.ndarray:
-    """One column per pdf, each drawn from substream ``base + column``.
-    ``None`` entries produce zero columns."""
-    out = np.zeros((n, len(pdfs)), dtype=np.float64)
-    for j, pdf in enumerate(pdfs):
-        if pdf is not None:
-            out[:, j] = draw_from(pdf, rng.substream(base + j).generator(), n)
-    return out
+# Rows per chunk: a (rows, FRs) chunk and its temporaries stay in L2.
+_CHUNK_ROWS = 8192
+
+
+def _product(matrix: np.ndarray, dps: np.ndarray, start: int) -> np.ndarray:
+    """``matrix @ dps`` for the DP columns ``dps`` (n_dps, rows) at row
+    ``start``, rounded as in the one-call table ``dps.T @ matrix.T``.
+    Returns (n_frs, rows).
+
+    BLAS gives each entry the same multiply-add chain in both layouts of a
+    matrix-matrix product. A one-FR table is a matrix-vector product of the
+    row-major DP table, so it is computed on that layout. A lone row after
+    ``start`` 0 belongs to a larger product, so it is padded to two rows.
+    """
+    if dps.shape[1] == 1 and start:
+        return _product(matrix, np.pad(dps, ((0, 0), (0, 1))), 0)[:, :1]
+    if matrix.shape[0] == 1:
+        return (np.ascontiguousarray(dps.T) @ matrix.T).T
+    return matrix @ dps
 
 
 class LinearModel:
@@ -95,6 +117,8 @@ class LinearModel:
     ``noise_pdfs``, when given, adds one independent draw per FR row;
     entries may be ``None`` for noiseless rows.
     """
+
+    chunk_rows = _CHUNK_ROWS
 
     def __init__(self, matrix, dp_pdfs: Sequence[Pdf],
                  noise_pdfs: Sequence[Pdf | None] | None = None):
@@ -120,25 +144,42 @@ class LinearModel:
     def n_frs(self) -> int:
         return self.matrix.n_frs
 
-    def sample_dps(self, rng: RngState, n: int) -> np.ndarray:
-        return _substreamed_draws(self.dp_pdfs, rng, n, base=0)
-
     def evaluate(self, dp_values) -> np.ndarray:
         dps = np.asarray(dp_values, dtype=np.float64)
         return dps @ self.matrix.entries.T
 
-    def sample_frs(self, rng: RngState, n: int) -> np.ndarray:
-        frs = self.evaluate(self.sample_dps(rng, n))
-        if self.noise_pdfs is not None:
-            frs = frs + _substreamed_draws(
-                self.noise_pdfs, rng, n, base=self.matrix.n_dps)
-        return frs
+    def sample_frs(self, rng: RngState | Substreams, n: int, start: int = 0) -> np.ndarray:
+        """Rows ``start … start+n-1`` of the FR sample table, shape (n, n_frs).
+
+        DP column j is read from substream j and noise row i from substream
+        ``n_dps + i``, both from value ``start`` on. ``rng`` is an RngState
+        or a :class:`Substreams` of one, which is reseated, not rebuilt.
+        Values that overflow float64 come back as inf or nan, without a
+        warning, for the caller to reject.
+        """
+        stream = rng if isinstance(rng, Substreams) else Substreams(rng)
+        n_dps = self.matrix.n_dps
+        dps = np.empty((n_dps, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, pdf in enumerate(self.dp_pdfs):
+                stream.seat(j, start)
+                dps[j] = draw_from(pdf, stream, n)
+            frs = _product(self.matrix.entries, dps, start)
+            for i, pdf in enumerate(self.noise_pdfs or ()):
+                if pdf is not None:
+                    stream.seat(n_dps + i, start)
+                    frs[i] += draw_from(pdf, stream, n)
+        return frs.T
 
 
 class ScenarioModel:
     """Tank-scenario sampler: each FR sample row is one simulated cycle,
     and ``evaluate`` is the noise-free two-cycle setpoint response map
     (suitable for finite-difference influence estimation)."""
+
+    # Each cycle starts from the state the previous one left, so the table
+    # is sampled in one call.
+    chunk_rows = None
 
     def __init__(self, config: TankConfig):
         if not isinstance(config, TankConfig):

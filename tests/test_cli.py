@@ -7,10 +7,16 @@ in the acceptance suite.
 from __future__ import annotations
 
 import json
+import os
+import resource
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+import axdesign
 from axdesign.cli import main
 
 from conftest import fixture_path
@@ -267,6 +273,54 @@ def test_info_rejects_bad_seed_and_samples(capsys):
     assert code == 1 and "--seed" in err
     code, _, err = run(capsys, "info", TANK, "--samples", "0")
     assert code == 1 and "--samples" in err
+
+
+OVERFLOW_SPEC = {
+    "frs": [{"id": "thrust", "nominal": 0, "tol_minus": 1, "tol_plus": 1},
+            {"id": "trim", "nominal": 0, "tol_minus": 1, "tol_plus": 1}],
+    "dps": [{"id": "x", "nominal": 1.2e300,
+             "uncertainty": {"kind": "uniform", "lo": 1e300, "hi": 1.5e300}},
+            {"id": "y", "nominal": 0,
+             "uncertainty": {"kind": "normal", "mu": 0, "sigma": 1}}],
+    "matrix": [[1e10, 0], [1, 1]],
+}
+
+
+@pytest.mark.parametrize("method", ["auto", "joint", "chain"])
+def test_info_samples_that_overflow_exit_four_naming_the_fr(capsys, tmp_path, method):
+    # Every entry is finite, but 1e10 * 1.2e300 is not a float64.
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(OVERFLOW_SPEC))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "info", str(path), "--method", method,
+                             "--samples", "20000")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "FR thrust" in err and "overflow" in err
+
+
+def _limit_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("method", ["joint", "chain"])
+def test_info_memory_does_not_grow_with_samples(method):
+    # 2e7 samples of three FRs: the whole tables would need several GiB,
+    # chunks of rows fit in the 1 GiB address-space limit of the child.
+    # One BLAS thread, so the limit does not depend on the core count
+    # (OpenBLAS reserves buffers per thread).
+    src = str(Path(axdesign.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-m", "axdesign", "info", CASCADE, "--method", method,
+         "--samples", "20000000"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=_limit_address_space)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["info"]["mc"]["n_samples"] == 20_000_000
 
 
 # ---------------------------------------------------------------------------

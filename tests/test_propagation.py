@@ -8,22 +8,30 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axdesign import (
     Coupled,
     DesignMatrix,
+    Empirical,
     LinearModel,
+    McConfig,
     Normal,
     RngState,
     SampleSet,
     ScenarioModel,
     TankConfig,
+    Triangular,
     Uncoupled,
     Uniform,
     classify,
+    draw_from,
     estimate_design_matrix,
     from_samples,
 )
+from axdesign.info import _tables, _tally
+from axdesign.propagation import _CHUNK_ROWS
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +118,8 @@ def test_linear_model_validates_dimensions():
 
 def test_linear_model_dp_streams_are_independent():
     model = LinearModel(np.eye(2), [Uniform(0.0, 1.0), Uniform(0.0, 1.0)])
-    dps = model.sample_dps(RngState(seed=21), 4000)
+    # On the identity matrix the FR table is the DP table.
+    dps = model.sample_frs(RngState(seed=21), 4000)
     corr = float(np.corrcoef(dps[:, 0], dps[:, 1])[0, 1])
     assert abs(corr) < 0.05
     assert not np.array_equal(dps[:, 0], dps[:, 1])
@@ -124,6 +133,88 @@ def test_same_seed_same_table():
     assert np.array_equal(a, b)
     c = model.sample_frs(RngState(seed=34), 256)
     assert not np.array_equal(a, c)
+
+
+# ---------------------------------------------------------------------------
+# Chunked sampling and the streaming tally
+
+
+C = _CHUNK_ROWS
+finite = st.floats(-10.0, 10.0)
+width = st.floats(1e-3, 100.0)
+pdfs = st.one_of(
+    st.builds(lambda lo, w: Uniform(lo, lo + w), finite, width),
+    st.builds(Normal, finite, st.floats(1e-3, 20.0)),
+    st.builds(lambda lo, f, w: Triangular(lo, lo + f * w, lo + w),
+              finite, st.floats(0.0, 1.0), width),
+    st.builds(lambda xs: Empirical(tuple(xs)), st.lists(finite, min_size=1, max_size=8)),
+)
+
+
+def _one_call_reference(matrix, dp_pdfs, noise_pdfs, seed, n):
+    """The whole table from fresh per-substream generators, one call each."""
+    def column(pdf, k):
+        if pdf is None:
+            return np.zeros(n)
+        return draw_from(pdf, RngState(seed).substream(k).generator(), n)
+
+    dps = np.column_stack([column(pdf, j) for j, pdf in enumerate(dp_pdfs)])
+    frs = dps @ matrix.T
+    if noise_pdfs is not None:
+        frs = frs + np.column_stack(
+            [column(pdf, len(dp_pdfs) + i) for i, pdf in enumerate(noise_pdfs)])
+    return frs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from([1, C - 1, C, C + 1, 2 * C + 3]),
+    seed=st.integers(0, 2**32),
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    data=st.data(),
+)
+def test_chunked_tables_and_tally_match_the_one_call_reference(n, seed, shape, data):
+    n_frs, n_dps = shape
+    matrix = np.array(data.draw(st.lists(
+        st.lists(finite, min_size=n_dps, max_size=n_dps),
+        min_size=n_frs, max_size=n_frs)))
+    dp_pdfs = data.draw(st.lists(pdfs, min_size=n_dps, max_size=n_dps))
+    noise_pdfs = data.draw(st.one_of(st.none(), st.lists(
+        st.one_of(st.none(), pdfs), min_size=n_frs, max_size=n_frs)))
+    model = LinearModel(matrix, dp_pdfs, noise_pdfs)
+    ref = _one_call_reference(matrix, dp_pdfs, noise_pdfs, seed, n)
+
+    chunks = list(_tables(model, McConfig(seed=seed, n_samples=n)))
+    assert [len(c) for c in chunks] == [min(C, n - s) for s in range(0, n, C)]
+    assert np.array_equal(np.concatenate(chunks), ref)
+    assert np.array_equal(model.sample_frs(RngState(seed), n), ref)
+
+    # Ranges between two sample quantiles of each column, and any order.
+    quantiles = data.draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                                   min_size=n_frs, max_size=n_frs))
+    ranges = [tuple(np.quantile(ref[:, j], sorted(q))) for j, q in enumerate(quantiles)]
+    order = data.draw(st.permutations(range(n_frs)))
+    inside = np.column_stack([(ref[:, j] >= lo) & (ref[:, j] <= hi)
+                              for j, (lo, hi) in enumerate(ranges)])
+    rows, hits, links = _tally(chunks, ranges, order)
+    assert rows == n
+    assert hits == inside.sum(axis=0).tolist()
+    assert links == [int(inside[:, order[:k + 1]].all(axis=1).sum())
+                     for k in range(n_frs)]
+
+
+@pytest.mark.parametrize("n_frs", [1, 3])
+@pytest.mark.parametrize("n", [1, C + 1, 2 * C + 1])
+def test_lone_last_row_is_rounded_as_in_the_one_call_table(n_frs, n):
+    # A one-row product goes through a different BLAS kernel from a larger
+    # one; the chunked table must still round every row as the whole does.
+    rng = np.random.default_rng(n_frs)
+    matrix = rng.normal(size=(n_frs, 5)) * 10.0 ** rng.uniform(-3, 3, size=(n_frs, 5))
+    dp_pdfs = [Normal(0.0, 10.0 ** e) for e in rng.uniform(-3, 3, size=5)]
+    model = LinearModel(matrix, dp_pdfs)
+    chunks = list(_tables(model, McConfig(seed=12, n_samples=n)))
+    ref = _one_call_reference(matrix, dp_pdfs, None, 12, n)
+    assert np.array_equal(np.concatenate(chunks), ref)
 
 
 # ---------------------------------------------------------------------------
