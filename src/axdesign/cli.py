@@ -22,6 +22,11 @@ Four subcommands over a JSON design-spec file:
 Parse and validation failures exit 1 with a message on stderr. All report
 output is deterministic: the same spec, seed, and flags produce
 byte-identical bytes on stdout.
+
+A call costs what its work needs. The argument parser is built once, when
+this module is imported, and every :func:`main` call reuses it. scipy is
+not imported until a Normal pdf needs its CDF or a draw, so ``classify``,
+``validate`` and specs without Normal pdfs never load it.
 """
 
 from __future__ import annotations
@@ -101,8 +106,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# parse_args keeps no state between calls, so one parser serves them all.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handlers = {
         "classify": _cmd_classify,
         "info": _cmd_info,

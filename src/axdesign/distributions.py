@@ -4,6 +4,10 @@ Four distribution families are supported: uniform, normal, triangular and
 empirical (resampling from stored observations). Every family exposes an
 exact CDF and interval probabilities computed as CDF differences, so
 interval masses are additive and total mass is 1 to within floating point.
+Uniform and triangular pdfs integrate masses below 2**-10 directly, where a
+CDF difference would cancel, and work on parameters scaled by a power of two
+when their width squared overflows, so any finite parameters give finite
+CDFs, draws and masses.
 
 Random number generation
 ------------------------
@@ -58,7 +62,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.special import ndtr, ndtri
 
 __all__ = [
     "RngState",
@@ -70,6 +73,48 @@ __all__ = [
     "from_samples",
     "draw_from",
 ]
+
+
+# scipy.special takes about half the package's import time and only Normal
+# uses it, so it loads on the first Normal cdf or draw. The first call of
+# either stand-in below rebinds both names to scipy's ufuncs, so later calls
+# go straight to them.
+def _load_special() -> None:
+    global ndtr, ndtri
+    from scipy.special import ndtr, ndtri
+
+
+def ndtr(x):
+    _load_special()
+    return ndtr(x)
+
+
+def ndtri(p):
+    _load_special()
+    return ndtri(p)
+
+
+# Below this mass, cdf(hi) - cdf(lo) may have lost more than 2**-42 of its
+# value to the rounding of two CDF values near 1 (up to 2**-52 between them),
+# so uniform and triangular pdfs integrate their density over the interval
+# instead. Larger masses keep the CDF difference and with it the bytes of
+# existing reports.
+_DIRECT_MASS_BELOW = 2.0**-10
+
+
+def _scale(lo: float, hi: float) -> float:
+    """A power of two s that keeps ``((hi - lo) * s) ** 2`` finite.
+
+    It is 1.0 whenever ``(hi - lo) ** 2`` is finite already; otherwise it
+    brings the width below 2**511. Scaling by a power of two is exact short
+    of the subnormal range, so formulas on the scaled parameters give the
+    bits of the unscaled ones wherever those do not overflow.
+    """
+    width = hi - lo
+    if math.isfinite(width * width):
+        return 1.0
+    return 2.0 ** (510 - math.frexp(hi * 0.5 - lo * 0.5)[1])
+
 
 # Extremes of the open uniform (k + 0.5) / 2**53: k = 0, and the top k
 # clamped, which is also the largest ``gen.random()`` value.
@@ -288,15 +333,31 @@ class Uniform(Pdf):
         if not self.lo < self.hi:
             raise ValueError(f"uniform requires lo < hi, got [{self.lo}, {self.hi}]")
 
+    @cached_property
+    def _scaled(self) -> tuple[float, float, float]:
+        """(s, lo * s, hi * s - lo * s) for ``s = _scale(lo, hi)``."""
+        s = _scale(self.lo, self.hi)
+        return s, self.lo * s, self.hi * s - self.lo * s
+
     def cdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        t = (x - self.lo) / (self.hi - self.lo)
-        return np.clip(t, 0.0, 1.0)[()]
+        s, lo, width = self._scaled
+        x = np.clip(np.asarray(x, dtype=np.float64), self.lo, self.hi)
+        return ((x * s - lo) / width)[()]
+
+    def interval_probability(self, lo: float, hi: float) -> float:
+        p = super().interval_probability(lo, hi)
+        if p >= _DIRECT_MASS_BELOW:
+            return p
+        s, _, width = self._scaled
+        return max(min(hi, self.hi) * s - max(lo, self.lo) * s, 0.0) / width
 
     def _transform(self, u):
-        # lo + u * (hi - lo), in place on an array.
-        u *= self.hi - self.lo
-        u += self.lo
+        # lo + u * (hi - lo) on the scaled bounds, in place on an array.
+        s, lo, width = self._scaled
+        u *= width
+        u += lo
+        if s != 1.0:
+            u /= s
         return u
 
     def describe(self):
@@ -348,9 +409,15 @@ class Triangular(Pdf):
                 f"({self.lo}, {self.mode}, {self.hi})"
             )
 
+    @cached_property
+    def _scaled(self) -> tuple[float, float, float, float]:
+        """(s, lo * s, mode * s, hi * s) for ``s = _scale(lo, hi)``."""
+        s = _scale(self.lo, self.hi)
+        return s, self.lo * s, self.mode * s, self.hi * s
+
     def cdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        lo, mode, hi = self.lo, self.mode, self.hi
+        s, lo, mode, hi = self._scaled
+        x = np.clip(np.asarray(x, dtype=np.float64), self.lo, self.hi) * s
         width = hi - lo
         out = np.zeros_like(x, dtype=np.float64)
         if mode > lo:
@@ -364,15 +431,37 @@ class Triangular(Pdf):
             out = np.where((x > lo) & (x < hi), 1.0 - (hi - x) ** 2 / (width * width), out)
         return out[()]
 
+    def interval_probability(self, lo: float, hi: float) -> float:
+        p = super().interval_probability(lo, hi)
+        if p >= _DIRECT_MASS_BELOW:
+            return p
+        # On each side of the mode, the length of the part of [lo, hi] there
+        # times the mean density over it: each factor stays near 1 or below
+        # the width, so nothing overflows or cancels.
+        s, left, mode, right = self._scaled
+        a, b = max(lo, self.lo) * s, min(hi, self.hi) * s
+        width = right - left
+        mass = 0.0
+        top = min(b, mode)
+        if a < top:
+            mass += (top - a) / width * ((top - left) + (a - left)) / (mode - left)
+        bottom = max(a, mode)
+        if bottom < b:
+            mass += (b - bottom) / width * ((right - bottom) + (right - b)) / (right - mode)
+        return mass
+
     def _transform(self, u):
-        # Inverse-CDF method. Each branch is monotone in u; they meet at the
-        # mode, up to rounding there.
-        lo, mode, hi = self.lo, self.mode, self.hi
+        # Inverse-CDF method on the scaled parameters. Each branch is
+        # monotone in u; they meet at the mode, up to rounding there.
+        s, lo, mode, hi = self._scaled
         width = hi - lo
         u = _open(u)
         left = lo + np.sqrt(u * width * (mode - lo)) if mode > lo else lo
         right = hi - np.sqrt((1.0 - u) * width * (hi - mode)) if hi > mode else hi
-        return np.where(u < (mode - lo) / width, left, right)[()]
+        x = np.where(u < (mode - lo) / width, left, right)
+        if s != 1.0:
+            x /= s
+        return x[()]
 
     def describe(self):
         return f"triangular({self.lo:g}, {self.mode:g}, {self.hi:g})"

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .distributions import Empirical, Normal, Pdf, Triangular, Uniform
@@ -170,6 +171,13 @@ def _check_keys(obj, allowed, where):
             raise SpecFormatError(f"unknown field {key!r}", where)
 
 
+# A JSON number v is a finite float64 when -_FLOAT_MAX <= v <= _FLOAT_MAX.
+# Python compares an int with a float exactly, so the test refuses an integer
+# beyond float64's range, on which float(v) would raise OverflowError, and
+# it refuses nan and infinities too.
+_FLOAT_MAX = sys.float_info.max
+
+
 def _number(obj, key, where, required=True, default=None):
     if key not in obj:
         if required:
@@ -178,6 +186,8 @@ def _number(obj, key, where, required=True, default=None):
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SpecFormatError(f"field {key!r} must be a number", where)
+    if not -_FLOAT_MAX <= v <= _FLOAT_MAX:
+        raise SpecFormatError(f"field {key!r} must be a finite number", where)
     return float(v)
 
 
@@ -221,6 +231,8 @@ def pdf_from_obj(obj, where: str = "pdf") -> Pdf:
         for i, v in enumerate(samples):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise SpecFormatError(f"samples[{i}] must be a number", where)
+            if not -_FLOAT_MAX <= v <= _FLOAT_MAX:
+                raise SpecFormatError(f"samples[{i}] must be a finite number", where)
         return Empirical(tuple(float(v) for v in samples))
     except ValueError as exc:
         if isinstance(exc, SpecFormatError):
@@ -351,7 +363,7 @@ def parse_spec(text: str) -> DesignSpec:
                 raise SpecFormatError(f"row {i} must be an array", "matrix")
             for j, v in enumerate(row):
                 if isinstance(v, bool) or not isinstance(v, (int, float)) \
-                        or not math.isfinite(float(v)):
+                        or not -_FLOAT_MAX <= v <= _FLOAT_MAX:
                     raise SpecFormatError(f"entry [{i}][{j}] must be a finite number",
                                           "matrix")
             rows.append(tuple(float(v) for v in row))

@@ -487,6 +487,52 @@ def test_malformed_json_exits_one(capsys, tmp_path):
     assert "syntax error" in err
 
 
+# A 401-digit integer: valid JSON, but far beyond float64's range.
+HUGE = "1" + "0" * 400
+HUGE_SPEC = {
+    "frs": [{"id": "f", "nominal": 0.0, "tol_minus": 1.0, "tol_plus": 1.0}],
+    "dps": [{"id": "d", "nominal": 0.0}],
+    "matrix": [[1.0]],
+}
+
+
+@pytest.mark.parametrize("where,change", [
+    ("matrix: entry [0][0]", {"matrix": [["HUGE"]]}),
+    ("frs[0]: field 'nominal'",
+     {"frs": [{"id": "f", "nominal": "HUGE", "tol_minus": 1.0, "tol_plus": 1.0}]}),
+    ("system_pdfs.f: samples[1]",
+     {"system_pdfs": {"f": {"kind": "empirical", "samples": [0.5, "HUGE"]}}}),
+], ids=["matrix", "fr-field", "empirical-sample"])
+def test_integers_beyond_float64_exit_one_naming_the_field(capsys, tmp_path, where, change):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(HUGE_SPEC, **change)).replace('"HUGE"', HUGE))
+    for command in ("classify", "info", "validate"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1, command
+        assert out == ""
+        assert err == f"error: {where} must be a finite number\n"
+
+
+# oracle: mpmath at 4000 bits, -log2 of the exact mass of each pdf on [-1, 1]
+WIDE_PDF_BITS = [
+    ({"kind": "uniform", "lo": -1.5e308, "hi": 1.5e308}, 1023.7388157260287),
+    ({"kind": "triangular", "lo": -1e160, "mode": 0, "hi": 1e160}, 530.508495181978),
+]
+
+
+@pytest.mark.parametrize("pdf,bits", WIDE_PDF_BITS, ids=["uniform", "triangular"])
+def test_wide_pdfs_give_the_exact_analytic_bits(capsys, tmp_path, pdf, bits):
+    # The width of the first overflows float64, the square of the second's.
+    spec = dict(HUGE_SPEC, system_pdfs={"f": pdf})
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "info", str(path), "--method", "analytic")
+    assert code == 0 and err == ""
+    assert json.loads(out)["info"]["system_bits"] == pytest.approx(bits, rel=1e-12)
+
+
 def test_usage_errors_exit_one_not_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", TANK, "--format", "yaml"])
@@ -506,3 +552,77 @@ def test_reports_are_byte_identical_across_runs(capsys):
     code3, out3, _ = run(capsys, "info", TWO_KNOB, "--seed", "8",
                          "--samples", "5000")
     assert out3 != out1
+
+
+# ---------------------------------------------------------------------------
+# One parser per process, and the import floor
+
+
+def _fresh(argv, env) -> tuple[int, str]:
+    result = subprocess.run([sys.executable, "-m", "axdesign", *argv],
+                            capture_output=True, text=True, env=env, timeout=120)
+    return result.returncode, result.stdout
+
+
+def _in_process(capsys, argv) -> tuple[int, str]:
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("first,second", [
+    (["classify", CASCADE, "--format", "yaml"], ["classify", TWO_KNOB]),
+    (["no-such-command"], ["classify", TWO_KNOB]),
+    (["--help"], ["info", CASCADE, "--samples", "2000"]),
+    (["info", "--help"], ["info", CASCADE, "--samples", "2000"]),
+], ids=["bad-format", "unknown-command", "help", "info-help"])
+def test_the_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch, first, second):
+    # The help text wraps at the terminal width, so both sides get the same.
+    monkeypatch.setenv("COLUMNS", "80")
+    src = str(Path(axdesign.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (first, second):
+        assert _in_process(capsys, argv) == _fresh(argv, env), argv
+
+
+_IMPORT_FLOOR = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+import axdesign.cli
+
+def scipy_loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+seen = {"import": scipy_loaded()}
+for path in sorted(Path(sys.argv[1]).glob("*.json")):
+    for command in ("classify", "validate"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            axdesign.cli.main([command, str(path)])
+        seen[f"{command} {path.name}"] = scipy_loaded()
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = axdesign.cli.main(["info", sys.argv[2], *sys.argv[3:]])
+seen["info"] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest(),
+                "scipy.special" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_classify_and_validate_never_import_scipy():
+    from test_pinned_reports import PINNED, RUNS
+
+    src = str(Path(axdesign.__file__).resolve().parent.parent)
+    fixtures = Path(CASCADE).parent
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_FLOOR, str(fixtures), CASCADE,
+         *RUNS["info"][1:]],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert result.returncode == 0, result.stderr
+    seen = json.loads(result.stdout)
+    info = seen.pop("info")
+    assert len(seen) == 1 + 2 * len(list(fixtures.glob("*.json")))
+    assert all(loaded == [] for loaded in seen.values()), seen
+    # A Normal pdf loads scipy.special on first use, with the pinned bytes.
+    assert info == [*PINNED[("machining_cascade.json", "info")], True]

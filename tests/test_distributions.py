@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.random import SeedSequence
 from scipy import stats
@@ -130,6 +131,105 @@ def test_interval_rejects_inverted_bounds():
         Uniform(0.0, 1.0).interval_probability(2.0, 1.0)
     with pytest.raises(ValueError, match="exceeds"):
         Normal(0.0, 1.0).interval_probability(1.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Wide uniform and triangular pdfs: finite parameters whose width, or its
+# square, overflows float64, and ranges narrow next to the width
+
+
+def _exact_mass(pdf: Pdf, a: float, b: float) -> mpmath.mpf:
+    """The mass of ``pdf`` on [a, b] in exact rational arithmetic (every
+    float64 is a dyadic rational, and 4000 bits hold these sums exactly)."""
+    f = mpmath.mpf
+    if isinstance(pdf, Uniform):
+        lo, hi = f(pdf.lo), f(pdf.hi)
+        return max(min(f(b), hi) - max(f(a), lo), 0) / (hi - lo)
+    lo, mode, hi = f(pdf.lo), f(pdf.mode), f(pdf.hi)
+
+    def cdf(x):
+        x = min(max(f(x), lo), hi)
+        if x <= mode:
+            return (x - lo) ** 2 / ((hi - lo) * (mode - lo)) if mode > lo else f(0)
+        return 1 - (hi - x) ** 2 / ((hi - lo) * (hi - mode))
+
+    return cdf(b) - cdf(a)
+
+
+WIDE = [
+    (Uniform(-1.5e308, 1.5e308), -1.0, 1.0),
+    (Uniform(-1e300, 1e300), -1.0, 1.0),
+    (Uniform(-1e9, 1e9), -1e-9, 1e-9),
+    (Uniform(0.0, 1.7e308), 1.6e308, math.inf),
+    (Triangular(-1e160, 0.0, 1e160), -1.0, 1.0),
+    (Triangular(-1.7e308, 1e307, 1.7e308), -1e300, 2e300),
+    (Triangular(0.0, 0.0, 1e200), 0.0, 1e150),
+    (Triangular(-1e200, 1e200, 1e200), 1e200 - 1e190, 1e200),
+    (Triangular(0.0, 1.0, 2.0), -1e200, 1e200),
+    (Triangular(-5.0, 2.0, 3.0), 1.0, 1.0 + 2.0**-40),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pdf,a,b", WIDE, ids=[f"{pdf.describe()} on [{a!r}, {b!r}]" for pdf, a, b in WIDE])
+def test_wide_pdf_interval_masses_match_exact_arithmetic(pdf, a, b):
+    with mpmath.workprec(4000):
+        exact = _exact_mass(pdf, a, b)
+        assert exact > 0
+        assert pdf.interval_probability(a, b) == pytest.approx(float(exact), rel=1e-12, abs=0)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(["uniform", "triangular"]), exponent=st.integers(-40, 1023),
+       centre=st.floats(-0.25, 0.25), half=st.floats(1e-6, 1.5), mode=st.floats(0.0, 1.0),
+       offset=st.floats(-1.2, 1.2), size=st.integers(-320, 1))
+def test_interval_masses_match_exact_arithmetic(family, exponent, centre, half, mode,
+                                                offset, size):
+    # A pdf about 2**exponent wide, up to float64's limit and past it for
+    # the width, and a range 2**size of that, in or around the support.
+    scale = 2.0**exponent
+    lo, hi = (centre - half) * scale, (centre + half) * scale
+    if family == "uniform":
+        pdf = Uniform(lo, hi)
+    else:
+        pdf = Triangular(lo, min(max(lo * (1 - mode) + hi * mode, lo), hi), hi)
+    a = (centre + offset * half) * scale
+    b = a + half * scale * 2.0**(size + 1)
+    assume(math.isfinite(b))
+    p = pdf.interval_probability(a, b)
+    with mpmath.workprec(4000):
+        exact = _exact_mass(pdf, a, b)
+        assert p == pytest.approx(float(exact), rel=1e-11, abs=1e-300)
+
+
+_UNITS = st.integers(-640, 640).map(lambda i: i / 64)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=200, deadline=None)
+@given(family=st.sampled_from(["uniform", "triangular"]), lo=_UNITS,
+       steps=st.lists(st.integers(0, 640), min_size=2, max_size=2),
+       x=st.lists(_UNITS, min_size=2, max_size=2), k=st.integers(0, 2**53 - 1))
+def test_scaled_arithmetic_gives_the_unscaled_bits(family, lo, steps, x, k):
+    # Scaled by 2**600, the pdf's width squared overflows, so it is computed
+    # on scaled parameters; every result is the small pdf's, scaled exactly.
+    mode, hi = lo + steps[0] / 64, lo + (steps[0] + steps[1] + 1) / 64
+    big = 2.0**600
+
+    def make(s):
+        return Uniform(lo * s, hi * s) if family == "uniform" \
+            else Triangular(lo * s, mode * s, hi * s)
+
+    small, large = make(1.0), make(big)
+    assert small._scaled[0] == 1.0 and large._scaled[0] < 1.0
+    a, b = min(x), max(x)
+    assert large.cdf(a * big) == small.cdf(a)
+    assert large.interval_probability(a * big, b * big) == small.interval_probability(a, b)
+    u = k / 2**53
+    assert large._transform(u) == small._transform(u) * big
+    draws = large._transform(np.array([u, 0.0, 1.0 - 2.0**-53]))
+    assert np.array_equal(draws, small._transform(np.array([u, 0.0, 1.0 - 2.0**-53])) * big)
 
 
 # ---------------------------------------------------------------------------
