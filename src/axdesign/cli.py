@@ -45,6 +45,7 @@ from .model import DesignSpec, parse_spec, validate_spec
 from .propagation import LinearModel, ScenarioModel, simulate_tank
 from .report import (classification_doc, info_doc, render_json, render_text,
                      spec_echo)
+from .tank import MAX_CYCLES
 
 __all__ = ["main"]
 
@@ -272,6 +273,10 @@ def _cmd_info(args) -> int:
             raise _Inapplicable(
                 f"the {method} estimator needs a sampling model: a scenario "
                 "block or a design matrix to propagate DP pdfs through")
+        if isinstance(model, ScenarioModel):
+            _require(args.samples <= MAX_CYCLES,
+                     f"--samples must be at most {MAX_CYCLES} on a scenario "
+                     "(one simulated cycle per sample)")
         if isinstance(model, LinearModel) and \
                 all(dp.uncertainty is None for dp in spec.dps) and not spec.noise_pdfs:
             warnings.append(
@@ -311,7 +316,8 @@ def _cmd_simulate(args) -> int:
         raise SpecFormatError("no scenario block in spec; nothing to simulate")
     _require(args.seed >= 0, "--seed must be a non-negative integer")
     if args.cycles is not None:
-        _require(args.cycles >= 1, "--cycles must be a positive integer")
+        _require(1 <= args.cycles <= MAX_CYCLES,
+                 f"--cycles must be an integer in [1, {MAX_CYCLES}]")
 
     cycles = args.cycles if args.cycles is not None else spec.scenario.cycles
     samples = simulate_tank(spec.scenario, RngState(seed=args.seed),

@@ -59,6 +59,9 @@ TURB_HEAT_RATE = 0.5  # degC/s of agitation heating per unit mixer_to_temp gain
 MIX_REF = 120.0  # s, reference runtime normalizing the mixer_to_level drift
 LEVEL_DRIFT_PER_DEGC = 1.0  # m of transmitter drift per degC heated, per unit gain
 LEVEL_DRIFT_PER_RUN = 1.0  # m of transmitter drift per reference runtime, per unit gain
+# Most cycles one run simulates: its table of three float64 per cycle then
+# takes at most 240 MB.
+MAX_CYCLES = 10**7
 
 _NOISE_CHANNELS = ("level", "temp", "duration", "inlet")
 _PHASE_RETRIES = 4  # chunks of sensor readings searched before divergence
@@ -104,8 +107,8 @@ class TankConfig:
             raise ValueError("mix_duration must be positive")
         if self.timestep <= 0:
             raise ValueError("timestep must be positive")
-        if not (isinstance(self.cycles, int) and self.cycles >= 1):
-            raise ValueError("cycles must be an integer >= 1")
+        if not (isinstance(self.cycles, int) and 1 <= self.cycles <= MAX_CYCLES):
+            raise ValueError(f"cycles must be an integer in [1, {MAX_CYCLES}]")
         for name, pdf in self.sensor_noise.items():
             if name not in _NOISE_CHANNELS:
                 raise ValueError(f"unknown sensor noise channel {name!r}")
@@ -113,21 +116,50 @@ class TankConfig:
                 raise ValueError(f"sensor noise channel {name!r} must be a Pdf")
 
 
-def _first(can, lo: int, hi: int) -> int:
+def _first(can, lo: int, hi: int, guess: float) -> int:
     """The first ``t`` in [lo, hi) with ``can(t)``, or ``hi`` if none; ``can``
-    must be monotone in ``t`` (either way)."""
-    if can(lo):
-        return lo
-    last = hi - 1
-    if not can(last):
-        return hi
-    while last - lo > 1:  # can(lo) is false and can(last) true
-        mid = (lo + last) // 2
+    must be non-decreasing in ``t``.
+
+    The search gallops (Bentley & Yao, IPL 1976) from ``ceil(guess)``
+    clipped into [lo, hi], a NaN guess counting as ``lo``, by steps of 1, 2,
+    4, ... until it brackets the answer, then bisects the bracket. It is
+    exact for every guess, and costs two ``can`` calls when ``ceil(guess)``
+    is the answer, O(log error) calls otherwise. A non-increasing ``can`` is
+    found exactly too when the guess is at most ``lo``: ``lo`` if
+    ``can(lo)``, else ``hi``.
+    """
+    if guess >= hi:
+        t = hi
+    elif guess > lo:  # finite
+        t = math.ceil(guess)
+    else:
+        t = lo
+    # The loops keep ``below < answer <= above``, with ``can(below)`` false or
+    # ``below == lo - 1``, and ``can(above)`` true or ``above == hi``.
+    step = 1
+    if t < hi and not can(t):
+        below, above = t, hi
+        while below + step < hi:
+            if can(below + step):
+                above = below + step
+                break
+            below += step
+            step *= 2
+    else:
+        below, above = lo - 1, t
+        while above - step >= lo:
+            if not can(above - step):
+                below = above - step
+                break
+            above -= step
+            step *= 2
+    while above - below > 1:
+        mid = (below + above) // 2
         if can(mid):
-            last = mid
+            above = mid
         else:
-            lo = mid
-    return last
+            below = mid
+    return above
 
 
 def _cross(stream, pdf, start, step, target, bias, upward, cycle, what):
@@ -141,13 +173,19 @@ def _cross(stream, pdf, start, step, target, bias, upward, cycle, what):
     Readings are searched in chunks, one noise draw per reading from the
     seated ``stream`` (a :class:`Substreams`). A reading can cross only if
     its noiseless value, moved by the most extreme value ``pdf`` can
-    return, crosses; that test is monotone in t, so the first reading that
-    can cross is found by bisection on scalars (the same float operations
-    as on an array). ``stream.skip`` passes over the values of the earlier
-    readings, the rest are drawn and tested ``_SLICE`` at a time, and after
-    a hit the rest of the chunk is skipped. This leaves the stream and every
-    drawn value as if the whole chunk had been drawn, in bounded memory. A
-    phase needing more than ``_MAX_CHUNK`` readings per chunk raises
+    return, crosses. While the trajectory approaches the target that test
+    is non-decreasing in t, and the closed form
+    ``(target + bias - reach - start) / step`` puts its first true reading
+    within rounding, so :func:`_first` gallops from there, on scalars (the
+    same float operations as on an array), and usually tests two readings.
+    A level or receding trajectory can cross only from the chunk's first
+    reading on, so its search starts there. ``stream.skip`` passes over
+    the values of the earlier readings, the rest are drawn and tested
+    ``_SLICE`` at a time, and after a hit the rest of the chunk is skipped.
+    The skips are bookkeeping, so the stream is reseated at most once per
+    search, at its first draw. This leaves the stream and every drawn value
+    as if the whole chunk had been drawn, in bounded memory. A phase needing
+    more than ``_MAX_CHUNK`` readings per chunk raises
     :class:`SimulationDivergence` as a size limit.
     """
     if step != 0.0:
@@ -173,9 +211,14 @@ def _cross(stream, pdf, start, step, target, bias, upward, cycle, what):
         def can(t):
             return start + step * t - bias + reach <= target
         crossed = np.less_equal
+    approaching = step > 0.0 if upward else step < 0.0
+    if approaching:
+        guess = (target + bias - reach - start) / step
+    else:  # ``can`` is non-increasing or constant
+        guess = -math.inf
     for t0 in range(0, _PHASE_RETRIES * chunk, chunk):
         end = t0 + chunk
-        i0 = _first(can, t0, end)
+        i0 = _first(can, t0, end, guess)
         if pdf is None:  # with no noise the first reading that can cross does
             if i0 < end:
                 return float(start + step * i0)
@@ -183,14 +226,17 @@ def _cross(stream, pdf, start, step, target, bias, upward, cycle, what):
         stream.skip(i0 - t0)
         for s0 in range(i0, end, _SLICE):
             s1 = min(s0 + _SLICE, end)
-            true = start + step * np.arange(s0, s1, dtype=np.float64)
-            measured = true - bias
+            # start + step * t - bias + noise, in one buffer
+            measured = np.arange(s0, s1, dtype=np.float64)
+            measured *= step
+            measured += start
+            measured -= bias
             measured += draw_from(pdf, stream, s1 - s0)
             hits = crossed(measured, target)
             i = int(hits.argmax())
             if hits[i]:
                 stream.skip(end - s1)
-                return float(true[i])
+                return float(start + step * (s0 + i))
     raise SimulationDivergence(f"{what} never crossed its setpoint", cycle)
 
 
@@ -204,15 +250,18 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
     substream k for cycle k, which yields exactly the values of
     ``rng.substream(k).generator()``; the crossing search skips the values
     of readings that cannot cross, and the one-value inlet and duration
-    reads transform a single ``random()`` float.
+    reads transform a single ``random()`` float. Seats and skips are
+    bookkeeping, so a noisy crossing search costs at most one state
+    assignment, made at its first draw, and a noiseless cycle none.
 
-    Raises :class:`SimulationDivergence` (with the cycle index) when a
-    controlled phase fails to cross its setpoint within a generous budget of
-    sensor readings.
+    Raises ``ValueError`` for a cycle count outside [1, ``MAX_CYCLES``],
+    before allocating the table, and :class:`SimulationDivergence` (with the
+    cycle index) when a controlled phase fails to cross its setpoint within
+    a generous budget of sensor readings.
     """
     n = config.cycles if cycles is None else cycles
-    if n < 1:
-        raise ValueError("cycle count must be >= 1")
+    if not 1 <= n <= MAX_CYCLES:
+        raise ValueError(f"cycle count must be in [1, {MAX_CYCLES}]")
     dt = config.timestep
     noise = config.sensor_noise
     lvl_pdf = noise.get("level")

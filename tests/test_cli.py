@@ -411,6 +411,28 @@ def test_simulate_rejects_bad_cycle_count(capsys):
     assert "--cycles" in err
 
 
+@pytest.mark.parametrize("entry", ["simulate --cycles", "scenario cycles", "info --samples"])
+def test_cycle_counts_past_the_cap_exit_one_without_a_traceback(tmp_path, entry):
+    # 10**12 cycles would need a 24 TB table. The child runs under a 1 GiB
+    # address-space limit, so an attempt to allocate fails at once.
+    spec = json.loads(Path(TURBULENT).read_text())
+    argv = {"simulate --cycles": ["simulate", TURBULENT, "--cycles", str(10**12)],
+            "scenario cycles": ["simulate", str(tmp_path / "huge.json")],
+            "info --samples": ["info", TURBULENT, "--samples", str(10**12)]}[entry]
+    spec["scenario"]["cycles"] = 10**12
+    (tmp_path / "huge.json").write_text(json.dumps(spec))
+    src = str(Path(axdesign.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-m", "axdesign", *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        preexec_fn=_limit_address_space)
+    assert "Traceback" not in result.stderr
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "10000000" in result.stderr
+
+
 def test_scenario_with_two_frs_exits_one(capsys, tmp_path):
     spec = {
         "frs": [
@@ -517,12 +539,14 @@ def test_integers_beyond_float64_exit_one_naming_the_field(capsys, tmp_path, whe
 WIDE_PDF_BITS = [
     ({"kind": "uniform", "lo": -1.5e308, "hi": 1.5e308}, 1023.7388157260287),
     ({"kind": "triangular", "lo": -1e160, "mode": 0, "hi": 1e160}, 530.508495181978),
+    ({"kind": "normal", "mu": 0, "sigma": 1e20}, 66.76430996248341),
 ]
 
 
-@pytest.mark.parametrize("pdf,bits", WIDE_PDF_BITS, ids=["uniform", "triangular"])
+@pytest.mark.parametrize("pdf,bits", WIDE_PDF_BITS, ids=["uniform", "triangular", "normal"])
 def test_wide_pdfs_give_the_exact_analytic_bits(capsys, tmp_path, pdf, bits):
-    # The width of the first overflows float64, the square of the second's.
+    # The width of the first overflows float64, the square of the second's;
+    # the normal's CDF difference on [-1, 1] cancels to 0.
     spec = dict(HUGE_SPEC, system_pdfs={"f": pdf})
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(spec))

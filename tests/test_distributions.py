@@ -135,13 +135,19 @@ def test_interval_rejects_inverted_bounds():
 
 # ---------------------------------------------------------------------------
 # Wide uniform and triangular pdfs: finite parameters whose width, or its
-# square, overflows float64, and ranges narrow next to the width
+# square, overflows float64, and ranges narrow next to the width; normal
+# upper tails and narrow ranges in very wide normals
 
 
 def _exact_mass(pdf: Pdf, a: float, b: float) -> mpmath.mpf:
     """The mass of ``pdf`` on [a, b] in exact rational arithmetic (every
-    float64 is a dyadic rational, and 4000 bits hold these sums exactly)."""
+    float64 is a dyadic rational, and 4000 bits hold these sums exactly);
+    for a normal, erfc at 4000 bits."""
     f = mpmath.mpf
+    if isinstance(pdf, Normal):
+        scale = f(pdf.sigma) * mpmath.sqrt(2)
+        return (mpmath.erfc((f(a) - f(pdf.mu)) / scale)
+                - mpmath.erfc((f(b) - f(pdf.mu)) / scale)) / 2
     if isinstance(pdf, Uniform):
         lo, hi = f(pdf.lo), f(pdf.hi)
         return max(min(f(b), hi) - max(f(a), lo), 0) / (hi - lo)
@@ -167,6 +173,10 @@ WIDE = [
     (Triangular(-1e200, 1e200, 1e200), 1e200 - 1e190, 1e200),
     (Triangular(0.0, 1.0, 2.0), -1e200, 1e200),
     (Triangular(-5.0, 2.0, 3.0), 1.0, 1.0 + 2.0**-40),
+    (Normal(0.0, 1.0), 10.0, 11.0),
+    (Normal(0.0, 1.0), 37.0, 38.0),
+    (Normal(0.0, 1e20), -1.0, 1.0),
+    (Normal(0.0, 1e20), 1.0, 2.0),
 ]
 
 
@@ -433,6 +443,36 @@ def test_seated_substreams_equal_fresh_generators(k, p):
     # Reseating after use starts the substream over.
     stream.seat(k)
     assert np.array_equal(stream.random(9), fresh[:9])
+
+
+_KEYS = st.one_of(st.sampled_from([0, 1, 255, 256, 2**32 - 1]), st.integers(0, 2**32 - 1))
+_STREAM_OPS = st.lists(st.one_of(
+    st.tuples(st.just("seat"), _KEYS, st.integers(0, 40)),
+    st.tuples(st.just("skip"), st.integers(0, 40)),
+    st.tuples(st.just("random"), st.none() | st.integers(0, 9)),
+), max_size=40)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**70), k=_KEYS, p=st.integers(0, 40), ops=_STREAM_OPS)
+def test_seats_and_skips_read_like_fresh_generators(seed, k, p, ops):
+    # Seats and skips only record the position, and may follow one another
+    # with no draw between them; every draw must still read the values of a
+    # fresh generator of the current substream, from the current position.
+    rng = RngState(seed=seed)
+    stream = Substreams(rng)
+    for op, *args in [("seat", k, p)] + ops:
+        if op == "seat":
+            stream.seat(*args)
+            fresh = rng.substream(args[0]).generator()
+            fresh.random(args[1])
+        elif op == "skip":
+            stream.skip(args[0])
+            fresh.random(args[0])
+        else:
+            got, want = stream.random(args[0]), fresh.random(args[0])
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_substream_keys_are_bounded():

@@ -4,6 +4,7 @@ divergence reporting, and the cross-channel carryover effects."""
 from __future__ import annotations
 
 import hashlib
+import math
 from unittest import mock
 
 import numpy as np
@@ -22,9 +23,9 @@ from axdesign import (
     simulate_tank,
     tank_response,
 )
-from axdesign import tank
+from axdesign import distributions, tank
 from axdesign.distributions import Substreams, draw_from
-from axdesign.tank import _PHASE_RETRIES, _cross, simulate
+from axdesign.tank import _PHASE_RETRIES, _cross, _first, simulate
 
 NOISY = {
     "level": Normal(0.0, 0.01),
@@ -47,6 +48,8 @@ def test_tank_config_validation():
         TankConfig(timestep=-0.1)
     with pytest.raises(ValueError):
         TankConfig(cycles=0)
+    with pytest.raises(ValueError):
+        TankConfig(cycles=tank.MAX_CYCLES + 1)
     with pytest.raises(ValueError):
         TankConfig(sensor_noise={"pressure": Normal(0.0, 1.0)})
     with pytest.raises(ValueError):
@@ -72,6 +75,8 @@ def test_noiseless_cycles_ignore_the_seed():
 def test_cycle_count_must_be_positive():
     with pytest.raises(ValueError):
         simulate(TankConfig(), RngState(seed=0), cycles=0)
+    with pytest.raises(ValueError):  # before allocating a 24 TB table
+        simulate(TankConfig(), RngState(seed=0), cycles=10**12)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +324,91 @@ def test_cross_search_covers_each_outcome():
     assert late == ref and late[0] == pytest.approx(2.0, abs=0.1)
     never, ref = run(Uniform(0.0, 1.0), 0.0, -0.01, 4.0, 0.0, True)
     assert never == ref and never[0] == "diverged"
+
+
+@pytest.mark.parametrize("pdf", [None, Normal(0.0, 0.01), Uniform(-0.3, 0.2)])
+@pytest.mark.parametrize("step,target,upward", [
+    (1e-3, 1e15 + 0.3, True),
+    (1e-3, 1e15 + 1.7, True),
+    (-1e-3, 1e15 - 0.3, False),
+    (-1e-3, 1e15 - 1.1, False),
+])
+def test_cross_from_a_far_off_guess_matches_drawing_every_reading(pdf, step, target, upward):
+    # Near 1e15 the true value start + step * t rounds to multiples of
+    # 0.125, so it moves once every ~125 readings, and the closed-form
+    # first reading is off by tens of readings.
+    start = 1e15
+    crosses = (lambda t: start + step * t >= target) if upward else \
+        (lambda t: start + step * t <= target)
+    first = next(t for t in range(10**4) if crosses(t))
+    assert abs(first - (target - start) / step) > 10
+    args = (pdf, start, step, target, 0.0, upward)
+    assert _outcome(_cross, 5, args) == _outcome(_cross_every_reading, 5, args)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    lo=st.integers(-100, 100),
+    width=st.integers(0, 300),
+    threshold=st.integers(-110, 410),
+    guess=st.one_of(
+        st.sampled_from(["exact", "inside", "below", "above"]),
+        st.floats(-1e6, 1e6),
+        st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300]),
+    ),
+)
+def test_first_equals_a_linear_scan_from_any_guess(lo, width, threshold, guess):
+    hi = lo + width
+    answer = next((t for t in range(lo, hi) if t >= threshold), hi)
+    if isinstance(guess, str):  # relative to the answer
+        guess = answer + {"exact": 0.0, "inside": -0.5, "below": -1.0, "above": 1.0}[guess]
+    calls = []
+
+    def can(t):
+        assert lo <= t < hi
+        calls.append(t)
+        return t >= threshold
+
+    assert _first(can, lo, hi, guess) == answer
+    if math.isfinite(guess) and math.ceil(guess) == answer:
+        assert len(calls) <= 2
+    # A non-increasing predicate is found exactly from a guess at or below lo.
+    if not guess > lo:
+        expected = lo if lo < min(hi, threshold) else hi
+        assert _first(lambda t: t < threshold, lo, hi, guess) == expected
+
+
+def test_simulate_assigns_the_generator_state_only_to_draw():
+    # Seats and skips are bookkeeping: each state assignment happens inside
+    # a draw, so a cycle's seat and its first skip cost one assignment.
+    log = []
+
+    class Philox(np.random.Philox):  # the state setter checks the class name
+        @property
+        def state(self):
+            return np.random.Philox.state.__get__(self)
+
+        @state.setter
+        def state(self, value):
+            log.append("assign")
+            np.random.Philox.state.__set__(self, value)
+
+    real_random = Substreams.random
+
+    def logged_random(self, n=None):
+        values = real_random(self, n)
+        log.append("draw")
+        return values
+
+    noise, digest = PINNED_NOISE["normal"]
+    cfg = TankConfig(sensor_noise=noise, **PINNED_GAINS)
+    with mock.patch.object(distributions, "Philox", Philox), \
+            mock.patch.object(Substreams, "random", logged_random):
+        rows = simulate(cfg, RngState(seed=2024), cycles=400)
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+    assigns = [i for i, event in enumerate(log) if event == "assign"]
+    assert 0 < len(assigns) <= log.count("draw")
+    assert all(log[i + 1] == "draw" for i in assigns)
 
 
 # ---------------------------------------------------------------------------
