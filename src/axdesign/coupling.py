@@ -15,8 +15,14 @@ influence of DP j on FR i) is classified by structure alone:
   square one whose zero pattern admits no full assignment).
 
 Classification steps: binarize entries against a magnitude threshold
-``epsilon`` (strictly greater-than), find a perfect FR-DP matching, build
-the digraph on matched pairs (pair p depends on pair q when p's FR is
+``epsilon`` (strictly greater-than), then peel forced pairs (Steward 1965):
+an FR left with exactly one untaken DP must take it in every perfect
+matching, so the smallest such FR is paired with it, again and again. A
+peel that pairs every FR has found the only perfect matching and an
+adjustment order at once: the design is uncoupled or decoupled. An FR left
+with no DP means no perfect matching exists. Only when the peel stalls
+does the whole pattern go on: find a perfect FR-DP matching, build the
+digraph on matched pairs (pair p depends on pair q when p's FR is
 influenced by q's DP), and take its strongly connected components. This is
 the Dulmage-Mendelsohn decomposition of the pattern into block-triangular
 form (Duff & Reid): the components are the diagonal blocks, and listed in
@@ -25,7 +31,9 @@ dependency order they make the permuted matrix block lower-triangular.
 The blocks do not depend on which perfect matching is found; the matching
 is fixed by searching FRs and DPs in index order, and orders and block
 listings break ties by FR declaration order, so results are deterministic.
-Both graph searches keep explicit stacks, so no input depth recurses.
+A stalled peel's pairs are not reused, since a matching of the unpeeled
+rest alone would pick different DPs and so list different blocks. Both
+graph searches keep explicit stacks, so no input depth recurses.
 """
 
 from __future__ import annotations
@@ -152,7 +160,71 @@ def binarize(matrix, epsilon: float = 0.0) -> np.ndarray:
     return (entries > epsilon) | (entries < -epsilon)
 
 
-def _max_matching(dep):
+def _packed_rows(dep):
+    """Each row of a pattern as an int with bit ``width - 1 - j`` for DP j,
+    and that ``width``."""
+    packed = np.packbits(dep, axis=1)
+    return [int.from_bytes(row, "big") for row in packed], 8 * packed.shape[1]
+
+
+def _peel(dep, rows, width):
+    """The forced FR-DP pairs of a square pattern in the order they are
+    forced, or None once some FR has no DP left (no perfect matching).
+
+    An FR with exactly one untaken DP takes that DP in every perfect
+    matching, so the smallest such FR is paired with it, over and over,
+    until every FR is paired or none has exactly one DP left (a stall, on a
+    coupled or degenerate pattern: the pairs so far are returned). A full
+    peel is thus the only perfect matching, each pair depends only on DPs
+    taken before it, and taking the smallest ready FR at every step is the
+    dependency order with ties broken by FR index.
+
+    ``rows`` and ``width`` are from :func:`_packed_rows`. A set of FRs is
+    an int with bit 8i for FR i, the bytes of a numpy bool vector, so a
+    DP's column converts to one directly. Each FR's count of untaken DPs is
+    kept bit sliced: bit 8i of ``planes[p]`` is bit p of FR i's count.
+    Taking a DP lowers the count of every FR in its column with a borrow
+    that ripples through the planes, a few int operations however full the
+    column is.
+    """
+    counts = [row.bit_count() for row in rows]
+    if 0 in counts:
+        return None
+    if 1 not in counts:
+        return []
+    n = len(rows)
+    alive = int.from_bytes(b"\x01" * n, "little")  # every FR
+    # Bits 8d to 8d + 7 of the counts, one byte per FR, give planes 8d on.
+    digits = [int.from_bytes(bytes(c >> s & 255 for c in counts), "little")
+              for s in range(0, n.bit_length(), 8)]
+    planes = [digits[p >> 3] >> (p & 7) & alive for p in range(n.bit_length())]
+    free, pairs = (1 << width) - 1, []
+    while alive:
+        higher = 0  # FRs with two or more untaken DPs
+        for plane in planes[1:]:
+            higher |= plane
+        if alive & ~(planes[0] | higher):  # an FR with none
+            return None
+        ready = alive & planes[0] & ~higher
+        if not ready:
+            break
+        at = (ready & -ready).bit_length() - 1  # the lowest set bit
+        fr = at >> 3
+        b = (rows[fr] & free).bit_length()  # its DP is width - b
+        free ^= 1 << (b - 1)
+        alive ^= 1 << at
+        pairs.append((fr, width - b))
+        # Subtract 1 from the count of each unpaired FR in the DP's column.
+        borrow = int.from_bytes(dep[:, width - b].tobytes(), "little") & alive
+        for p, plane in enumerate(planes):
+            if not borrow:
+                break
+            planes[p] = plane ^ borrow
+            borrow &= ~plane
+    return pairs
+
+
+def _max_matching(rows, width):
     """DP matched to each FR of a square pattern, or None at the first FR
     that cannot be matched (then no perfect matching exists).
 
@@ -160,13 +232,10 @@ def _max_matching(dep):
     order each search depth first for an augmenting path, every FR on it
     tries its DPs in index order, and a DP is visited once per search. All
     DPs before an FR's scan position are visited, so its next DP is the
-    lowest unvisited one in its row. Rows and the unvisited set are ints
-    with bit ``width - 1 - j`` for DP j, so that DP is the highest set bit
-    of ``row & free``, found in one step however many DPs were skipped.
+    lowest unvisited one in its row. ``rows`` and the unvisited set are ints
+    from :func:`_packed_rows`, so that DP is the highest set bit of
+    ``row & free``, found in one step however many DPs were skipped.
     """
-    packed = np.packbits(dep, axis=1)
-    width = 8 * packed.shape[1]
-    rows = [int.from_bytes(row, "big") for row in packed]
     # DP j is known by the bit length ``b = width - j`` of its bit.
     bit = [0] + [1 << k for k in range(width)]
     owner = [-1] * (width + 1)
@@ -242,7 +311,18 @@ def classify(matrix, epsilon: float = 0.0) -> Classification:
     if m != n:
         return Degenerate(DegenerateReason.NON_SQUARE)
 
-    match_fr = _max_matching(dep)
+    rows, width = _packed_rows(dep)
+    peeled = _peel(dep, rows, width)
+    if peeled is None:
+        return Degenerate(DegenerateReason.NO_PERFECT_MATCHING)
+    if len(peeled) == n:
+        if np.count_nonzero(dep) == n:
+            return Uncoupled(tuple(peeled))
+        return Decoupled(tuple(peeled))
+
+    # The peel stalled: the pattern is coupled, or degenerate in a way no
+    # forced pair shows. Match and decompose the whole pattern.
+    match_fr = _max_matching(rows, width)
     if match_fr is None:
         return Degenerate(DegenerateReason.NO_PERFECT_MATCHING)
 
@@ -257,28 +337,21 @@ def classify(matrix, epsilon: float = 0.0) -> Classification:
 
     comps = _strongly_connected(adj)
     pairs = tuple(enumerate(match_fr.tolist()))
-
-    if len(comps) == m:
-        if not any(adj):
-            return Uncoupled(pairs)
-        return Decoupled(tuple(pairs[i] for i in _dependency_order(adj)))
-
     comp_of = [0] * m
     for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
     cond = [sorted({comp_of[w] for v in comp for w in adj[v]} - {ci})
             for ci, comp in enumerate(comps)]
-    order = _dependency_order(cond, key=lambda ci: comps[ci][0])
+    order = _dependency_order(cond, lambda ci: comps[ci][0])
     blocks = tuple(tuple(pairs[v] for v in comps[ci]) for ci in order)
     return Coupled(blocks)
 
 
-def _dependency_order(adj, key=None):
-    """Topological order with dependencies first; stable by ``key`` (default:
-    vertex index). ``adj[v]`` lists the vertices v depends on."""
+def _dependency_order(adj, key):
+    """Topological order with dependencies first, ties broken by smallest
+    ``key(v)``. ``adj[v]`` lists the vertices v depends on."""
     n = len(adj)
-    key = key or (lambda v: v)
     pending = [len(adj[v]) for v in range(n)]
     dependents = [[] for _ in range(n)]
     for v in range(n):

@@ -78,11 +78,16 @@ __all__ = [
 
 # scipy.special takes about half the package's import time and only Normal
 # uses it, so it loads on the first Normal cdf or draw. The first call of
-# either stand-in below rebinds both names to scipy's ufuncs, so later calls
-# go straight to them.
+# any stand-in below rebinds all three names to scipy's ufuncs, so later
+# calls go straight to them.
 def _load_special() -> None:
-    global ndtr, ndtri
-    from scipy.special import ndtr, ndtri
+    global erfcx, ndtr, ndtri
+    from scipy.special import erfcx, ndtr, ndtri
+
+
+def erfcx(x):
+    _load_special()
+    return erfcx(x)
 
 
 def ndtr(x):
@@ -101,6 +106,13 @@ def ndtri(p):
 # instead. Larger masses keep the CDF difference and with it the bytes of
 # existing reports.
 _DIRECT_MASS_BELOW = 2.0**-10
+
+# A normal range is narrow, and integrated from the density, when its width
+# in sigmas times max(1, |z|) at its midpoint is below this: CDF differences
+# cancel on such a range.
+_NARROW_RANGE = 0.01
+_SQRT_2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _scale(lo: float, hi: float) -> float:
@@ -398,22 +410,37 @@ class Normal(Pdf):
 
     def interval_probability(self, lo: float, hi: float) -> float:
         p = super().interval_probability(lo, hi)
+        a = (lo - self.mu) / self.sigma
+        b = (hi - self.mu) / self.sigma
         # Rounding costs the CDF difference up to 2**-52 of cdf(hi), so it
         # keeps 2**-42 of the mass, as for the other families, while p is at
         # least 2**-10 of cdf(hi): always for masses of 2**-10 and above.
-        if p >= _DIRECT_MASS_BELOW * float(self.cdf(hi)):
+        # Below z = -1, ndtr(z) is itself good only to about z**2 ulps (it
+        # takes erfc of a rounded z / sqrt(2)), so the bar rises by z**2.
+        tail = min(b, 0.0)
+        if p / max(1.0, tail * tail) >= _DIRECT_MASS_BELOW * float(self.cdf(hi)):
             return p
-        # It cancels where both CDFs are near 1 (an upper tail) or near 1/2
-        # (a narrow range by the mean). Mirror a range centred above the
-        # mean onto the lower side, then difference ndtr in the tail, where
-        # it is small, and erf near the mean, where that is small.
-        a = (lo - self.mu) / self.sigma
-        b = (hi - self.mu) / self.sigma
+        # A range narrow against the density's scale (1, or 1/|z| in a tail)
+        # integrates the density: the width times the density at the
+        # midpoint z, times the series of the rest in Hermite polynomials of
+        # z, cut after He_4, which leaves out under 1e-16 of the mass.
+        width = (hi - lo) / self.sigma
+        z = a * 0.5 + b * 0.5
+        if width * max(1.0, abs(z)) < _NARROW_RANGE:
+            z2, w2 = z * z, width * width
+            curve = w2 * ((z2 - 1.0) / 24.0 + w2 * ((z2 - 6.0) * z2 + 3.0) / 1920.0)
+            return width * math.exp(-0.5 * z2) / _SQRT_2PI * (1.0 + curve)
+        # Otherwise mirror the range onto the lower side and take
+        # ndtr(b) * (1 - r) for r = ndtr(a) / ndtr(b). Through the scaled
+        # complementary error function, r = exp((b - a)(b + a) / 2)
+        # * erfcx(-a / sqrt 2) / erfcx(-b / sqrt 2), which no rounding of a
+        # large z**2 spoils. Off narrow ranges r stays below about 0.99, so
+        # 1 - r keeps about 2**-52 / 0.01 of itself.
         if a + b > 0.0:
             a, b = -b, -a
-        if b < -1.0:
-            return float(ndtr(b)) - float(ndtr(a))
-        return (math.erf(b / math.sqrt(2.0)) - math.erf(a / math.sqrt(2.0))) / 2.0
+        r = (math.exp((b - a) * (b + a) / 2.0) * float(erfcx(-a / _SQRT_2))
+             / float(erfcx(-b / _SQRT_2)))
+        return float(ndtr(b)) * (1.0 - r)
 
     def _transform(self, u):
         # Inverse-CDF method: mu + sigma * ndtri(open u), scaled in place.

@@ -176,6 +176,8 @@ def _check_keys(obj, allowed, where):
 # beyond float64's range, on which float(v) would raise OverflowError, and
 # it refuses nan and infinities too.
 _FLOAT_MAX = sys.float_info.max
+# The types json.loads gives numbers; bool is not among them.
+_NUMBER_TYPES = {int, float}
 
 
 def _number(obj, key, where, required=True, default=None):
@@ -327,6 +329,39 @@ def _pdf_map_from_obj(obj, where) -> dict[str, Pdf]:
     return {key: pdf_from_obj(val, f"{where}.{key}") for key, val in obj.items()}
 
 
+def _finite_numbers(row) -> bool:
+    """Whether every entry of ``row`` is a number within +-_FLOAT_MAX, found
+    with a few passes of builtins rather than a check per entry. False can
+    also mean the passes could not tell: a float sum that overflows, or an
+    int sum beyond float64."""
+    if not set(map(type, row)) <= _NUMBER_TYPES:
+        return False
+    try:
+        # min and max compare ints exactly; the sum is nan or infinite when
+        # an entry is.
+        return (-_FLOAT_MAX <= min(row, default=0.0) and max(row, default=0.0) <= _FLOAT_MAX
+                and math.isfinite(sum(row)))
+    except OverflowError:
+        return False
+
+
+def _matrix_from_obj(raw) -> tuple[tuple[float, ...], ...]:
+    """Decode the matrix rows, checked a row at a time. Only a matrix that
+    fails that check is walked entry by entry, which reports its first fault
+    with the entry's path."""
+    if not isinstance(raw, list):
+        raise SpecFormatError("matrix must be an array of rows", "matrix")
+    if not all(isinstance(row, list) and _finite_numbers(row) for row in raw):
+        for i, row in enumerate(raw):
+            if not isinstance(row, list):
+                raise SpecFormatError(f"row {i} must be an array", "matrix")
+            for j, v in enumerate(row):
+                if type(v) not in _NUMBER_TYPES or not -_FLOAT_MAX <= v <= _FLOAT_MAX:
+                    raise SpecFormatError(f"entry [{i}][{j}] must be a finite number",
+                                          "matrix")
+    return tuple(tuple(map(float, row)) for row in raw)
+
+
 def parse_spec(text: str) -> DesignSpec:
     """Parse a JSON design-spec document.
 
@@ -352,22 +387,7 @@ def parse_spec(text: str) -> DesignSpec:
     frs = tuple(_fr_from_obj(o, f"frs[{i}]") for i, o in enumerate(doc["frs"]))
     dps = tuple(_dp_from_obj(o, f"dps[{i}]") for i, o in enumerate(doc["dps"]))
 
-    matrix = None
-    if "matrix" in doc:
-        raw = doc["matrix"]
-        if not isinstance(raw, list):
-            raise SpecFormatError("matrix must be an array of rows", "matrix")
-        rows = []
-        for i, row in enumerate(raw):
-            if not isinstance(row, list):
-                raise SpecFormatError(f"row {i} must be an array", "matrix")
-            for j, v in enumerate(row):
-                if isinstance(v, bool) or not isinstance(v, (int, float)) \
-                        or not -_FLOAT_MAX <= v <= _FLOAT_MAX:
-                    raise SpecFormatError(f"entry [{i}][{j}] must be a finite number",
-                                          "matrix")
-            rows.append(tuple(float(v) for v in row))
-        matrix = tuple(rows)
+    matrix = _matrix_from_obj(doc["matrix"]) if "matrix" in doc else None
 
     system_pdfs = _pdf_map_from_obj(doc["system_pdfs"], "system_pdfs") \
         if "system_pdfs" in doc else {}

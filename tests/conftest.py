@@ -1,10 +1,20 @@
-"""Shared test helpers: fixture-file locations and loaders."""
+"""Shared test helpers: fixture-file locations and loaders, and the
+hypothesis profile for CI runs."""
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
+from hypothesis import settings
+
 from axdesign import DesignSpec, parse_spec
+
+# Under CI a failing property prints the @reproduce_failure blob that
+# replays it locally, and no example fails for running slow on a busy runner.
+settings.register_profile("ci", print_blob=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

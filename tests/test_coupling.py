@@ -7,10 +7,13 @@ definitional answer for "diagonal-able" and "triangular-able" patterns.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axdesign import (
     Coupled,
@@ -24,6 +27,9 @@ from axdesign import (
     classify,
     sequence,
 )
+from axdesign import coupling
+
+from conftest import load_spec
 
 
 # ---------------------------------------------------------------------------
@@ -393,3 +399,173 @@ def test_large_sparse_blocks_match_scipy_strong_components():
     cls = classify(mask.astype(float))
     assert isinstance(cls, Coupled)
     assert {frozenset(fr for fr, _ in block) for block in cls.blocks} == expected
+
+
+# ---------------------------------------------------------------------------
+# Every pattern up to 4x4 against brute force over permutation pairs
+
+
+def _all_patterns(n):
+    """Every n x n pattern; bit k of pattern c is entry (k // n, k % n)."""
+    codes = np.arange(1 << (n * n))
+    return (codes[:, None] >> np.arange(n * n) & 1).astype(bool).reshape(-1, n, n)
+
+
+def _brute_force_all(n):
+    """(kind, lexicographically smallest adjustment sequence or None) for
+    every n x n pattern, in code order.
+
+    A sequence of pairs (frs[k], dps[k]) is valid exactly when reordering
+    rows by ``frs`` and columns by ``dps`` makes the pattern lower
+    triangular with a full diagonal, so one bit test per permutation pair
+    (all diagonal bits set, no bit above it) checks all patterns at once.
+    Pairs are visited in the lexicographic order of their sequences, and a
+    pattern keeps the first valid one.
+    """
+    codes = np.arange(1 << (n * n))
+    perms = list(itertools.permutations(range(n)))
+    has_perm = np.zeros(codes.size, dtype=bool)
+    is_perm = np.zeros(codes.size, dtype=bool)
+    for p in perms:
+        diag = sum(1 << (i * n + p[i]) for i in range(n))
+        has_perm |= codes & diag == diag
+        is_perm |= codes == diag
+    seqs = sorted(tuple(zip(frs, dps)) for frs in perms for dps in perms)
+    best = [None] * codes.size
+    for seq in seqs:
+        diag = sum(1 << (fr * n + dp) for fr, dp in seq)
+        above = sum(1 << (fr * n + dp) for k, (fr, _) in enumerate(seq)
+                    for _, dp in seq[k + 1:])
+        for c in np.flatnonzero((codes & diag == diag) & (codes & above == 0)).tolist():
+            if best[c] is None:
+                best[c] = seq
+    kinds = np.where(~has_perm, "degenerate",
+                     np.where(is_perm, "uncoupled",
+                              np.where([s is not None for s in best], "decoupled",
+                                       "coupled")))
+    return kinds.tolist(), best
+
+
+# sha256 of the repr of every classification below, one per line, pinned at
+# the commit before forced-pair peeling: it holds the coupled block listings,
+# whose pairs come from the index-order Kuhn matching.
+ALL_PATTERNS_SHA256 = "71e1e5ff54462425e3251e0c0aedccff9d12a6dbdacee64c58fa02f2116e0366"
+
+
+def test_every_pattern_up_to_four_by_four_matches_brute_force():
+    digest = hashlib.sha256()
+    counts = {}
+    for n in range(1, 5):
+        kinds, best = _brute_force_all(n)
+        for c, mask in enumerate(_all_patterns(n)):
+            cls = classify(mask.astype(float))
+            digest.update(repr(cls).encode() + b"\n")
+            assert cls.kind == kinds[c], f"{n}x{n} pattern {c}"
+            if isinstance(cls, (Uncoupled, Decoupled)):
+                assert sequence(cls) == best[c], f"{n}x{n} pattern {c}"
+            counts[cls.kind] = counts.get(cls.kind, 0) + 1
+    assert sum(counts.values()) == 2 + 16 + 512 + 65536
+    assert all(counts[kind] for kind in ("uncoupled", "decoupled", "coupled", "degenerate"))
+    assert digest.hexdigest() == ALL_PATTERNS_SHA256
+
+
+# ---------------------------------------------------------------------------
+# Routing: decoupled and uncoupled patterns are settled by the forced-pair
+# peel alone; coupled and stalled degenerate ones go on to the matcher.
+
+
+@pytest.fixture
+def no_matcher(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the matcher ran")
+
+    monkeypatch.setattr(coupling, "_max_matching", refuse)
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("machining_cascade", "decoupled"), ("tank", "uncoupled"),
+    ("faucet_mixer_tap", "uncoupled"), ("rod_cutting", "uncoupled"),
+    ("disjoint", "uncoupled"),
+])
+def test_decoupled_and_uncoupled_fixtures_skip_the_matcher(no_matcher, name, kind):
+    spec = load_spec(f"{name}.json")
+    assert classify(spec.matrix, spec.epsilon).kind == kind
+
+
+def test_permuted_dense_triangle_skips_the_matcher(no_matcher):
+    mask = _permuted(np.tril(np.ones((300, 300), dtype=bool)), 12)
+    cls = classify(mask.astype(float))
+    assert isinstance(cls, Decoupled)
+    assert _sequence_is_valid(mask, cls.order)
+
+
+def test_degenerate_patterns_the_peel_settles_skip_the_matcher(no_matcher):
+    # FR 0 is forced onto DP 0, which leaves FR 1 nothing.
+    for matrix in ([[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]):
+        cls = classify(matrix)
+        assert cls == Degenerate(DegenerateReason.NO_PERFECT_MATCHING)
+
+
+@pytest.mark.parametrize("matrix", [
+    np.ones((2, 2)),
+    [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
+    # No FR is ever forced, yet no perfect matching exists.
+    [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 0.0]],
+])
+def test_coupled_and_stalled_patterns_reach_the_matcher(no_matcher, matrix):
+    with pytest.raises(AssertionError, match="the matcher ran"):
+        classify(matrix)
+
+
+# ---------------------------------------------------------------------------
+# Property: permuted triangles with extra entries, against scipy
+
+
+@st.composite
+def _triangles_with_extras(draw):
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    mask = np.tril(rng.random((n, n)) < draw(st.floats(0.0, 1.0)))
+    mask[np.arange(n), np.arange(n)] = True
+    mask |= rng.random((n, n)) < draw(st.sampled_from([0.0, 0.0, 0.01, 0.05, 0.2]))
+    return mask[np.ix_(rng.permutation(n), rng.permutation(n))]
+
+
+def _scipy_blocks(mask):
+    """FR sets of the strong components of the matched-pair digraph."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
+
+    n = mask.shape[0]
+    match = maximum_bipartite_matching(csr_matrix(mask), perm_type="column")
+    owner = np.empty(n, dtype=np.int64)
+    owner[match] = np.arange(n)
+    frs, dps = np.nonzero(mask)
+    pairs = csr_matrix((np.ones(frs.size), (frs, owner[dps])), shape=(n, n))
+    _, labels = connected_components(pairs, directed=True, connection="strong")
+    return {frozenset(np.flatnonzero(labels == lab).tolist()) for lab in np.unique(labels)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask=_triangles_with_extras())
+def test_blocks_and_orders_of_perturbed_triangles(mask):
+    n = mask.shape[0]
+    cls = classify(mask.astype(float))
+    expected = _scipy_blocks(mask)
+    if isinstance(cls, Coupled):
+        assert {frozenset(fr for fr, _ in block) for block in cls.blocks} == expected
+        assert any(len(block) > 1 for block in cls.blocks)
+        return
+    assert expected == {frozenset([fr]) for fr in range(n)}
+    order = sequence(cls)
+    assert sorted(fr for fr, _ in order) == list(range(n))
+    assert _sequence_is_valid(mask, order)
+    # Smallest ready FR first: every FR below the one taken that is not
+    # placed yet still has more than one untaken DP, so it could not go there.
+    taken, placed = np.zeros(n, dtype=bool), set()
+    for fr, dp in order:
+        for smaller in set(range(fr)) - placed:
+            assert np.count_nonzero(mask[smaller] & ~taken) > 1, (smaller, fr)
+        placed.add(fr)
+        taken[dp] = True

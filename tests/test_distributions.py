@@ -213,6 +213,41 @@ def test_interval_masses_match_exact_arithmetic(family, exponent, centre, half, 
         assert p == pytest.approx(float(exact), rel=1e-11, abs=1e-300)
 
 
+# oracle: mpmath at 2000 bits; each range is narrow, so the CDF and erf
+# differences cancel on it
+NARROW = [
+    (0.5, 0.5 + 1e-15, 3.5178392875131410e-16),
+    (2.0, 2.0 + 1e-12, 5.399576634149823e-14),
+    (-3.0 - 1e-13, -3.0, 4.4283061337231463e-16),
+]
+
+
+@pytest.mark.parametrize("a, b, exact", NARROW)
+def test_narrow_normal_ranges_integrate_the_density(a, b, exact):
+    assert Normal(0.0, 1.0).interval_probability(a, b) == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=500, deadline=None)
+@given(mid=st.floats(-37.0, 37.0), size=st.floats(-55.0, 4.0),
+       mu=st.sampled_from([0.0, 0.25, -3.0, 1e6]), scale=st.integers(-8, 8))
+@example(mid=30.0, size=-6.66, mu=0.0, scale=0)  # narrow, where He_4 counts
+@example(mid=-33.0, size=-6.5, mu=0.0, scale=0)  # just wider, deep in a tail
+def test_normal_masses_match_exact_arithmetic(mid, size, mu, scale):
+    # A range about a midpoint up to 37 sigmas out, 2**size sigmas wide
+    # times min(1, 1 / |mid|), the scale on which the density changes:
+    # below 2**-6.6 or so it is narrow and integrates the density.
+    sigma = 2.0**scale
+    half = 2.0**size / max(1.0, abs(mid)) / 2
+    lo, hi = mu + (mid - half) * sigma, mu + (mid + half) * sigma
+    assume(lo < hi)
+    pdf = Normal(mu, sigma)
+    with mpmath.workprec(2000):
+        exact = _exact_mass(pdf, lo, hi)
+        assume(exact > 1e-290)
+        assert pdf.interval_probability(lo, hi) == pytest.approx(float(exact), rel=1e-12, abs=0)
+
+
 _UNITS = st.integers(-640, 640).map(lambda i: i / 64)
 
 

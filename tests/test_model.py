@@ -4,6 +4,8 @@ messages."""
 from __future__ import annotations
 
 import json
+import math
+import sys
 
 import pytest
 
@@ -156,6 +158,57 @@ def test_matrix_entries_must_be_finite_numbers():
     })
     with pytest.raises(SpecFormatError, match=r"entry \[0\]\[0\]"):
         parse_spec(doc)
+
+
+_MAX_INT = int(sys.float_info.max)  # float64's largest value, as an integer
+
+
+def _two_by_two(matrix_text: str) -> str:
+    return ('{"frs": [{"id": "f", "nominal": 1, "tol_minus": 0.1, "tol_plus": 0.1},'
+            ' {"id": "g", "nominal": 1, "tol_minus": 0.1, "tol_plus": 0.1}],'
+            ' "dps": [{"id": "d", "nominal": 1}, {"id": "e", "nominal": 1}],'
+            f' "matrix": {matrix_text}}}')
+
+
+@pytest.mark.parametrize("matrix_text, message", [
+    ("[[1, 2], [3, true]]", r"entry \[1\]\[1\] must be a finite number"),
+    ('[[1, "2"], [3, 4]]', r"entry \[0\]\[1\] must be a finite number"),
+    ("[[1, 2], [null, 4]]", r"entry \[1\]\[0\] must be a finite number"),
+    ("[[1, 2], [3, [4]]]", r"entry \[1\]\[1\] must be a finite number"),
+    ("[[1, 2], [NaN, 4]]", r"entry \[1\]\[0\] must be a finite number"),
+    ("[[1, 2], [4, NaN]]", r"entry \[1\]\[1\] must be a finite number"),
+    ("[[Infinity, 2], [3, 4]]", r"entry \[0\]\[0\] must be a finite number"),
+    ("[[1, -Infinity], [3, 4]]", r"entry \[0\]\[1\] must be a finite number"),
+    # Rounded to float64 these are +-max; as integers they lie beyond it.
+    (f"[[1, 2], [3, {_MAX_INT + 1}]]", r"entry \[1\]\[1\] must be a finite number"),
+    (f"[[-{_MAX_INT + 1}, 2], [3, 4]]", r"entry \[0\]\[0\] must be a finite number"),
+    (f"[[1, 2], [3, {10**400}]]", r"entry \[1\]\[1\] must be a finite number"),
+    (f"[[1, 2], [NaN, {_MAX_INT + 1}]]", r"entry \[1\]\[0\] must be a finite number"),
+    ("[[1, 2], [Infinity, -Infinity]]", r"entry \[1\]\[0\] must be a finite number"),
+    # The first fault in document order is the one reported.
+    ('[[1, "x"], 5]', r"entry \[0\]\[1\] must be a finite number"),
+    ("[[1, 2], 5]", "row 1 must be an array"),
+    ("[[1, 2], [3]]", "one entry per DP"),
+    ('{"a": 1}', "matrix must be an array of rows"),
+])
+def test_matrix_faults_name_their_first_entry(matrix_text, message):
+    with pytest.raises(SpecFormatError, match=message):
+        parse_spec(_two_by_two(matrix_text))
+
+
+@pytest.mark.parametrize("matrix_text, matrix", [
+    (f"[[1, -0.0], [{_MAX_INT}, -1.7976931348623157e308]]",
+     ((1.0, -0.0), (sys.float_info.max, -sys.float_info.max))),
+    # Row sums beyond float64, as floats and as exact ints.
+    (f"[[{_MAX_INT}, {_MAX_INT}], [1.5e308, 1.5e308]]",
+     ((sys.float_info.max, sys.float_info.max), (1.5e308, 1.5e308))),
+])
+def test_matrix_entries_become_floats_up_to_float64_max(matrix_text, matrix):
+    spec = parse_spec(_two_by_two(matrix_text))
+    assert spec.matrix == matrix
+    assert all(type(v) is float for row in spec.matrix for v in row)
+    signs = [math.copysign(1.0, v) for row in matrix for v in row]  # -0.0 too
+    assert [math.copysign(1.0, v) for row in spec.matrix for v in row] == signs
 
 
 def test_negative_tolerance_is_rejected():
