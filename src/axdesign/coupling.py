@@ -21,18 +21,18 @@ matching, so the smallest such FR is paired with it, again and again. A
 peel that pairs every FR has found the only perfect matching and an
 adjustment order at once: the design is uncoupled or decoupled. An FR left
 with no DP means no perfect matching exists. Only when the peel stalls
-does the whole pattern go on: find a perfect FR-DP matching, build the
-digraph on matched pairs (pair p depends on pair q when p's FR is
-influenced by q's DP), and take its strongly connected components. This is
-the Dulmage-Mendelsohn decomposition of the pattern into block-triangular
-form (Duff & Reid): the components are the diagonal blocks, and listed in
-dependency order they make the permuted matrix block lower-triangular.
+does the whole pattern go on: find a perfect FR-DP matching (MC21, Duff
+1981), build the digraph on matched pairs (pair p depends on pair q when
+p's FR is influenced by q's DP), and take its strongly connected
+components. This is the Dulmage-Mendelsohn decomposition of the pattern
+into block-triangular form (Duff & Reid): the components are the diagonal
+blocks, and listed in dependency order they make the permuted matrix block
+lower-triangular.
 
-The blocks do not depend on which perfect matching is found; the matching
-is fixed by searching FRs and DPs in index order, and orders and block
-listings break ties by FR declaration order, so results are deterministic.
-A stalled peel's pairs are not reused, since a matching of the unpeeled
-rest alone would pick different DPs and so list different blocks. Both
+A coupled result's pairs are one perfect matching, the one MC21 finds; only
+the blocks' FR and DP sets and their order are the same for every perfect
+matching (Pothen & Fan 1990). Orders and block listings break ties by FR
+declaration order, so results are deterministic. The matcher and both
 graph searches keep explicit stacks, so no input depth recurses.
 """
 
@@ -225,32 +225,38 @@ def _peel(dep, rows, width):
 
 
 def _max_matching(rows, width):
-    """DP matched to each FR of a square pattern, or None at the first FR
+    """A perfect matching of a square pattern as (``held``, ``owner``): the
+    DP of each FR and the FR of each DP, DP j known by the bit length
+    ``width - j`` of its bit in :func:`_packed_rows`. None at the first FR
     that cannot be matched (then no perfect matching exists).
 
-    Kuhn's algorithm with a stack of FRs in place of recursion: FRs in index
-    order each search depth first for an augmenting path, every FR on it
-    tries its DPs in index order, and a DP is visited once per search. All
-    DPs before an FR's scan position are visited, so its next DP is the
-    lowest unvisited one in its row. ``rows`` and the unvisited set are ints
-    from :func:`_packed_rows`, so that DP is the highest set bit of
-    ``row & free``, found in one step however many DPs were skipped.
+    MC21 (Duff 1981): a greedy start gives each FR, in index order, its
+    lowest unmatched DP. Each FR left over searches depth first, with a
+    stack in place of recursion, for an augmenting path, on which every FR
+    looks ahead for an unmatched DP before it descends into its lowest DP
+    not yet visited in this search.
     """
-    # DP j is known by the bit length ``b = width - j`` of its bit.
     bit = [0] + [1 << k for k in range(width)]
     owner = [-1] * (width + 1)
     held = [0] * len(rows)
-    full = (1 << width) - 1
-    for start in range(len(rows)):
+    unmatched = full = (1 << width) - 1
+    left = []
+    for fr, row in enumerate(rows):
+        b = (row & unmatched).bit_length()
+        if b:
+            unmatched ^= bit[b]
+            owner[b], held[fr] = fr, b
+        else:
+            left.append(fr)
+    for start in left:
         free, frs, row = full, [start], rows[start]
         while True:
-            cand = row & free
-            if cand:
-                b = cand.bit_length()
-                free ^= bit[b]
+            b = (row & unmatched or row & free).bit_length()
+            if b:
                 fr = owner[b]
                 if fr < 0:
                     break
+                free ^= bit[b]
                 frs.append(fr)
                 row = rows[fr]
             else:
@@ -259,10 +265,11 @@ def _max_matching(rows, width):
                     return None
                 row = rows[frs[-1]]
         # Augment: each FR on the path takes the DP of the FR after it.
+        unmatched ^= bit[b]
         for fr in reversed(frs):
             owner[b] = fr
             held[fr], b = b, held[fr]
-    return width - np.array(held)
+    return held, owner
 
 
 def _strongly_connected(adj):
@@ -322,21 +329,25 @@ def classify(matrix, epsilon: float = 0.0) -> Classification:
 
     # The peel stalled: the pattern is coupled, or degenerate in a way no
     # forced pair shows. Match and decompose the whole pattern.
-    match_fr = _max_matching(rows, width)
-    if match_fr is None:
+    matched = _max_matching(rows, width)
+    if matched is None:
         return Degenerate(DegenerateReason.NO_PERFECT_MATCHING)
+    held, owner = matched
 
     # Pair i is FR i with its matched DP; pair i depends on pair j when FR i
-    # is influenced by pair j's DP. Edges come from one pass over the pattern.
-    owner = np.argsort(match_fr)  # the FR matched to each DP
-    dep[np.arange(n), match_fr] = False  # a pair does not depend on itself
-    flat = np.flatnonzero(dep)
-    on = owner[flat % n].tolist()
-    ends = np.searchsorted(flat, np.arange(n, n * n + 1, n)).tolist()
-    adj = [on[start:end] for start, end in zip([0] + ends, ends)]
+    # is influenced by pair j's DP other than its own.
+    adj = []
+    for row, b in zip(rows, held):
+        row ^= 1 << (b - 1)
+        on = []
+        while row:
+            b = row.bit_length()
+            on.append(owner[b])
+            row ^= 1 << (b - 1)
+        adj.append(on)
 
     comps = _strongly_connected(adj)
-    pairs = tuple(enumerate(match_fr.tolist()))
+    pairs = [(fr, width - b) for fr, b in enumerate(held)]
     comp_of = [0] * m
     for ci, comp in enumerate(comps):
         for v in comp:

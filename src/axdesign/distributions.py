@@ -481,12 +481,14 @@ class Triangular(Pdf):
         x = np.clip(np.asarray(x, dtype=np.float64), self.lo, self.hi) * s
         width = hi - lo
         out = np.zeros_like(x, dtype=np.float64)
-        if mode > lo:
-            rising = (x > lo) & (x <= mode)
-            out = np.where(rising, (x - lo) ** 2 / (width * (mode - lo)), out)
-        if hi > mode:
-            falling = (x > mode) & (x < hi)
-            out = np.where(falling, 1.0 - (hi - x) ** 2 / (width * (hi - mode)), out)
+        # A branch overflows off its own side when the mode is a subnormal from an end.
+        with np.errstate(over="ignore", divide="ignore"):
+            if mode > lo:
+                rising = (x > lo) & (x <= mode)
+                out = np.where(rising, (x - lo) ** 2 / (width * (mode - lo)), out)
+            if hi > mode:
+                falling = (x > mode) & (x < hi)
+                out = np.where(falling, 1.0 - (hi - x) ** 2 / (width * (hi - mode)), out)
         out = np.where(x >= hi, 1.0, out)
         if mode == lo:
             out = np.where((x > lo) & (x < hi), 1.0 - (hi - x) ** 2 / (width * width), out)

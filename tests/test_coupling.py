@@ -322,19 +322,21 @@ def test_block_structure_matches_matching_free_definition():
 
 
 # ---------------------------------------------------------------------------
-# Exact matchings: which pairs a coupled block lists depends on the matching
-# found, so these pin it (FRs and DPs searched in index order).
+# Exact matchings: a coupled block's FR and DP sets and the order of the
+# blocks hold for every perfect matching, but which DP is listed beside
+# which FR is the matcher's choice, so these pin it (MC21: a greedy start in
+# FR index order, each FR taking its lowest free DP, then lookahead search).
 
 
 @pytest.mark.parametrize("mask, blocks", [
-    (np.ones((2, 2)), (((0, 1), (1, 0)),)),
-    (np.ones((3, 3)), (((0, 2), (1, 1), (2, 0)),)),
+    (np.ones((2, 2)), (((0, 0), (1, 1)),)),
+    (np.ones((3, 3)), (((0, 0), (1, 1), (2, 2)),)),
     ([[0, 0, 1, 1, 1, 1], [1, 0, 1, 0, 0, 1], [1, 1, 0, 0, 0, 1],
       [1, 0, 1, 0, 0, 1], [1, 0, 1, 0, 0, 1], [1, 1, 0, 1, 0, 1]],
-     (((1, 5), (3, 2), (4, 0)), ((2, 1),), ((5, 3),), ((0, 4),))),
+     (((1, 2), (3, 5), (4, 0)), ((2, 1),), ((5, 3),), ((0, 4),))),
     ([[0, 0, 0, 0, 1, 0], [1, 0, 0, 0, 1, 1], [0, 0, 1, 1, 1, 1],
       [0, 1, 1, 1, 0, 1], [0, 1, 1, 1, 0, 1], [1, 1, 1, 0, 1, 0]],
-     (((0, 4),), ((1, 5), (2, 3), (3, 2), (4, 1), (5, 0)))),
+     (((0, 4),), ((1, 5), (2, 2), (3, 1), (4, 3), (5, 0)))),
     ([[0, 1, 1, 0, 0, 0], [0, 0, 1, 0, 0, 1], [1, 1, 0, 1, 0, 1],
       [0, 0, 0, 1, 0, 0], [1, 1, 0, 1, 1, 0], [0, 1, 1, 0, 0, 0]],
      (((0, 2), (5, 1)), ((1, 5),), ((3, 3),), ((2, 0),), ((4, 4),))),
@@ -374,10 +376,34 @@ def test_permuted_dense_lower_triangle_is_decoupled():
     assert _sequence_is_valid(mask, cls.order)
 
 
-def test_large_sparse_blocks_match_scipy_strong_components():
+def _scipy_blocks(masks):
+    """FR sets of the strong components of the matched-pair digraph, for
+    each pattern in a stack of k n x n patterns. One scipy call serves the
+    whole stack, on its block-diagonal union: no edge crosses from one
+    pattern to another, so neither a matching nor a component does."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
 
+    k, n, _ = masks.shape
+    which, frs, dps = np.nonzero(masks)
+    frs, dps = which * n + frs, which * n + dps
+    union = csr_matrix((np.ones(frs.size), (frs, dps)), shape=(k * n, k * n))
+    match = maximum_bipartite_matching(union, perm_type="column")
+    assert (match >= 0).all()
+    owner = np.empty(k * n, dtype=np.int64)
+    owner[match] = np.arange(k * n)
+    pairs = csr_matrix((np.ones(frs.size), (frs, owner[dps])), shape=(k * n, k * n))
+    _, labels = connected_components(pairs, directed=True, connection="strong")
+    out = []
+    for mine in labels.reshape(k, n).tolist():
+        comps = {}
+        for fr, label in enumerate(mine):
+            comps.setdefault(label, set()).add(fr)
+        out.append({frozenset(comp) for comp in comps.values()})
+    return out
+
+
+def test_large_sparse_blocks_match_scipy_strong_components():
     n = 2000
     rng = np.random.default_rng(13)
     rows = np.arange(n)
@@ -387,18 +413,10 @@ def test_large_sparse_blocks_match_scipy_strong_components():
     mask[rows, rng.integers(0, n, n)] = True
     mask = _permuted(mask, 14)
 
-    match = maximum_bipartite_matching(csr_matrix(mask), perm_type="column")
-    owner = np.empty(n, dtype=np.int64)
-    owner[match] = rows
-    frs, dps = np.nonzero(mask)
-    pairs = csr_matrix((np.ones(frs.size), (frs, owner[dps])), shape=(n, n))
-    _, labels = connected_components(pairs, directed=True, connection="strong")
-    expected = {frozenset(np.flatnonzero(labels == lab).tolist())
-                for lab in np.unique(labels)}
-
     cls = classify(mask.astype(float))
     assert isinstance(cls, Coupled)
-    assert {frozenset(fr for fr, _ in block) for block in cls.blocks} == expected
+    assert {frozenset(fr for fr, _ in block) for block in cls.blocks} == \
+        _scipy_blocks(mask[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +464,26 @@ def _brute_force_all(n):
     return kinds.tolist(), best
 
 
-# sha256 of the repr of every classification below, one per line, pinned at
-# the commit before forced-pair peeling: it holds the coupled block listings,
-# whose pairs come from the index-order Kuhn matching.
-ALL_PATTERNS_SHA256 = "71e1e5ff54462425e3251e0c0aedccff9d12a6dbdacee64c58fa02f2116e0366"
+def _blocks_are_a_valid_listing(mask, blocks):
+    """Whether coupled ``blocks`` hold a perfect matching on nonzero entries,
+    every block has a pair and one has two or more, and each block depends
+    only on DPs of its own and of earlier blocks."""
+    rows = mask.tolist()
+    n = len(rows)
+    pairs = [pair for block in blocks for pair in block]
+    block_of_dp = {dp: k for k, block in enumerate(blocks) for _, dp in block}
+    return (sorted(fr for fr, _ in pairs) == list(range(n))
+            and sorted(block_of_dp) == list(range(n))
+            and all(rows[fr][dp] for fr, dp in pairs)
+            and all(blocks) and max(map(len, blocks)) >= 2
+            and all(block_of_dp[dp] <= k for k, block in enumerate(blocks)
+                    for fr, _ in block for dp in range(n) if rows[fr][dp]))
+
+
+# sha256 of the repr of every classification below, one per line. It holds
+# the coupled block listings, whose pairs come from the MC21 matching, so a
+# change of matcher re-pins it; the checks above it hold for any matching.
+ALL_PATTERNS_SHA256 = "85e440f643d5c73e28466f8255046acc845baa05f7667cde76faa86a14cefd8c"
 
 
 def test_every_pattern_up_to_four_by_four_matches_brute_force():
@@ -457,13 +491,23 @@ def test_every_pattern_up_to_four_by_four_matches_brute_force():
     counts = {}
     for n in range(1, 5):
         kinds, best = _brute_force_all(n)
-        for c, mask in enumerate(_all_patterns(n)):
+        masks = _all_patterns(n)
+        coupled = []
+        for c, mask in enumerate(masks):
             cls = classify(mask.astype(float))
             digest.update(repr(cls).encode() + b"\n")
             assert cls.kind == kinds[c], f"{n}x{n} pattern {c}"
             if isinstance(cls, (Uncoupled, Decoupled)):
                 assert sequence(cls) == best[c], f"{n}x{n} pattern {c}"
+            if isinstance(cls, Coupled):
+                assert _blocks_are_a_valid_listing(mask, cls.blocks), f"{n}x{n} pattern {c}"
+                coupled.append((c, cls.blocks))
             counts[cls.kind] = counts.get(cls.kind, 0) + 1
+        if coupled:
+            codes = [c for c, _ in coupled]
+            for (c, blocks), expected in zip(coupled, _scipy_blocks(masks[codes])):
+                got = {frozenset(fr for fr, _ in block) for block in blocks}
+                assert got == expected, f"{n}x{n} pattern {c}"
     assert sum(counts.values()) == 2 + 16 + 512 + 65536
     assert all(counts[kind] for kind in ("uncoupled", "decoupled", "coupled", "degenerate"))
     assert digest.hexdigest() == ALL_PATTERNS_SHA256
@@ -532,27 +576,12 @@ def _triangles_with_extras(draw):
     return mask[np.ix_(rng.permutation(n), rng.permutation(n))]
 
 
-def _scipy_blocks(mask):
-    """FR sets of the strong components of the matched-pair digraph."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components, maximum_bipartite_matching
-
-    n = mask.shape[0]
-    match = maximum_bipartite_matching(csr_matrix(mask), perm_type="column")
-    owner = np.empty(n, dtype=np.int64)
-    owner[match] = np.arange(n)
-    frs, dps = np.nonzero(mask)
-    pairs = csr_matrix((np.ones(frs.size), (frs, owner[dps])), shape=(n, n))
-    _, labels = connected_components(pairs, directed=True, connection="strong")
-    return {frozenset(np.flatnonzero(labels == lab).tolist()) for lab in np.unique(labels)}
-
-
 @settings(max_examples=300, deadline=None)
 @given(mask=_triangles_with_extras())
 def test_blocks_and_orders_of_perturbed_triangles(mask):
     n = mask.shape[0]
     cls = classify(mask.astype(float))
-    expected = _scipy_blocks(mask)
+    expected = _scipy_blocks(mask[None])[0]
     if isinstance(cls, Coupled):
         assert {frozenset(fr for fr, _ in block) for block in cls.blocks} == expected
         assert any(len(block) > 1 for block in cls.blocks)
@@ -569,3 +598,46 @@ def test_blocks_and_orders_of_perturbed_triangles(mask):
             assert np.count_nonzero(mask[smaller] & ~taken) > 1, (smaller, fr)
         placed.add(fr)
         taken[dp] = True
+
+
+# ---------------------------------------------------------------------------
+# Property: the matcher against scipy on square patterns
+
+
+@st.composite
+def _square_patterns(draw):
+    """A random square pattern; or one with a perfect matching planted in
+    it; or one with an easy prefix the greedy start matches in full, then k
+    FRs confined to k - 1 DPs, so FRs are left over and the search must find
+    Hall's condition failing."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((n, n)) < draw(st.floats(0.0, 1.0))
+    shape = draw(st.sampled_from(["random", "planted", "confined"]))
+    if shape == "planted":
+        mask[np.arange(n), rng.permutation(n)] = True
+    elif shape == "confined":
+        k = draw(st.integers(1, n))
+        mask[np.arange(n - k), np.arange(n - k)] = True
+        mask[n - k:, rng.choice(n, n - k + 1, replace=False)] = False
+        mask = mask[:, rng.permutation(n)]
+    return mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask=_square_patterns())
+def test_matcher_finds_a_perfect_matching_exactly_when_scipy_does(mask):
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    n = mask.shape[0]
+    rows, width = coupling._packed_rows(mask)
+    matched = coupling._max_matching(rows, width)
+    reference = maximum_bipartite_matching(csr_matrix(mask), perm_type="column")
+    assert (matched is None) == bool((reference < 0).any())
+    if matched is not None:
+        held, owner = matched
+        dps = [width - b for b in held]
+        assert sorted(dps) == list(range(n))
+        assert all(mask[fr, dp] for fr, dp in enumerate(dps))
+        assert all(owner[b] == fr for fr, b in enumerate(held))

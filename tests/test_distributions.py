@@ -29,6 +29,13 @@ from axdesign import (
 )
 from axdesign.distributions import Substreams, _substream_keys
 
+# Any warning fails the tests so marked, bar one: a failing property's report
+# imports libcst, whose use of mypy_extensions.TypedDict warns, and as an
+# error that would end the run in INTERNALERROR and lose the falsifying
+# example. Later filters take precedence, so the ignore follows "error".
+WARNINGS_ARE_ERRORS = pytest.mark.filterwarnings(
+    "error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+
 # oracle: mpmath.ncdf(1) at 40 digits -> float64
 PHI_1 = 0.8413447460685429
 # oracle: mpmath.ncdf(1) - mpmath.ncdf(-1) (the one-sigma band)
@@ -180,7 +187,7 @@ WIDE = [
 ]
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_ARE_ERRORS
 @pytest.mark.parametrize("pdf,a,b", WIDE, ids=[f"{pdf.describe()} on [{a!r}, {b!r}]" for pdf, a, b in WIDE])
 def test_wide_pdf_interval_masses_match_exact_arithmetic(pdf, a, b):
     with mpmath.workprec(4000):
@@ -189,11 +196,14 @@ def test_wide_pdf_interval_masses_match_exact_arithmetic(pdf, a, b):
         assert pdf.interval_probability(a, b) == pytest.approx(float(exact), rel=1e-12, abs=0)
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_ARE_ERRORS
 @settings(max_examples=300, deadline=None)
 @given(family=st.sampled_from(["uniform", "triangular"]), exponent=st.integers(-40, 1023),
        centre=st.floats(-0.25, 0.25), half=st.floats(1e-6, 1.5), mode=st.floats(0.0, 1.0),
        offset=st.floats(-1.2, 1.2), size=st.integers(-320, 1))
+# A mode a subnormal above the low end, where the rising branch overflows.
+@example(family="triangular", exponent=0, centre=0.25, half=0.25, mode=2.2250738585e-313,
+         offset=0.0, size=0)
 def test_interval_masses_match_exact_arithmetic(family, exponent, centre, half, mode,
                                                 offset, size):
     # A pdf about 2**exponent wide, up to float64's limit and past it for
@@ -227,7 +237,7 @@ def test_narrow_normal_ranges_integrate_the_density(a, b, exact):
     assert Normal(0.0, 1.0).interval_probability(a, b) == pytest.approx(exact, rel=1e-12, abs=0)
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_ARE_ERRORS
 @settings(max_examples=500, deadline=None)
 @given(mid=st.floats(-37.0, 37.0), size=st.floats(-55.0, 4.0),
        mu=st.sampled_from([0.0, 0.25, -3.0, 1e6]), scale=st.integers(-8, 8))
@@ -251,7 +261,7 @@ def test_normal_masses_match_exact_arithmetic(mid, size, mu, scale):
 _UNITS = st.integers(-640, 640).map(lambda i: i / 64)
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_ARE_ERRORS
 @settings(max_examples=200, deadline=None)
 @given(family=st.sampled_from(["uniform", "triangular"]), lo=_UNITS,
        steps=st.lists(st.integers(0, 640), min_size=2, max_size=2),
@@ -445,7 +455,7 @@ def test_extreme_uniforms_give_finite_draws_inside_the_support(pdf: Pdf):
 # SeedSequence and fresh generators
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_ARE_ERRORS
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3])
 @pytest.mark.parametrize("stream", [(), (3,), (2**33,)])
 def test_substream_keys_match_seed_sequence(seed, stream):
@@ -457,7 +467,7 @@ def test_substream_keys_match_seed_sequence(seed, stream):
     assert np.array_equal(keys, expected)
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_ARE_ERRORS
 @pytest.mark.parametrize("k", [0, 5, 256, 2**32 - 1])
 @pytest.mark.parametrize("p", [0, 1, 2, 3, 4, 7, 1001])
 def test_seated_substreams_equal_fresh_generators(k, p):
@@ -488,7 +498,7 @@ _STREAM_OPS = st.lists(st.one_of(
 ), max_size=40)
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_ARE_ERRORS
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**70), k=_KEYS, p=st.integers(0, 40), ops=_STREAM_OPS)
 def test_seats_and_skips_read_like_fresh_generators(seed, k, p, ops):
@@ -518,7 +528,7 @@ def test_substream_keys_are_bounded():
         stream.seat(-1)
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_ARE_ERRORS
 @settings(max_examples=300, deadline=None)
 @given(pdf=st.sampled_from(EDGE_FAMILIES), k=st.integers(0, 2**53 - 1))
 @example(pdf=Normal(-1.0, 2.0), k=0)

@@ -43,12 +43,12 @@ PINNED = {
     ("faucet_mixer_tap.json", "info-joint"): (0, "8b6b3890b710db64e61e794e7b33919fddf8a14cfe59846944c8dc7c0958d557"),
     ("faucet_mixer_tap.json", "info-chain-text"): (0, "8c79453011503a40db8e461cefa0dcee4c0c333ac1cfec28d8de623d2c26e026"),
     ("faucet_mixer_tap.json", "simulate"): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ("faucet_two_knob.json", "classify"): (2, "dc0f27477eebf91d3f44148fe13349097c7de71c6647d3c516fea2057c7426ad"),
-    ("faucet_two_knob.json", "classify-text"): (2, "a3b945d94e57e0daadf21adcd9ffd29426d69e93ccf20094a2b51d53b17e6692"),
+    ("faucet_two_knob.json", "classify"): (2, "e1d97e815341121ee12ad57b059d697e3681150241c952844fd280d56391a78e"),
+    ("faucet_two_knob.json", "classify-text"): (2, "293a797b2fb9a25f9f2f70ccdfb17c8e9d9dfe8f74d456e3d92c61da461e6c91"),
     ("faucet_two_knob.json", "validate"): (0, "e76837597ade02ffd9089933aa08f1c829180b5e2d2545ca777b36904b5af071"),
-    ("faucet_two_knob.json", "info"): (0, "603d10cfd990a8275d55255520bd97d305c1a90539dd1b398220254b69df25f8"),
-    ("faucet_two_knob.json", "info-joint"): (0, "603d10cfd990a8275d55255520bd97d305c1a90539dd1b398220254b69df25f8"),
-    ("faucet_two_knob.json", "info-chain-text"): (0, "12b1c3d22eeade8fbca6abb5e6257fc9d94dd5f734d12bc095ca6fa3350462b9"),
+    ("faucet_two_knob.json", "info"): (0, "e7322e5bdb86fa40cf1628572c2afa66f137b2528ccbb0690c95f09d51691b92"),
+    ("faucet_two_knob.json", "info-joint"): (0, "e7322e5bdb86fa40cf1628572c2afa66f137b2528ccbb0690c95f09d51691b92"),
+    ("faucet_two_knob.json", "info-chain-text"): (0, "d37d486a61d76ef61daa9775fff05421a816ed618cdb51c6f3980a1ecb2446ce"),
     ("faucet_two_knob.json", "simulate"): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("machining_cascade.json", "classify"): (0, "292162ee7379941c56db6dbdaab03f21498ada08def89b4042a0ebd4fd240c3b"),
     ("machining_cascade.json", "classify-text"): (0, "50600008d1a9b726d7378ed1f0c1610496a5353e634f9a01171095118f74ed45"),
