@@ -102,4 +102,4 @@ print()
 spec = load("scheduling.json")
 cls = classify(spec.matrix)
 print(f"scheduling.json: {type(cls).__name__.lower()} ({cls.reason.value})")
-print(f"  its matrix is {json.dumps([list(row) for row in spec.matrix])} -- 2 FRs, 1 DP")
+print(f"  its matrix is {json.dumps(spec.matrix.tolist())} -- 2 FRs, 1 DP")

@@ -94,6 +94,6 @@ for gain in (0.0, 0.1):
     probed = estimate_design_matrix(ScenarioModel(cfg), nominal, step=1e-3)
     kind = type(classify(probed, epsilon=1e-6)).__name__.lower()
     print(f"mixer_to_temp={gain}: probed matrix -> {kind}")
-    for fr_id, row in zip(ids, probed.entries):
+    for fr_id, row in zip(ids, probed):
         cells = "  ".join(f"{v:>8.4f}" for v in row)
         print(f"  {fr_id:>12}  [{cells}]")

@@ -6,8 +6,8 @@ forward through linear or simulated process models.
 """
 
 from .coupling import (Classification, Coupled, Decoupled, Degenerate,
-                       DegenerateReason, DesignMatrix, Uncoupled,
-                       affected_frs, binarize, classify, sequence)
+                       DegenerateReason, Uncoupled, affected_frs, binarize,
+                       classify, sequence)
 from .distributions import (Empirical, Normal, Pdf, RngState, Triangular,
                             Uniform, draw_from, from_samples)
 from .errors import SimulationDivergence, SpecFormatError
@@ -35,9 +35,8 @@ __all__ = [
     "DesignRange", "FunctionalRequirement", "DesignParameter", "DesignSpec",
     "parse_spec", "validate_spec", "range_bounds",
     # coupling
-    "DesignMatrix", "Classification", "Uncoupled", "Decoupled", "Coupled",
-    "Degenerate", "DegenerateReason", "classify", "binarize", "sequence",
-    "affected_frs",
+    "Classification", "Uncoupled", "Decoupled", "Coupled", "Degenerate",
+    "DegenerateReason", "classify", "binarize", "sequence", "affected_frs",
     # information content
     "InfoResult", "Method", "McConfig", "McStats", "SystemInfoReport",
     "bits_from_probability", "fr_information",

@@ -41,6 +41,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar
@@ -48,7 +49,6 @@ from typing import ClassVar
 import numpy as np
 
 __all__ = [
-    "DesignMatrix",
     "DegenerateReason",
     "Uncoupled",
     "Decoupled",
@@ -62,48 +62,21 @@ __all__ = [
 ]
 
 
-class DesignMatrix:
-    """Immutable wrapper for a real, finite, 2-D influence matrix."""
-
-    def __init__(self, entries):
-        arr = _checked(entries).copy()
-        arr.setflags(write=False)
-        self._entries = arr
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self._entries
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._entries.shape
-
-    @property
-    def n_frs(self) -> int:
-        return self._entries.shape[0]
-
-    @property
-    def n_dps(self) -> int:
-        return self._entries.shape[1]
-
-    def __repr__(self):
-        return f"DesignMatrix({self._entries.tolist()!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, DesignMatrix) and np.array_equal(
-            self._entries, other._entries)
-
-    def __hash__(self):
-        return hash(self._entries.tobytes())
-
-
-def _checked(entries) -> np.ndarray:
-    """``entries`` as a 2-D, non-empty, finite float array, copied only if needed."""
-    arr = np.asarray(entries, dtype=np.float64)
+def _checked(entries, copy=None) -> np.ndarray:
+    """``entries`` as a 2-D, non-empty, finite float array, copied only if
+    needed or if ``copy``."""
+    arr = np.array(entries, dtype=np.float64, copy=copy)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError("design matrix must be 2-D with at least one row and column")
     if not np.isfinite(arr).all():
         raise ValueError("design matrix entries must all be finite")
+    return arr
+
+
+def frozen_matrix(entries) -> np.ndarray:
+    """A read-only copy of ``entries``, checked as a design matrix."""
+    arr = _checked(entries, copy=True)
+    arr.setflags(write=False)
     return arr
 
 
@@ -154,7 +127,7 @@ Classification = Uncoupled | Decoupled | Coupled | Degenerate
 
 def binarize(matrix, epsilon: float = 0.0) -> np.ndarray:
     """Boolean dependency pattern: True where ``|A[i][j]| > epsilon``."""
-    entries = matrix.entries if isinstance(matrix, DesignMatrix) else _checked(matrix)
+    entries = _checked(matrix)
     if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon)) or epsilon < 0:
         raise ValueError("epsilon must be a finite number >= 0")
     return (entries > epsilon) | (entries < -epsilon)
@@ -310,6 +283,9 @@ def _strongly_connected(adj):
 def classify(matrix, epsilon: float = 0.0) -> Classification:
     """Classify a design matrix's dependency structure.
 
+    ``matrix`` is a 2-D array-like of finite numbers, one row per FR and one
+    column per DP; a float64 array is read in place, not copied.
+
     ``epsilon`` is the magnitude below which entries count as zero
     (strict comparison, so the default 0.0 keeps every nonzero entry).
     """
@@ -401,6 +377,10 @@ def affected_frs(matrix, dp: int, epsilon: float = 0.0) -> set[int]:
     """Indices of FRs influenced by DP ``dp`` (entries above ``epsilon``)."""
     dep = binarize(matrix, epsilon)
     n_dps = dep.shape[1]
-    if not (isinstance(dp, int) and 0 <= dp < n_dps):
+    try:
+        index = operator.index(dp)
+    except TypeError:
+        index = -1
+    if isinstance(dp, bool) or not 0 <= index < n_dps:
         raise ValueError(f"dp index {dp} out of range for {n_dps} DPs")
-    return set(np.flatnonzero(dep[:, dp]).tolist())
+    return set(np.flatnonzero(dep[:, index]).tolist())

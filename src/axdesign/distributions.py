@@ -129,6 +129,15 @@ def _scale(lo: float, hi: float) -> float:
     return 2.0 ** (510 - math.frexp(hi * 0.5 - lo * 0.5)[1])
 
 
+def _square_over(d, width, side):
+    """``d ** 2 / (width * side)``. Where ``width * side`` is below the
+    normal range, ``d ** 2`` loses its bits too, down to 0 / 0, so the two
+    ratios ``d / width`` and ``d / side`` are multiplied instead."""
+    if width * side >= 2.0**-1022:
+        return d ** 2 / (width * side)
+    return d / width * (d / side)
+
+
 # Extremes of the open uniform (k + 0.5) / 2**53: k = 0, and the top k
 # clamped, which is also the largest ``gen.random()`` value.
 _U_LO = 2.0**-54
@@ -481,18 +490,19 @@ class Triangular(Pdf):
         x = np.clip(np.asarray(x, dtype=np.float64), self.lo, self.hi) * s
         width = hi - lo
         out = np.zeros_like(x, dtype=np.float64)
+        peak = 0.0  # the cdf at the mode
         # A branch overflows off its own side when the mode is a subnormal from an end.
-        with np.errstate(over="ignore", divide="ignore"):
+        with np.errstate(over="ignore"):
             if mode > lo:
+                peak = _square_over(mode - lo, width, mode - lo)
                 rising = (x > lo) & (x <= mode)
-                out = np.where(rising, (x - lo) ** 2 / (width * (mode - lo)), out)
+                out = np.where(rising, _square_over(x - lo, width, mode - lo), out)
             if hi > mode:
+                # Just past the mode, rounding can leave 1 - ... below the peak.
                 falling = (x > mode) & (x < hi)
-                out = np.where(falling, 1.0 - (hi - x) ** 2 / (width * (hi - mode)), out)
-        out = np.where(x >= hi, 1.0, out)
-        if mode == lo:
-            out = np.where((x > lo) & (x < hi), 1.0 - (hi - x) ** 2 / (width * width), out)
-        return out[()]
+                out = np.where(falling, np.maximum(
+                    1.0 - _square_over(hi - x, width, hi - mode), peak), out)
+        return np.where(x >= hi, 1.0, out)[()]
 
     def interval_probability(self, lo: float, hi: float) -> float:
         p = super().interval_probability(lo, hi)

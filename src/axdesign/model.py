@@ -38,6 +38,9 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from .coupling import frozen_matrix
 from .distributions import Empirical, Normal, Pdf, Triangular, Uniform
 from .errors import SpecFormatError
 from .tank import TankConfig
@@ -107,11 +110,14 @@ class DesignParameter:
             raise ValueError(f"DP {self.id!r} nominal must be a finite number")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignSpec:
+    """A checked design spec. ``matrix``, when given, is kept as a read-only
+    float64 array, one row per FR and one column per DP."""
+
     frs: tuple[FunctionalRequirement, ...]
     dps: tuple[DesignParameter, ...]
-    matrix: tuple[tuple[float, ...], ...] | None = None
+    matrix: np.ndarray | None = None
     system_pdfs: dict[str, Pdf] = field(default_factory=dict)
     noise_pdfs: dict[str, Pdf] = field(default_factory=dict)
     epsilon: float = 0.0
@@ -132,9 +138,10 @@ class DesignSpec:
             if not self.dps:
                 raise ValueError("a matrix needs at least one DP column")
             for i, row in enumerate(self.matrix):
-                if len(row) != len(self.dps):
+                if not hasattr(row, "__len__") or len(row) != len(self.dps):
                     raise ValueError(
                         f"matrix row {i} must have one entry per DP ({len(self.dps)})")
+            object.__setattr__(self, "matrix", frozen_matrix(self.matrix))
         fr_ids = set(self.fr_ids())
         for name, pdfs in (("system_pdfs", self.system_pdfs),
                            ("noise_pdfs", self.noise_pdfs)):
@@ -204,11 +211,21 @@ def _string(obj, key, where, required=True, default=""):
     return v
 
 
+def _made(where, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ValueError raised as a SpecFormatError
+    at ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise SpecFormatError(str(exc), where) from exc
+
+
+# Each pdf kind's type and its number fields, in the type's argument order.
 _PDF_FIELDS = {
-    "uniform": ("lo", "hi"),
-    "normal": ("mu", "sigma"),
-    "triangular": ("lo", "mode", "hi"),
-    "empirical": ("samples",),
+    "uniform": (Uniform, ("lo", "hi")),
+    "normal": (Normal, ("mu", "sigma")),
+    "triangular": (Triangular, ("lo", "mode", "hi")),
+    "empirical": (Empirical, ("samples",)),
 }
 
 
@@ -218,28 +235,19 @@ def pdf_from_obj(obj, where: str = "pdf") -> Pdf:
     kind = _string(obj, "kind", where)
     if kind not in _PDF_FIELDS:
         raise SpecFormatError(f"unknown pdf kind {kind!r}", where)
-    _check_keys(obj, ("kind",) + _PDF_FIELDS[kind], where)
-    try:
-        if kind == "uniform":
-            return Uniform(_number(obj, "lo", where), _number(obj, "hi", where))
-        if kind == "normal":
-            return Normal(_number(obj, "mu", where), _number(obj, "sigma", where))
-        if kind == "triangular":
-            return Triangular(_number(obj, "lo", where), _number(obj, "mode", where),
-                              _number(obj, "hi", where))
-        samples = obj.get("samples")
-        if not isinstance(samples, list) or not samples:
-            raise SpecFormatError("field 'samples' must be a non-empty array", where)
-        for i, v in enumerate(samples):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise SpecFormatError(f"samples[{i}] must be a number", where)
-            if not -_FLOAT_MAX <= v <= _FLOAT_MAX:
-                raise SpecFormatError(f"samples[{i}] must be a finite number", where)
-        return Empirical(tuple(float(v) for v in samples))
-    except ValueError as exc:
-        if isinstance(exc, SpecFormatError):
-            raise
-        raise SpecFormatError(str(exc), where) from exc
+    pdf_type, fields = _PDF_FIELDS[kind]
+    _check_keys(obj, ("kind",) + fields, where)
+    if pdf_type is not Empirical:
+        return _made(where, pdf_type, *[_number(obj, key, where) for key in fields])
+    samples = obj.get("samples")
+    if not isinstance(samples, list) or not samples:
+        raise SpecFormatError("field 'samples' must be a non-empty array", where)
+    for i, v in enumerate(samples):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise SpecFormatError(f"samples[{i}] must be a number", where)
+        if not -_FLOAT_MAX <= v <= _FLOAT_MAX:
+            raise SpecFormatError(f"samples[{i}] must be a finite number", where)
+    return _made(where, Empirical, tuple(float(v) for v in samples))
 
 
 _SCENARIO_NUMBERS = ("level_low", "level_high", "temp_setpoint", "mix_duration", "timestep")
@@ -273,10 +281,7 @@ def _scenario_from_obj(obj, where="scenario") -> TankConfig:
         _check_keys(block, _GAIN_KEYS, f"{where}.coupling_gains")
         for key in block:
             kwargs[key] = _number(block, key, f"{where}.coupling_gains.{key}")
-    try:
-        return TankConfig(**kwargs)
-    except ValueError as exc:
-        raise SpecFormatError(str(exc), where) from exc
+    return _made(where, TankConfig, **kwargs)
 
 
 _FR_KEYS = ("id", "description", "nominal", "tol_minus", "tol_plus", "unit")
@@ -288,21 +293,11 @@ def _fr_from_obj(obj, where) -> FunctionalRequirement:
     _require_object(obj, where)
     _check_keys(obj, _FR_KEYS, where)
     fr_id = _string(obj, "id", where)
-    try:
-        dr = DesignRange(
-            _number(obj, "nominal", where),
-            _number(obj, "tol_minus", where),
-            _number(obj, "tol_plus", where),
-        )
-        return FunctionalRequirement(
-            fr_id, dr,
-            description=_string(obj, "description", where, required=False),
-            unit=_string(obj, "unit", where, required=False),
-        )
-    except ValueError as exc:
-        if isinstance(exc, SpecFormatError):
-            raise
-        raise SpecFormatError(str(exc), where) from exc
+    dr = _made(where, DesignRange, _number(obj, "nominal", where),
+               _number(obj, "tol_minus", where), _number(obj, "tol_plus", where))
+    return _made(where, FunctionalRequirement, fr_id, dr,
+                 description=_string(obj, "description", where, required=False),
+                 unit=_string(obj, "unit", where, required=False))
 
 
 def _dp_from_obj(obj, where) -> DesignParameter:
@@ -312,16 +307,9 @@ def _dp_from_obj(obj, where) -> DesignParameter:
     unc = None
     if "uncertainty" in obj:
         unc = pdf_from_obj(obj["uncertainty"], f"{where}.uncertainty")
-    try:
-        return DesignParameter(
-            dp_id, _number(obj, "nominal", where),
-            description=_string(obj, "description", where, required=False),
-            uncertainty=unc,
-        )
-    except ValueError as exc:
-        if isinstance(exc, SpecFormatError):
-            raise
-        raise SpecFormatError(str(exc), where) from exc
+    return _made(where, DesignParameter, dp_id, _number(obj, "nominal", where),
+                 description=_string(obj, "description", where, required=False),
+                 uncertainty=unc)
 
 
 def _pdf_map_from_obj(obj, where) -> dict[str, Pdf]:
@@ -345,10 +333,10 @@ def _finite_numbers(row) -> bool:
         return False
 
 
-def _matrix_from_obj(raw) -> tuple[tuple[float, ...], ...]:
-    """Decode the matrix rows, checked a row at a time. Only a matrix that
-    fails that check is walked entry by entry, which reports its first fault
-    with the entry's path."""
+def _matrix_from_obj(raw) -> list:
+    """Check the matrix rows a row at a time and return them as they are.
+    Only a matrix that fails that check is walked entry by entry, which
+    reports its first fault with the entry's path."""
     if not isinstance(raw, list):
         raise SpecFormatError("matrix must be an array of rows", "matrix")
     if not all(isinstance(row, list) and _finite_numbers(row) for row in raw):
@@ -359,7 +347,7 @@ def _matrix_from_obj(raw) -> tuple[tuple[float, ...], ...]:
                 if type(v) not in _NUMBER_TYPES or not -_FLOAT_MAX <= v <= _FLOAT_MAX:
                     raise SpecFormatError(f"entry [{i}][{j}] must be a finite number",
                                           "matrix")
-    return tuple(tuple(map(float, row)) for row in raw)
+    return raw
 
 
 def parse_spec(text: str) -> DesignSpec:
@@ -397,10 +385,8 @@ def parse_spec(text: str) -> DesignSpec:
     epsilon = _number(doc, "epsilon", "epsilon", required=False, default=0.0)
     scenario = _scenario_from_obj(doc["scenario"]) if "scenario" in doc else None
 
-    try:
-        return DesignSpec(frs, dps, matrix, system_pdfs, noise_pdfs, epsilon, scenario)
-    except ValueError as exc:
-        raise SpecFormatError(str(exc), "document") from exc
+    return _made("document", DesignSpec, frs, dps, matrix, system_pdfs, noise_pdfs,
+                 epsilon, scenario)
 
 
 def validate_spec(spec: DesignSpec) -> list[str]:

@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coupling import DesignMatrix
+from .coupling import _checked, frozen_matrix
 from .distributions import Pdf, RngState, Substreams, draw_from
 from .tank import TankConfig, simulate, tank_response
 
@@ -112,7 +112,8 @@ def _product(matrix: np.ndarray, dps: np.ndarray, start: int) -> np.ndarray:
 
 
 class LinearModel:
-    """FR = matrix @ DP + noise with independent per-DP pdfs.
+    """FR = matrix @ DP + noise with independent per-DP pdfs. ``matrix``
+    is kept as a read-only float64 copy.
 
     ``noise_pdfs``, when given, adds one independent draw per FR row;
     entries may be ``None`` for noiseless rows.
@@ -122,31 +123,26 @@ class LinearModel:
 
     def __init__(self, matrix, dp_pdfs: Sequence[Pdf],
                  noise_pdfs: Sequence[Pdf | None] | None = None):
-        self.matrix = matrix if isinstance(matrix, DesignMatrix) else DesignMatrix(matrix)
+        self.matrix = frozen_matrix(matrix)
+        n_frs, n_dps = self.matrix.shape
         self.dp_pdfs = tuple(dp_pdfs)
-        if len(self.dp_pdfs) != self.matrix.n_dps:
-            raise ValueError(
-                f"{self.matrix.n_dps} DP columns but {len(self.dp_pdfs)} DP pdfs")
+        if len(self.dp_pdfs) != n_dps:
+            raise ValueError(f"{n_dps} DP columns but {len(self.dp_pdfs)} DP pdfs")
         for j, pdf in enumerate(self.dp_pdfs):
             if not isinstance(pdf, Pdf):
                 raise ValueError(f"dp_pdfs[{j}] is not a Pdf")
         self.noise_pdfs = None
         if noise_pdfs is not None:
             self.noise_pdfs = tuple(noise_pdfs)
-            if len(self.noise_pdfs) != self.matrix.n_frs:
-                raise ValueError(
-                    f"{self.matrix.n_frs} FR rows but {len(self.noise_pdfs)} noise pdfs")
+            if len(self.noise_pdfs) != n_frs:
+                raise ValueError(f"{n_frs} FR rows but {len(self.noise_pdfs)} noise pdfs")
             for i, pdf in enumerate(self.noise_pdfs):
                 if pdf is not None and not isinstance(pdf, Pdf):
                     raise ValueError(f"noise_pdfs[{i}] is neither a Pdf nor None")
 
-    @property
-    def n_frs(self) -> int:
-        return self.matrix.n_frs
-
     def evaluate(self, dp_values) -> np.ndarray:
         dps = np.asarray(dp_values, dtype=np.float64)
-        return dps @ self.matrix.entries.T
+        return dps @ self.matrix.T
 
     def sample_frs(self, rng: RngState | Substreams, n: int, start: int = 0) -> np.ndarray:
         """Rows ``start … start+n-1`` of the FR sample table, shape (n, n_frs).
@@ -158,13 +154,13 @@ class LinearModel:
         warning, for the caller to reject.
         """
         stream = rng if isinstance(rng, Substreams) else Substreams(rng)
-        n_dps = self.matrix.n_dps
+        n_dps = self.matrix.shape[1]
         dps = np.empty((n_dps, n))
         with np.errstate(over="ignore", invalid="ignore"):
             for j, pdf in enumerate(self.dp_pdfs):
                 stream.seat(j, start)
                 dps[j] = draw_from(pdf, stream, n)
-            frs = _product(self.matrix.entries, dps, start)
+            frs = _product(self.matrix, dps, start)
             for i, pdf in enumerate(self.noise_pdfs or ()):
                 if pdf is not None:
                     stream.seat(n_dps + i, start)
@@ -193,8 +189,9 @@ class ScenarioModel:
         return simulate(self.config, rng, cycles=n)
 
 
-def estimate_design_matrix(model, dp_nominals, step: float) -> DesignMatrix:
-    """Influence matrix by central finite differences around ``dp_nominals``.
+def estimate_design_matrix(model, dp_nominals, step: float) -> np.ndarray:
+    """Influence matrix by central finite differences around ``dp_nominals``,
+    as a float64 array with one row per FR and one column per DP.
 
     Entry (i, j) is ``(FR_i(dp + step*e_j) - FR_i(dp - step*e_j)) / (2*step)``
     using the model's ``evaluate``. Exact for linear maps at any positive
@@ -215,7 +212,7 @@ def estimate_design_matrix(model, dp_nominals, step: float) -> DesignMatrix:
         if not np.all(np.isfinite(col)):
             raise ValueError(f"non-finite model output while probing DP {j}")
         columns.append(col)
-    return DesignMatrix(np.column_stack(columns))
+    return _checked(np.column_stack(columns))
 
 
 def simulate_tank(config: TankConfig, rng: RngState,

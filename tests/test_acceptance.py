@@ -258,10 +258,10 @@ def test_criterion_08_finite_differences_recover_hidden_sensitivities():
     hidden = rng.normal(size=(3, 4))
     model = LinearModel(hidden, [Uniform(0.0, 1.0)] * 4)
     est = estimate_design_matrix(model, rng.uniform(0.5, 2.0, size=4), step=1e-3)
-    assert float(np.abs(est.entries - hidden).max()) < 1e-9
+    assert float(np.abs(est - hidden).max()) < 1e-9
 
     quad = SimpleNamespace(evaluate=lambda d: np.array([d[0] ** 2]))
-    slope = estimate_design_matrix(quad, [3.0], step=1e-4).entries[0, 0]
+    slope = estimate_design_matrix(quad, [3.0], step=1e-4)[0, 0]
     assert abs(slope - 6.0) < 1e-6
     done()
 

@@ -20,8 +20,13 @@ from axdesign import (
     Decoupled,
     Degenerate,
     DegenerateReason,
-    DesignMatrix,
+    DesignParameter,
+    DesignRange,
+    DesignSpec,
+    FunctionalRequirement,
+    LinearModel,
     Uncoupled,
+    Uniform,
     affected_frs,
     binarize,
     classify,
@@ -94,29 +99,30 @@ def test_binarize_rejects_bad_epsilon():
 
 
 # ---------------------------------------------------------------------------
-# DesignMatrix container
+# The matrix contract: one read-only float64 array
 
 
-def test_design_matrix_validates_and_freezes_entries():
-    dm = DesignMatrix([[1.0, 2.0], [3.0, 4.0]])
-    assert dm.shape == (2, 2)
-    assert dm.n_frs == 2 and dm.n_dps == 2
-    with pytest.raises(ValueError):
-        dm.entries[0, 0] = 9.0
-    with pytest.raises(ValueError):
-        DesignMatrix([[float("inf")]])
-    with pytest.raises(ValueError):
-        DesignMatrix([1.0, 2.0])
-    with pytest.raises(ValueError):
-        DesignMatrix(np.zeros((0, 2)))
-
-
-def test_design_matrix_equality_and_hash():
-    a = DesignMatrix([[1.0, 0.0], [0.0, 1.0]])
-    b = DesignMatrix(np.eye(2))
-    assert a == b
-    assert hash(a) == hash(b)
-    assert a != DesignMatrix([[1.0]])
+def test_matrices_are_checked_and_stored_read_only():
+    # A spec and a linear model keep a frozen float64 copy; classify checks
+    # what it reads, and reads a float64 array in place.
+    frs = tuple(FunctionalRequirement(f"f{i}", DesignRange(1.0, 0.1, 0.1)) for i in range(2))
+    dps = tuple(DesignParameter(f"d{j}", 1.0) for j in range(2))
+    takers = [lambda m: DesignSpec(frs, dps, m).matrix,
+              lambda m: LinearModel(m, [Uniform(0.0, 1.0)] * 2).matrix]
+    for take in takers:
+        entries = np.array([[1, 2], [3, 4]])
+        stored = take(entries)
+        assert stored.dtype == np.float64 and stored.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        entries[0, 0] = 9
+        assert stored[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            stored[0, 0] = 9.0
+    for take in takers + [classify]:
+        for bad in ([[float("inf"), 0.0], [0.0, 1.0]], [1.0, 2.0], np.zeros((0, 2))):
+            with pytest.raises(ValueError):
+                take(bad)
+    entries = np.eye(2)
+    assert coupling._checked(entries) is entries
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +266,7 @@ def test_decoupled_order_breaks_ties_by_fr_index():
 
 def test_affected_frs_identity_touches_only_own_row():
     assert affected_frs(np.eye(3), 2) == {2}
+    assert affected_frs(np.eye(3), np.int64(1)) == {1}
 
 
 def test_affected_frs_shared_parameter_touches_both():
@@ -279,6 +286,8 @@ def test_affected_frs_rejects_out_of_range_dp():
         affected_frs(np.eye(2), 2)
     with pytest.raises(ValueError):
         affected_frs(np.eye(2), -1)
+    with pytest.raises(ValueError):
+        affected_frs(np.eye(2), True)
 
 
 # ---------------------------------------------------------------------------

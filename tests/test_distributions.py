@@ -204,6 +204,9 @@ def test_wide_pdf_interval_masses_match_exact_arithmetic(pdf, a, b):
 # A mode a subnormal above the low end, where the rising branch overflows.
 @example(family="triangular", exponent=0, centre=0.25, half=0.25, mode=2.2250738585e-313,
          offset=0.0, size=0)
+# A mode one subnormal above the low end, where the rising branch is 0 / 0.
+@example(family="triangular", exponent=0, centre=0.25, half=0.25, mode=1e-323,
+         offset=-1.0, size=0)
 def test_interval_masses_match_exact_arithmetic(family, exponent, centre, half, mode,
                                                 offset, size):
     # A pdf about 2**exponent wide, up to float64's limit and past it for

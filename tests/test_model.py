@@ -7,6 +7,7 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from axdesign import (
@@ -62,8 +63,10 @@ def test_every_fixture_round_trips(name: str):
             for dp in spec.dps] == [
         (o["id"], o["nominal"], o.get("description", ""), "uncertainty" in o)
         for o in doc["dps"]]
-    assert spec.matrix == (tuple(map(tuple, doc["matrix"])) if "matrix" in doc
-                           else None)
+    if "matrix" in doc:
+        assert spec.matrix.dtype == np.float64 and spec.matrix.tolist() == doc["matrix"]
+    else:
+        assert spec.matrix is None
     assert list(spec.system_pdfs) == list(doc.get("system_pdfs", {}))
     assert list(spec.noise_pdfs) == list(doc.get("noise_pdfs", {}))
     assert spec.epsilon == doc.get("epsilon", 0.0)
@@ -78,7 +81,7 @@ def test_fixture_corpus_parses_expected_shapes():
     assert isinstance(tank.system_pdfs["level"], Uniform)
 
     faucet = load_spec("faucet_two_knob.json")
-    assert faucet.matrix == ((2.0, 2.0), (8.0, -8.0))
+    assert faucet.matrix.tolist() == [[2.0, 2.0], [8.0, -8.0]]
     assert isinstance(faucet.dps[0].uncertainty, Uniform)
 
     sched = load_spec("scheduling.json")
@@ -205,8 +208,8 @@ def test_matrix_faults_name_their_first_entry(matrix_text, message):
 ])
 def test_matrix_entries_become_floats_up_to_float64_max(matrix_text, matrix):
     spec = parse_spec(_two_by_two(matrix_text))
-    assert spec.matrix == matrix
-    assert all(type(v) is float for row in spec.matrix for v in row)
+    assert spec.matrix.dtype == np.float64
+    assert spec.matrix.tolist() == [list(row) for row in matrix]
     signs = [math.copysign(1.0, v) for row in matrix for v in row]  # -0.0 too
     assert [math.copysign(1.0, v) for row in spec.matrix for v in row] == signs
 
@@ -320,6 +323,8 @@ _D1 = DesignParameter("d1", 1.0)
     (dict(dps=(_D1, _D1), matrix=((1.0, 1.0),)), "duplicate DP id 'd1'"),
     (dict(matrix=((1.0,), (2.0,))), "one row per FR"),
     (dict(matrix=((1.0, 2.0),)), "one entry per DP"),
+    (dict(matrix=np.ones((2, 1))), "one row per FR"),
+    (dict(matrix=np.array([[1.0, 2.0]])), "one entry per DP"),
     (dict(dps=(), matrix=((),)), "at least one DP column"),
     (dict(system_pdfs={"ghost": Uniform(0.0, 1.0)}), "unknown FR id 'ghost'"),
     (dict(noise_pdfs={"ghost": Normal(0.0, 1.0)}), "unknown FR id 'ghost'"),

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from axdesign import (
     Coupled,
-    DesignMatrix,
     Empirical,
     LinearModel,
     McConfig,
@@ -114,6 +113,14 @@ def test_linear_model_validates_dimensions():
     with pytest.raises(ValueError):
         LinearModel(np.eye(2), [Uniform(0.0, 1.0), Uniform(0.0, 1.0)],
                     noise_pdfs=[Normal(0.0, 1.0)])  # one noise, two FRs
+
+
+def test_linear_model_keeps_its_own_matrix():
+    entries = np.array([[2.0, 0.0], [1.0, 1.0]])
+    model = LinearModel(entries, [Uniform(0.0, 1.0), Normal(0.0, 1.0)])
+    before = model.sample_frs(RngState(seed=3), 50)
+    entries[:] = 0.0
+    assert np.array_equal(model.sample_frs(RngState(seed=3), 50), before)
 
 
 def test_linear_model_dp_streams_are_independent():
@@ -227,15 +234,15 @@ def test_estimated_matrix_is_exact_for_linear_maps():
     model = LinearModel(true, [Uniform(0.0, 1.0)] * 3)
     for step in (1e-1, 1e-3, 1e-6):
         est = estimate_design_matrix(model, [1.0, 2.0, 3.0], step=step)
-        assert isinstance(est, DesignMatrix)
+        assert isinstance(est, np.ndarray) and est.dtype == np.float64
         # Central differences are exact on linear functions at any step.
-        assert np.allclose(est.entries, true, atol=1e-8)
+        assert np.allclose(est, true, atol=1e-8)
 
 
 def test_estimated_slope_of_square_at_three_is_six():
     model = SimpleNamespace(evaluate=lambda d: np.array([d[0] ** 2]))
     est = estimate_design_matrix(model, [3.0], step=1e-4)
-    assert est.entries[0, 0] == pytest.approx(6.0, abs=1e-6)
+    assert est[0, 0] == pytest.approx(6.0, abs=1e-6)
 
 
 def test_estimation_validates_step_and_outputs():
