@@ -15,7 +15,10 @@ influence of DP j on FR i) is classified by structure alone:
   square one whose zero pattern admits no full assignment).
 
 Classification steps: binarize entries against a magnitude threshold
-``epsilon`` (strictly greater-than), then peel forced pairs (Steward 1965):
+``epsilon`` (strictly greater-than) in one pass over the matrix, a
+cache-sized block of rows at a time, which also checks every entry finite
+(a wrong shape is reported first, then a non-finite entry, then a bad
+``epsilon``). Then peel forced pairs (Steward 1965):
 an FR left with exactly one untaken DP must take it in every perfect
 matching, so the smallest such FR is paired with it, again and again. A
 peel that pairs every FR has found the only perfect matching and an
@@ -40,8 +43,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import operator
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar
@@ -62,14 +65,32 @@ __all__ = [
 ]
 
 
+_NON_FINITE = "design matrix entries must all be finite"
+_FLOAT_MAX = sys.float_info.max
+
+
+def _float64(entries, copy=None) -> np.ndarray:
+    """``entries`` as a 2-D, non-empty float64 array, copied only if needed
+    or if ``copy``. Entries are not checked, except that an integer beyond
+    float64 raises the message of a non-finite entry after the shape check."""
+    try:
+        arr = np.array(entries, dtype=np.float64, copy=copy)
+        overflow = False
+    except OverflowError:
+        arr, overflow = np.array(entries, dtype=object), True
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError("design matrix must be 2-D with at least one row and column")
+    if overflow:
+        raise ValueError(_NON_FINITE)
+    return arr
+
+
 def _checked(entries, copy=None) -> np.ndarray:
     """``entries`` as a 2-D, non-empty, finite float array, copied only if
     needed or if ``copy``."""
-    arr = np.array(entries, dtype=np.float64, copy=copy)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError("design matrix must be 2-D with at least one row and column")
+    arr = _float64(entries, copy)
     if not np.isfinite(arr).all():
-        raise ValueError("design matrix entries must all be finite")
+        raise ValueError(_NON_FINITE)
     return arr
 
 
@@ -125,19 +146,63 @@ class Degenerate:
 Classification = Uncoupled | Decoupled | Coupled | Degenerate
 
 
-def binarize(matrix, epsilon: float = 0.0) -> np.ndarray:
-    """Boolean dependency pattern: True where ``|A[i][j]| > epsilon``."""
-    entries = _checked(matrix)
-    if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon)) or epsilon < 0:
+def checked_epsilon(epsilon) -> float:
+    """``epsilon`` as a float; ValueError unless it is a finite number >= 0
+    (a bool is not a number here)."""
+    if (isinstance(epsilon, bool) or not isinstance(epsilon, (int, float))
+            or not 0 <= epsilon <= _FLOAT_MAX):  # False for nan
         raise ValueError("epsilon must be a finite number >= 0")
-    return (entries > epsilon) | (entries < -epsilon)
+    return float(epsilon)
+
+
+# Entries that one pass of binarize reads: 2**15 float64 (256 KiB) stay in
+# cache from the magnitude through the finite check to the threshold. At
+# n = 2000, passes of 2**12 took nearly twice as long, and larger passes
+# gained little for a larger buffer.
+_PASS_ENTRIES = 1 << 15
+
+
+def binarize(matrix, epsilon: float = 0.0) -> np.ndarray:
+    """Boolean dependency pattern: True where ``|A[i][j]| > epsilon``.
+
+    The entries are read once, a block of rows at a time: the magnitudes of
+    a block go to one reused buffer, are checked finite (their maximum is at
+    most float64's, which nan and inf fail) and are compared with
+    ``epsilon`` into the block's rows of the pattern. A float64 array is
+    read in place; the pattern is the only full-size array made. Faults are
+    raised in this order: the shape, a non-finite entry, then ``epsilon``.
+    """
+    entries = _float64(matrix)
+    try:
+        eps = checked_epsilon(epsilon)
+    except ValueError:
+        _pattern(entries, 0.0)  # a fault in the entries is raised first
+        raise
+    return _pattern(entries, eps)
+
+
+def _pattern(entries, eps):
+    """The pass of :func:`binarize` over a 2-D float64 array."""
+    m, n = entries.shape
+    step = max(1, _PASS_ENTRIES // n)  # rows per pass, at least one
+    dep = np.empty((m, n), dtype=bool)
+    scratch = np.empty((min(step, m), n))
+    for start in range(0, m, step):
+        block = entries[start:start + step]
+        mag = np.abs(block, out=scratch[:len(block)])
+        if not mag.max() <= _FLOAT_MAX:
+            raise ValueError(_NON_FINITE)
+        np.greater(mag, eps, out=dep[start:start + step])
+    return dep
 
 
 def _packed_rows(dep):
     """Each row of a pattern as an int with bit ``width - 1 - j`` for DP j,
     and that ``width``."""
     packed = np.packbits(dep, axis=1)
-    return [int.from_bytes(row, "big") for row in packed], 8 * packed.shape[1]
+    size, buf = packed.shape[1], packed.tobytes()
+    return ([int.from_bytes(buf[at:at + size], "big") for at in range(0, len(buf), size)],
+            8 * size)
 
 
 def _peel(dep, rows, width):

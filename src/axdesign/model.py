@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import frozen_matrix
+from .coupling import checked_epsilon, frozen_matrix
 from .distributions import Empirical, Normal, Pdf, Triangular, Uniform
 from .errors import SpecFormatError
 from .tank import TankConfig
@@ -148,9 +148,7 @@ class DesignSpec:
             for key in pdfs:
                 if key not in fr_ids:
                     raise ValueError(f"{name} names unknown FR id {key!r}")
-        if not (isinstance(self.epsilon, (int, float)) and math.isfinite(self.epsilon)
-                and self.epsilon >= 0):
-            raise ValueError("epsilon must be a finite number >= 0")
+        object.__setattr__(self, "epsilon", checked_epsilon(self.epsilon))
         if self.scenario is not None and len(self.frs) != 3:
             raise ValueError(
                 f"scenario requires exactly 3 FRs (fill level, temperature, "

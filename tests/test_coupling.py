@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from axdesign import (
@@ -74,6 +77,9 @@ def brute_force_kind(mask: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 # Binarization
 
+_FRS = tuple(FunctionalRequirement(f"f{i}", DesignRange(1.0, 0.1, 0.1)) for i in range(2))
+_DPS = tuple(DesignParameter(f"d{j}", 1.0) for j in range(2))
+
 
 def test_binarize_uses_strict_magnitude_threshold():
     out = binarize([[1.0, 1e-9], [0.5, 1.0]], epsilon=1e-6)
@@ -91,11 +97,141 @@ def test_binarize_epsilon_exactly_at_magnitude_excludes():
     assert out.tolist() == [[False]]
 
 
-def test_binarize_rejects_bad_epsilon():
-    with pytest.raises(ValueError):
-        binarize([[1.0]], epsilon=-1.0)
-    with pytest.raises(ValueError):
-        binarize([[1.0]], epsilon=float("nan"))
+_BAD_EPSILONS = (-1.0, float("nan"), float("inf"), True, False, 10**400, "0.1")
+
+
+@pytest.mark.parametrize("epsilon", _BAD_EPSILONS,
+                         ids=["-1", "nan", "inf", "True", "False", "10**400", "str"])
+def test_bad_epsilon_is_rejected_everywhere(epsilon):
+    entries = [[1.0, 0.5], [0.0, 1.0]]
+    takers = [lambda: binarize(entries, epsilon), lambda: classify(entries, epsilon),
+              lambda: affected_frs(entries, 0, epsilon),
+              lambda: DesignSpec(_FRS, _DPS, entries, epsilon=epsilon)]
+    for take in takers:
+        with pytest.raises(ValueError, match=r"^epsilon must be a finite number >= 0$"):
+            take()
+
+
+def test_epsilon_is_kept_as_a_float():
+    spec = DesignSpec(_FRS, _DPS, np.eye(2), epsilon=1)
+    assert type(spec.epsilon) is float and spec.epsilon == 1.0
+
+
+@pytest.mark.parametrize("entries", [[[1.0, 10**400], [0.0, 1.0]],
+                                     [[1.0, 0.0], [0.0, -(10**400)]]])
+def test_integers_beyond_float64_are_rejected_everywhere(entries):
+    takers = [binarize, classify, lambda m: affected_frs(m, 0),
+              lambda m: DesignSpec(_FRS, _DPS, m)]
+    for take in takers:
+        with pytest.raises(ValueError, match=r"^design matrix entries must all be finite$"):
+            take(entries)
+    # The shape is still checked first.
+    for take in takers[:3]:
+        with pytest.raises(ValueError, match="must be 2-D"):
+            take(entries[0])
+
+
+# One pass of binarize covers whole rows, at least one, of at most
+# _PASS_ENTRIES entries; the strategies below draw shapes around that.
+_PASS = coupling._PASS_ENTRIES
+_SUBNORMAL = 5e-324
+
+
+@st.composite
+def _pass_shapes(draw):
+    """A height and width: whole passes plus a partial one, or a single row
+    wider than a pass."""
+    width = draw(st.one_of(st.integers(1, 64), st.integers(64, 2 * _PASS),
+                           st.sampled_from([_PASS - 1, _PASS, _PASS + 1])))
+    per_pass = max(1, _PASS // width)
+    height = draw(st.integers(0, 3)) * per_pass + draw(st.integers(0, per_pass - 1))
+    return max(height, 1), width
+
+
+def _laid_out(rng, entries, layout):
+    """``entries`` as the same matrix in another memory layout."""
+    if layout == "fortran":
+        return np.asfortranarray(entries)
+    if layout == "strided":
+        wide = rng.normal(size=(2 * entries.shape[0], 3 * entries.shape[1]))
+        view = wide[::2, ::3]
+        view[...] = entries
+        return view
+    if layout == "read-only":
+        entries.setflags(write=False)
+    return entries
+
+
+def _entries(rng, shape, eps):
+    """Entries drawn from the values at which a threshold can go wrong:
+    signed zeros, subnormals, exactly +-eps and its neighbours, and a few
+    ordinary and huge magnitudes."""
+    edge = np.array([0.0, -0.0, _SUBNORMAL, -_SUBNORMAL, 2.2e-308, eps, -eps,
+                     np.nextafter(eps, np.inf), -np.nextafter(eps, np.inf),
+                     np.nextafter(eps, 0.0), 1.0, -1e308, sys.float_info.max])
+    entries = rng.normal(size=shape) * 10.0 ** rng.integers(-5, 5, size=shape)
+    pick = rng.random(shape) < 0.5
+    entries[pick] = rng.choice(edge, size=int(pick.sum()))
+    return entries
+
+
+_EPSILONS = st.one_of(st.sampled_from([0.0, _SUBNORMAL, 1e-300, 0.5, 1.0, 1e300]),
+                      st.floats(0.0, 1e10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=_pass_shapes(), eps=_EPSILONS, seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(["c", "fortran", "strided", "read-only"]))
+@example(shape=(3 * (_PASS // 7) + 2, 7), eps=0.0, seed=0, layout="c")
+@example(shape=(1, _PASS + 1), eps=1.0, seed=0, layout="fortran")
+@example(shape=(3, _PASS + 5), eps=_SUBNORMAL, seed=1, layout="strided")
+def test_binarize_matches_the_magnitude_test(shape, eps, seed, layout):
+    rng = np.random.default_rng(seed)
+    entries = _laid_out(rng, _entries(rng, shape, eps), layout)
+    before = entries.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dep = binarize(entries, eps)
+    expected = np.abs(np.asarray(entries, float)) > eps
+    assert dep.dtype == bool and dep.shape == shape
+    assert np.array_equal(dep, expected)
+    assert np.array_equal(entries, before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=_pass_shapes(), where=st.sampled_from(["first", "middle", "last"]),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]), seed=st.integers(0, 2**32 - 1),
+       epsilon=st.one_of(st.just(0.0), st.sampled_from(_BAD_EPSILONS)))
+@example(shape=(2 * (_PASS // 9) + 1, 9), where="last", bad=np.nan, seed=0, epsilon=0.0)
+@example(shape=(2, _PASS + 1), where="last", bad=-np.inf, seed=0, epsilon=True)
+def test_binarize_finds_a_non_finite_entry_in_any_pass(shape, where, bad, seed, epsilon):
+    # The entry's fault is raised before a bad epsilon's, with no warning.
+    rng = np.random.default_rng(seed)
+    entries = rng.normal(size=shape)
+    height, width = shape
+    per_pass = max(1, _PASS // width)
+    last = (height - 1) // per_pass  # index of the last pass
+    first_row = {"first": 0, "middle": last // 2, "last": last}[where] * per_pass
+    row = rng.integers(first_row, min(height, first_row + per_pass))
+    entries[row, rng.integers(width)] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^design matrix entries must all be finite$"):
+            binarize(entries, epsilon)
+
+
+def test_classify_makes_no_float_copy_of_a_float64_matrix():
+    # The pattern (n**2 bytes) is the only full-size array classify makes;
+    # a float copy or a bool temporary beside it would pass 1.6 n**2.
+    n = 1000
+    ring = np.eye(n) + np.roll(np.eye(n), 1, axis=1)
+    tracemalloc.start()
+    try:
+        assert isinstance(classify(ring), Coupled)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * n * n
 
 
 # ---------------------------------------------------------------------------
