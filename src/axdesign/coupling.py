@@ -25,22 +25,26 @@ peel that pairs every FR has found the only perfect matching and an
 adjustment order at once: the design is uncoupled or decoupled. An FR left
 with no DP means no perfect matching exists. Only when the peel stalls
 does the whole pattern go on: find a perfect FR-DP matching (MC21, Duff
-1981), build the digraph on matched pairs (pair p depends on pair q when
-p's FR is influenced by q's DP), and take its strongly connected
-components. This is the Dulmage-Mendelsohn decomposition of the pattern
-into block-triangular form (Duff & Reid): the components are the diagonal
-blocks, and listed in dependency order they make the permuted matrix block
-lower-triangular.
+1981, searched in the phases of Pothen & Fan 1990: the searches of a phase
+share one set of visited DPs, and an FR stops looking ahead for an
+unmatched DP once its row has none), build the digraph on matched pairs
+(pair p depends on pair q when p's FR is influenced by q's DP), and take
+its strongly connected components. This is the Dulmage-Mendelsohn
+decomposition of the pattern into block-triangular form (Duff & Reid):
+the components are the diagonal blocks, and listed in dependency order
+they make the permuted matrix block lower-triangular.
 
-A coupled result's pairs are one perfect matching, the one MC21 finds; only
-the blocks' FR and DP sets and their order are the same for every perfect
-matching (Pothen & Fan 1990). Orders and block listings break ties by FR
-declaration order, so results are deterministic. The matcher and both
-graph searches keep explicit stacks, so no input depth recurses.
+A coupled result's pairs are one perfect matching, the one the matcher
+finds; only the blocks' FR and DP sets and their order are the same for
+every perfect matching (Pothen & Fan 1990). Orders and block listings
+break ties by FR declaration order, so results are deterministic. The
+matcher and both graph searches keep explicit stacks, so no input depth
+recurses.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import operator
@@ -176,23 +180,25 @@ def binarize(matrix, epsilon: float = 0.0) -> np.ndarray:
     try:
         eps = checked_epsilon(epsilon)
     except ValueError:
-        _pattern(entries, 0.0)  # a fault in the entries is raised first
+        _pattern(entries)  # a fault in the entries is raised first
         raise
     return _pattern(entries, eps)
 
 
-def _pattern(entries, eps):
-    """The pass of :func:`binarize` over a 2-D float64 array."""
+def _pattern(entries, eps=None):
+    """The pass of :func:`binarize` over a 2-D float64 array; with ``eps``
+    None, only its finite check (and None is returned)."""
     m, n = entries.shape
     step = max(1, _PASS_ENTRIES // n)  # rows per pass, at least one
-    dep = np.empty((m, n), dtype=bool)
+    dep = None if eps is None else np.empty((m, n), dtype=bool)
     scratch = np.empty((min(step, m), n))
     for start in range(0, m, step):
         block = entries[start:start + step]
         mag = np.abs(block, out=scratch[:len(block)])
         if not mag.max() <= _FLOAT_MAX:
             raise ValueError(_NON_FINITE)
-        np.greater(mag, eps, out=dep[start:start + step])
+        if dep is not None:
+            np.greater(mag, eps, out=dep[start:start + step])
     return dep
 
 
@@ -262,19 +268,35 @@ def _peel(dep, rows, width):
     return pairs
 
 
+@functools.lru_cache(maxsize=1)
+def _bits(width):
+    """The table ``bit`` with ``bit[b]`` the int of bit length ``b``, for b
+    from 1 to ``width``, and ``bit[0] = 0``. Cached for the last width, so
+    :func:`classify` and the matcher build it once; never written to."""
+    return [0] + [1 << k for k in range(width)]
+
+
 def _max_matching(rows, width):
     """A perfect matching of a square pattern as (``held``, ``owner``): the
     DP of each FR and the FR of each DP, DP j known by the bit length
-    ``width - j`` of its bit in :func:`_packed_rows`. None at the first FR
-    that cannot be matched (then no perfect matching exists).
+    ``width - j`` of its bit in :func:`_packed_rows`. None once it is shown
+    that no perfect matching exists.
 
-    MC21 (Duff 1981): a greedy start gives each FR, in index order, its
-    lowest unmatched DP. Each FR left over searches depth first, with a
-    stack in place of recursion, for an augmenting path, on which every FR
-    looks ahead for an unmatched DP before it descends into its lowest DP
-    not yet visited in this search.
+    MC21 (Duff 1981) in the phases of Pothen & Fan (1990): a greedy start
+    gives each FR, in index order, its lowest unmatched DP. The FRs left
+    over search for augmenting paths in phases, one after another in index
+    order, depth first with a stack in place of recursion. Every FR on a
+    path looks ahead for an unmatched DP before it descends into its lowest
+    DP not yet visited in this phase: the searches of a phase share one
+    visited set, so a phase visits each DP at most once. A search that
+    fails is kept for the next phase. A search that fails before any
+    search of its phase has augmented was blocked only by DPs from which no
+    augmenting path leads on, so its FR has no augmenting path, no perfect
+    matching exists, and None is returned at once; so every phase augments
+    at least once. A matched DP never becomes unmatched again, so once an
+    FR's row holds no unmatched DP its lookahead is retired for good.
     """
-    bit = [0] + [1 << k for k in range(width)]
+    bit = _bits(width)
     owner = [-1] * (width + 1)
     held = [0] * len(rows)
     unmatched = full = (1 << width) - 1
@@ -286,27 +308,37 @@ def _max_matching(rows, width):
             owner[b], held[fr] = fr, b
         else:
             left.append(fr)
-    for start in left:
-        free, frs, row = full, [start], rows[start]
-        while True:
-            b = (row & unmatched or row & free).bit_length()
-            if b:
-                fr = owner[b]
-                if fr < 0:
-                    break
-                free ^= bit[b]
-                frs.append(fr)
+    looking = [True] * len(rows)
+    while left:
+        free, augmented, failed = full, False, []
+        for start in left:
+            frs = [start]
+            while frs:
+                fr = frs[-1]
                 row = rows[fr]
+                if looking[fr]:
+                    b = (row & unmatched).bit_length()
+                    if b:
+                        break
+                    looking[fr] = False
+                b = (row & free).bit_length()
+                if b:
+                    free ^= bit[b]
+                    frs.append(owner[b])
+                else:
+                    frs.pop()
             else:
-                frs.pop()
-                if not frs:
+                if not augmented:
                     return None
-                row = rows[frs[-1]]
-        # Augment: each FR on the path takes the DP of the FR after it.
-        unmatched ^= bit[b]
-        for fr in reversed(frs):
-            owner[b] = fr
-            held[fr], b = b, held[fr]
+                failed.append(start)
+                continue
+            # Augment: each FR on the path takes the DP of the FR after it.
+            augmented = True
+            unmatched ^= bit[b]
+            for fr in reversed(frs):
+                owner[b] = fr
+                held[fr], b = b, held[fr]
+        left = failed
     return held, owner
 
 
@@ -377,14 +409,14 @@ def classify(matrix, epsilon: float = 0.0) -> Classification:
 
     # Pair i is FR i with its matched DP; pair i depends on pair j when FR i
     # is influenced by pair j's DP other than its own.
-    adj = []
+    bit, adj = _bits(width), []
     for row, b in zip(rows, held):
-        row ^= 1 << (b - 1)
+        row ^= bit[b]
         on = []
         while row:
             b = row.bit_length()
             on.append(owner[b])
-            row ^= 1 << (b - 1)
+            row ^= bit[b]
         adj.append(on)
 
     comps = _strongly_connected(adj)
@@ -439,13 +471,19 @@ def sequence(classification: Classification) -> tuple[tuple[int, int], ...]:
 
 
 def affected_frs(matrix, dp: int, epsilon: float = 0.0) -> set[int]:
-    """Indices of FRs influenced by DP ``dp`` (entries above ``epsilon``)."""
-    dep = binarize(matrix, epsilon)
-    n_dps = dep.shape[1]
+    """Indices of FRs influenced by DP ``dp`` (entries above ``epsilon``).
+
+    The matrix and ``epsilon`` are checked as :func:`binarize` checks them,
+    in its order and then the DP index, but only column ``dp`` is
+    thresholded."""
+    entries = _float64(matrix)
+    _pattern(entries)
+    eps = checked_epsilon(epsilon)
+    n_dps = entries.shape[1]
     try:
         index = operator.index(dp)
     except TypeError:
         index = -1
     if isinstance(dp, bool) or not 0 <= index < n_dps:
         raise ValueError(f"dp index {dp} out of range for {n_dps} DPs")
-    return set(np.flatnonzero(dep[:, index]).tolist())
+    return set(np.flatnonzero(np.abs(entries[:, index]) > eps).tolist())

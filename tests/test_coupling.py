@@ -426,6 +426,29 @@ def test_affected_frs_rejects_out_of_range_dp():
         affected_frs(np.eye(2), True)
 
 
+@settings(max_examples=60, deadline=None)
+@given(shape=_pass_shapes(), eps=_EPSILONS, seed=st.integers(0, 2**32 - 1),
+       layout=st.sampled_from(["c", "fortran", "strided", "read-only"]),
+       bad=st.sampled_from([None, np.nan, np.inf, -np.inf]))
+@example(shape=(2 * (_PASS // 9) + 1, 9), eps=0.0, seed=0, layout="c", bad=np.nan)
+def test_affected_frs_reads_the_column_of_the_pattern(shape, eps, seed, layout, bad):
+    # Only the DP's column is thresholded, but every entry is still checked.
+    rng = np.random.default_rng(seed)
+    entries = _entries(rng, shape, eps)
+    dp = int(rng.integers(shape[1]))
+    if bad is not None:
+        entries[rng.integers(shape[0]), rng.integers(shape[1])] = bad
+    entries = _laid_out(rng, entries, layout)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if bad is not None:
+            with pytest.raises(ValueError, match=r"^design matrix entries must all be finite$"):
+                affected_frs(entries, dp, eps)
+            return
+        got = affected_frs(entries, dp, eps)
+    assert got == set(np.flatnonzero(binarize(entries, eps)[:, dp]).tolist())
+
+
 # ---------------------------------------------------------------------------
 # Invariance and exhaustive agreement with the brute-force oracle
 
@@ -469,8 +492,9 @@ def test_block_structure_matches_matching_free_definition():
 # ---------------------------------------------------------------------------
 # Exact matchings: a coupled block's FR and DP sets and the order of the
 # blocks hold for every perfect matching, but which DP is listed beside
-# which FR is the matcher's choice, so these pin it (MC21: a greedy start in
-# FR index order, each FR taking its lowest free DP, then lookahead search).
+# which FR is the matcher's choice, so these pin it (a greedy start in FR
+# index order, each FR taking its lowest free DP, then lookahead searches in
+# Pothen-Fan phases).
 
 
 @pytest.mark.parametrize("mask, blocks", [
@@ -626,9 +650,10 @@ def _blocks_are_a_valid_listing(mask, blocks):
 
 
 # sha256 of the repr of every classification below, one per line. It holds
-# the coupled block listings, whose pairs come from the MC21 matching, so a
-# change of matcher re-pins it; the checks above it hold for any matching.
-ALL_PATTERNS_SHA256 = "85e440f643d5c73e28466f8255046acc845baa05f7667cde76faa86a14cefd8c"
+# the coupled block listings, whose pairs come from the matching that
+# _max_matching finds, so a change of matcher re-pins it; the checks above
+# it hold for any matching.
+ALL_PATTERNS_SHA256 = "6a114440764d2c1e09fe370a45497528ca1a39925616f3925731bb50b43de600"
 
 
 def test_every_pattern_up_to_four_by_four_matches_brute_force():
@@ -754,11 +779,13 @@ def _square_patterns(draw):
     """A random square pattern; or one with a perfect matching planted in
     it; or one with an easy prefix the greedy start matches in full, then k
     FRs confined to k - 1 DPs, so FRs are left over and the search must find
-    Hall's condition failing."""
+    Hall's condition failing; or permuted dense diagonal blocks of 2-6
+    pairs, each row with two entries into earlier blocks (n up to 60), which
+    leave the greedy start many FRs to search for."""
     n = draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mask = rng.random((n, n)) < draw(st.floats(0.0, 1.0))
-    shape = draw(st.sampled_from(["random", "planted", "confined"]))
+    shape = draw(st.sampled_from(["random", "planted", "confined", "block"]))
     if shape == "planted":
         mask[np.arange(n), rng.permutation(n)] = True
     elif shape == "confined":
@@ -766,11 +793,28 @@ def _square_patterns(draw):
         mask[np.arange(n - k), np.arange(n - k)] = True
         mask[n - k:, rng.choice(n, n - k + 1, replace=False)] = False
         mask = mask[:, rng.permutation(n)]
+    elif shape == "block":
+        sizes = rng.integers(2, 7, 30)
+        sizes = sizes[np.cumsum(sizes) <= draw(st.integers(6, 60))].tolist()
+        n = sum(sizes)
+        mask = np.zeros((n, n), dtype=bool)
+        start = 0
+        for size in sizes:
+            mask[start:start + size, start:start + size] = True
+            if start:
+                for _ in range(2):
+                    mask[np.arange(start, start + size), rng.integers(0, start, size)] = True
+            start += size
+        mask = mask[np.ix_(rng.permutation(n), rng.permutation(n))]
     return mask
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(mask=_square_patterns())
+# FR 0's lookahead finds DP 2 for FR 2's path, and FR 3's path needs it to
+# find DP 3 later: a lookahead retired while the row still holds an
+# unmatched DP misses that.
+@example(mask=np.array([[0, 1, 1, 1], [1, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=bool))
 def test_matcher_finds_a_perfect_matching_exactly_when_scipy_does(mask):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
@@ -786,3 +830,32 @@ def test_matcher_finds_a_perfect_matching_exactly_when_scipy_does(mask):
         assert sorted(dps) == list(range(n))
         assert all(mask[fr, dp] for fr, dp in enumerate(dps))
         assert all(owner[b] == fr for fr, b in enumerate(held))
+
+
+def _matching(mask):
+    rows, width = coupling._packed_rows(np.asarray(mask, dtype=bool))
+    matched = coupling._max_matching(rows, width)
+    return None if matched is None else [width - b for b in matched[0]]
+
+
+def test_a_search_blocked_by_its_phase_is_retried_in_the_next():
+    # The greedy start gives FRs 0, 1, 2 DPs 0, 2, 1 and leaves FRs 3 and 4.
+    # In phase 1 FR 3 takes DP 0 through FR 0, which moves to DP 3. Every
+    # path from FR 4 then passes DP 0 (DP 0 -> FR 3 -> DP 2 -> FR 1 -> DP 4
+    # is one), which this phase has visited, so FR 4 fails and waits for
+    # phase 2.
+    mask = [[1, 1, 1, 1, 0], [1, 0, 1, 0, 1], [1, 1, 0, 0, 0],
+            [1, 1, 1, 0, 0], [1, 1, 0, 0, 0]]
+    assert _matching(mask) == [3, 4, 1, 2, 0]
+    assert classify(np.asarray(mask, dtype=float)) == Coupled(
+        (((2, 1), (4, 0)), ((3, 2),), ((0, 3),), ((1, 4),)))
+
+
+def test_a_search_that_fails_after_its_phase_augmented_is_not_final():
+    # FRs 1-3 share DPs 0 and 2. FR 2 augments in phase 1, then FR 3 fails:
+    # in the same phase that proves nothing, so FR 3 searches again in
+    # phase 2, fails before any augmentation there, and that is the proof.
+    mask = [[1, 1, 0, 1], [1, 0, 1, 0], [1, 0, 1, 0], [1, 0, 1, 0]]
+    assert _matching(mask) is None
+    assert classify(np.asarray(mask, dtype=float)) == \
+        Degenerate(DegenerateReason.NO_PERFECT_MATCHING)
