@@ -214,19 +214,37 @@ def _build_model(spec: DesignSpec):
     return None
 
 
-def _auto_method(cls, pdfs_complete: bool, model) -> str:
-    if pdfs_complete and (cls is None or isinstance(cls, (Uncoupled, Degenerate))):
+def _route(method: str, cls, spec: DesignSpec, model) -> str:
+    """The route ``info`` runs: ``method``, or the one ``auto`` picks from
+    the pdfs, the classification and the sampling model."""
+    missing = [fr.id for fr in spec.frs if fr.id not in spec.system_pdfs]
+    independent = cls is None or isinstance(cls, (Uncoupled, Degenerate))
+    if method == "auto" and not missing and independent:
         return "analytic"
-    if model is not None:
+    if method == "auto" and model is not None:
         return "chain" if isinstance(cls, Decoupled) else "joint"
-    if pdfs_complete:
+    if method == "auto" and not missing:
         raise _Inapplicable(
             f"design is {cls.kind}, so independent per-FR pdfs cannot give "
             "the system probability, and the spec offers nothing to sample "
             "(no scenario block, no design matrix with DP pdfs)")
-    raise _Inapplicable(
-        "no estimation route available: FRs lack system pdfs and the spec "
-        "offers nothing to sample")
+    if method == "auto":
+        raise _Inapplicable(
+            "no estimation route available: FRs lack system pdfs and the spec "
+            "offers nothing to sample")
+    if method == "analytic" and missing:
+        raise _Inapplicable(
+            f"analytic route requires a system pdf for every FR "
+            f"(missing: {', '.join(missing)})")
+    if method == "analytic" and not independent:
+        raise _Inapplicable(
+            f"analytic route assumes independent FRs but the design is "
+            f"{cls.kind}; use --method chain or joint")
+    if method != "analytic" and model is None:
+        raise _Inapplicable(
+            f"the {method} estimator needs a sampling model: a scenario "
+            "block or a design matrix to propagate DP pdfs through")
+    return method
 
 
 def _cmd_info(args) -> int:
@@ -236,11 +254,8 @@ def _cmd_info(args) -> int:
     eps = _epsilon(args, spec)
     cls = classify(spec.matrix, eps) if spec.matrix is not None else None
 
-    pdfs_complete = all(fr.id in spec.system_pdfs for fr in spec.frs)
     model = _build_model(spec)
-    method = args.method
-    if method == "auto":
-        method = _auto_method(cls, pdfs_complete, model)
+    method = _route(args.method, cls, spec, model)
 
     warnings: list[str] = []
     ranges = [fr.design_range for fr in spec.frs]
@@ -249,15 +264,6 @@ def _cmd_info(args) -> int:
     pdf_labels: dict[str, str] = {}
 
     if method == "analytic":
-        if not pdfs_complete:
-            missing = [fr.id for fr in spec.frs if fr.id not in spec.system_pdfs]
-            raise _Inapplicable(
-                f"analytic route requires a system pdf for every FR "
-                f"(missing: {', '.join(missing)})")
-        if isinstance(cls, (Coupled, Decoupled)):
-            raise _Inapplicable(
-                f"analytic route assumes independent FRs but the design is "
-                f"{cls.kind}; use --method chain or joint")
         if cls is None:
             warnings.append("no design matrix; FR outcomes treated as independent")
         elif isinstance(cls, Degenerate):
@@ -269,10 +275,6 @@ def _cmd_info(args) -> int:
         report = system_information_independent(results, fr_ids=ids)
         pdf_labels = {fr.id: spec.system_pdfs[fr.id].describe() for fr in spec.frs}
     else:
-        if model is None:
-            raise _Inapplicable(
-                f"the {method} estimator needs a sampling model: a scenario "
-                "block or a design matrix to propagate DP pdfs through")
         if isinstance(model, ScenarioModel):
             _require(args.samples <= MAX_CYCLES,
                      f"--samples must be at most {MAX_CYCLES} on a scenario "

@@ -160,12 +160,13 @@ class RngState:
     stream: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) \
+                or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 
     def substream(self, key: int) -> "RngState":
         """Derive the independent substream identified by ``key``."""
-        if not isinstance(key, int) or key < 0:
+        if not isinstance(key, int) or isinstance(key, bool) or key < 0:
             raise ValueError("substream key must be a non-negative integer")
         return RngState(self.seed, self.stream + (key,))
 
@@ -589,10 +590,6 @@ def from_samples(values) -> Empirical:
     entries.
     """
     arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValueError("cannot build an empirical distribution from zero samples")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("empirical samples must all be finite")
     return Empirical(tuple(float(v) for v in arr))
 
 

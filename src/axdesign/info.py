@@ -46,7 +46,8 @@ call, and that one table is scored.
 
 Every route scores samples with one streaming tally: per-FR hits, and for
 each link of an FR order the rows inside every range so far (the joint
-route uses declaration order, so its last link is the joint count). A
+route uses declaration order, so its last link is the joint count). The
+tally is also the one place that checks for at least one design range. A
 sample value that is not finite, for instance a linear model whose finite
 entries overflow float64, raises :class:`~axdesign.errors.NonFiniteSamples`
 naming the FR.
@@ -55,6 +56,7 @@ naming the FR.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -121,9 +123,7 @@ class McConfig:
     n_samples: int = 100_000
 
     def __post_init__(self):
-        if not (isinstance(self.seed, int) and not isinstance(self.seed, bool)
-                and self.seed >= 0):
-            raise ValueError("seed must be a non-negative integer")
+        RngState(self.seed)  # the one seed rule
         if not (isinstance(self.n_samples, int) and not isinstance(self.n_samples, bool)
                 and self.n_samples >= 1):
             raise ValueError("n_samples must be a positive integer")
@@ -225,6 +225,8 @@ def _tally(tables, ranges, order, labels=None) -> tuple[int, list[int], list[int
     joint count. Only one chunk's worth of masks is held at a time.
     """
     bounds = [_bounds(r) for r in ranges]
+    if not bounds:
+        raise ValueError("at least one design range is required")
     m = len(bounds)
     n = 0
     hits = [0] * m
@@ -305,8 +307,6 @@ def system_information_joint(
     outcome vectors inside all ranges at once, and the per-FR rows are the
     marginal fractions. No independence assumption."""
     ranges = tuple(ranges)
-    if not ranges:
-        raise ValueError("at least one design range is required")
     hits, links = _draw_tally(model, ranges, range(len(ranges)), mc, fr_ids)
     return _joint_report(mc.n_samples, hits, links[-1], mc.seed, fr_ids)
 
@@ -321,8 +321,6 @@ def system_information_from_samples(
     (for example the output of a simulation run). ``seed`` is recorded for
     provenance when known."""
     ranges = tuple(ranges)
-    if not ranges:
-        raise ValueError("at least one design range is required")
     n, hits, links = _tally([samples], ranges, range(len(ranges)), fr_ids)
     return _joint_report(n, hits, links[-1], seed, fr_ids)
 
@@ -337,17 +335,16 @@ def conditional_chain_information(
     """Chained conditional information along ``order``.
 
     ``order`` is a permutation of the FR columns, given as integer indices
-    or as FR ids (the latter requires ``fr_ids`` naming the columns). Each
-    link's probability is estimated from the samples that satisfied every
-    earlier link, so the link product telescopes to the joint estimate for
-    the same seed and sample count; the system bits are the sum of the
-    per-link bits. A link that leaves zero surviving samples starves the
-    links after it: those are reported as zero probability with infinite
-    error, and a warning is attached.
+    (anything ``operator.index`` takes but a bool) or as FR ids (the latter
+    requires ``fr_ids`` naming the columns). Each link's probability is
+    estimated from the samples that satisfied every earlier link, so the
+    link product telescopes to the joint estimate for the same seed and
+    sample count; the system bits are the sum of the per-link bits. A link
+    that leaves zero surviving samples starves the links after it: those
+    are reported as zero probability with infinite error, and a warning is
+    attached.
     """
     ranges = tuple(ranges)
-    if not ranges:
-        raise ValueError("at least one design range is required")
     labels = tuple(fr_ids) if fr_ids is not None else None
     idx_order = _resolve_order(order, len(ranges), labels)
     _, links = _draw_tally(model, ranges, idx_order, mc, labels)
@@ -393,8 +390,8 @@ def _resolve_order(order, n_frs: int, labels: tuple[str, ...] | None) -> list[in
             if entry not in labels:
                 raise ValueError(f"unknown FR id in order: {entry!r}")
             resolved.append(labels.index(entry))
-        elif isinstance(entry, int) and not isinstance(entry, bool):
-            resolved.append(entry)
+        elif hasattr(entry, "__index__") and not isinstance(entry, bool):
+            resolved.append(operator.index(entry))
         else:
             raise ValueError(f"order entries must be FR indices or ids, got {entry!r}")
     if sorted(resolved) != list(range(n_frs)):

@@ -43,7 +43,7 @@ import numpy as np
 from .coupling import checked_epsilon, frozen_matrix
 from .distributions import Empirical, Normal, Pdf, Triangular, Uniform
 from .errors import SpecFormatError
-from .tank import TankConfig
+from .tank import _NOISE_CHANNELS, TankConfig
 
 __all__ = [
     "DesignRange",
@@ -250,7 +250,6 @@ def pdf_from_obj(obj, where: str = "pdf") -> Pdf:
 
 _SCENARIO_NUMBERS = ("level_low", "level_high", "temp_setpoint", "mix_duration", "timestep")
 _GAIN_KEYS = ("mixer_to_temp", "heater_to_level", "mixer_to_level")
-_NOISE_KEYS = ("level", "temp", "duration", "inlet")
 
 
 def _scenario_from_obj(obj, where="scenario") -> TankConfig:
@@ -269,7 +268,7 @@ def _scenario_from_obj(obj, where="scenario") -> TankConfig:
     if "sensor_noise" in obj:
         block = obj["sensor_noise"]
         _require_object(block, f"{where}.sensor_noise")
-        _check_keys(block, _NOISE_KEYS, f"{where}.sensor_noise")
+        _check_keys(block, _NOISE_CHANNELS, f"{where}.sensor_noise")
         kwargs["sensor_noise"] = {
             ch: pdf_from_obj(block[ch], f"{where}.sensor_noise.{ch}") for ch in block
         }

@@ -184,20 +184,20 @@ def render_text(doc: dict) -> str:
             rng = row["design_range"]
             lines.append(
                 f"{row['fr']:<{width}}"
-                f"{_fmt_num(_as_float(row['probability'])):>14}"
-                f"{_fmt_num(_as_float(row['bits'])):>12}"
-                f"{_fmt_num(_as_float(row['std_error'])):>12}"
+                f"{_fmt_num(row['probability']):>14}"
+                f"{_fmt_num(row['bits']):>12}"
+                f"{_fmt_num(row['std_error']):>12}"
                 f"  [{_fmt_num(rng['lower'])}, {_fmt_num(rng['upper'])}]"
                 f"  {row['system_pdf']}")
         lines.append(
             f"{'system':<{width}}"
-            f"{_fmt_num(_as_float(info['system_probability'])):>14}"
-            f"{_fmt_num(_as_float(info['system_bits'])):>12}")
+            f"{_fmt_num(info['system_probability']):>14}"
+            f"{_fmt_num(info['system_bits']):>12}")
         if info.get("mc"):
             mc = info["mc"]
             lines.append(
                 f"monte carlo: seed {mc['seed']}, {mc['n_samples']} samples, "
-                f"system std_error {_fmt_num(_as_float(mc['std_error']))}")
+                f"system std_error {_fmt_num(mc['std_error'])}")
     if doc.get("csv"):
         lines.append(f"samples written to {doc['csv']}")
     if "issues" in doc:
@@ -209,10 +209,3 @@ def render_text(doc: dict) -> str:
     for warning in doc.get("warnings", ()):
         lines.append(f"warning: {warning}")
     return "\n".join(lines) + "\n"
-
-
-def _as_float(x) -> float:
-    # Infinities travel as the strings "inf"/"-inf" in document form.
-    if isinstance(x, str):
-        return math.inf if x == "inf" else -math.inf
-    return float(x)

@@ -41,6 +41,7 @@ chosen so that the noiseless, uncoupled cycle reproduces exactly
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -120,13 +121,13 @@ def _first(can, lo: int, hi: int, guess: float) -> int:
     """The first ``t`` in [lo, hi) with ``can(t)``, or ``hi`` if none; ``can``
     must be non-decreasing in ``t``.
 
-    The search gallops (Bentley & Yao, IPL 1976) from ``ceil(guess)``
-    clipped into [lo, hi], a NaN guess counting as ``lo``, by steps of 1, 2,
-    4, ... until it brackets the answer, then bisects the bracket. It is
-    exact for every guess, and costs two ``can`` calls when ``ceil(guess)``
-    is the answer, O(log error) calls otherwise. A non-increasing ``can`` is
-    found exactly too when the guess is at most ``lo``: ``lo`` if
-    ``can(lo)``, else ``hi``.
+    Two probes settle ``t = ceil(guess)``, clipped into [lo, hi] with a NaN
+    guess counting as ``lo``: it is the answer if ``can(t)`` and not
+    ``can(t - 1)``. Otherwise ``bisect`` searches the side of ``t`` the
+    probes leave, in at most ``(hi - lo).bit_length()`` more calls, so the
+    search is exact for every guess. A non-increasing ``can`` is found
+    exactly too when the guess is at most ``lo``: ``lo`` if ``can(lo)``,
+    else ``hi``.
     """
     if guess >= hi:
         t = hi
@@ -134,32 +135,13 @@ def _first(can, lo: int, hi: int, guess: float) -> int:
         t = math.ceil(guess)
     else:
         t = lo
-    # The loops keep ``below < answer <= above``, with ``can(below)`` false or
-    # ``below == lo - 1``, and ``can(above)`` true or ``above == hi``.
-    step = 1
     if t < hi and not can(t):
-        below, above = t, hi
-        while below + step < hi:
-            if can(below + step):
-                above = below + step
-                break
-            below += step
-            step *= 2
+        lo = t + 1
+    elif t > lo and can(t - 1):
+        hi = t - 1
     else:
-        below, above = lo - 1, t
-        while above - step >= lo:
-            if not can(above - step):
-                below = above - step
-                break
-            above -= step
-            step *= 2
-    while above - below > 1:
-        mid = (below + above) // 2
-        if can(mid):
-            above = mid
-        else:
-            below = mid
-    return above
+        return t
+    return lo + bisect.bisect_left(range(lo, hi), True, key=can)
 
 
 def _cross(stream, pdf, start, step, target, bias, upward, cycle, what):
@@ -176,8 +158,8 @@ def _cross(stream, pdf, start, step, target, bias, upward, cycle, what):
     return, crosses. While the trajectory approaches the target that test
     is non-decreasing in t, and the closed form
     ``(target + bias - reach - start) / step`` puts its first true reading
-    within rounding, so :func:`_first` gallops from there, on scalars (the
-    same float operations as on an array), and usually tests two readings.
+    within rounding, so :func:`_first` tests that reading and the one
+    before it on scalars (the same float operations as on an array).
     A level or receding trajectory can cross only from the chunk's first
     reading on, so its search starts there. ``stream.skip`` passes over
     the values of the earlier readings, the rest are drawn and tested

@@ -19,7 +19,7 @@ import pytest
 import axdesign
 from axdesign.cli import main
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 
 TANK = str(fixture_path("tank.json"))
 TWO_KNOB = str(fixture_path("faucet_two_knob.json"))
@@ -242,6 +242,26 @@ def test_info_analytic_without_pdfs_exits_four(capsys):
     code, out, err = run(capsys, "info", TURBULENT, "--method", "analytic")
     assert code == 4
     assert "missing" in err
+
+
+FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.json"))
+# The fixtures whose FRs lack system pdfs or are coupled or decoupled.
+NOT_ANALYTIC = {"faucet_two_knob", "machining_cascade", "nonsquare", "tank_turbulent"}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_info_auto_prints_the_report_of_the_route_it_names(capsys, name):
+    path = str(fixture_path(f"{name}.json"))
+    flags = ("info", path, "--seed", "3", "--samples", "500")
+    code, auto, err = run(capsys, *flags)
+    assert (code, err) == (0, "")
+    method = json.loads(auto)["info"]["method"]
+    assert run(capsys, *flags, "--method", method) == (0, auto, "")
+    code, out, err = run(capsys, *flags, "--method", "analytic")
+    if name in NOT_ANALYTIC:
+        assert (code, out) == (4, "") and err.startswith("error: analytic route ")
+    else:
+        assert (code, err) == (0, "")
 
 
 def test_info_joint_on_scenario_spec(capsys):

@@ -345,6 +345,11 @@ def test_rng_state_validation():
         RngState(seed=-1)
     with pytest.raises(ValueError):
         RngState(seed=0).substream(-2)
+    # Booleans are neither seeds nor substream keys.
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+        RngState(seed=True)
+    with pytest.raises(ValueError, match="^substream key must be a non-negative integer$"):
+        RngState(seed=0).substream(True)
     with pytest.raises(ValueError):
         draw_from(Uniform(0.0, 1.0), RngState(seed=0).generator(), -1)
 

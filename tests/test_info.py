@@ -160,6 +160,8 @@ def test_mc_config_validation():
         McConfig(n_samples=0)
     with pytest.raises(ValueError):
         McConfig(seed=True)  # booleans are not seeds
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+        McConfig(seed=1.0)
     assert McConfig().n_samples == 100_000
 
 
@@ -316,6 +318,14 @@ def test_chain_accepts_fr_ids_as_order():
     assert by_id.fr_ids == ("down", "up")  # chain rows follow chain order
 
 
+def test_chain_accepts_numpy_integer_order():
+    model, ranges = _cascade_model()
+    mc = McConfig(seed=3, n_samples=5_000)
+    order = np.argsort([2.0, 1.0])  # int64 entries: [1, 0]
+    assert conditional_chain_information(model, order, ranges, mc) == \
+        conditional_chain_information(model, [1, 0], ranges, mc)
+
+
 def test_chain_order_validation():
     model, ranges = _cascade_model()
     with pytest.raises(ValueError, match="permutation"):
@@ -325,6 +335,9 @@ def test_chain_order_validation():
     with pytest.raises(ValueError, match="unknown FR id"):
         conditional_chain_information(model, ["a", "nope"], ranges,
                                       fr_ids=("a", "b"))
+    for bad in ([True, False], [np.True_, np.False_], [1.0, 0.0]):
+        with pytest.raises(ValueError, match="order entries must be FR indices or ids"):
+            conditional_chain_information(model, bad, ranges)
 
 
 def test_chain_starvation_reports_downstream_links_as_unbounded():

@@ -378,6 +378,32 @@ def test_first_equals_a_linear_scan_from_any_guess(lo, width, threshold, guess):
         assert _first(lambda t: t < threshold, lo, hi, guess) == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.integers(-2**53, 2**53),
+    width=st.integers(0, 2**53),
+    where=st.floats(0.0, 1.0),
+    guess=st.one_of(st.floats(), st.integers(-2**60, 2**60)),
+)
+def test_first_stays_bounded_when_the_guess_is_wrong(lo, width, where, guess):
+    # Rounding-coarse trajectories put the closed-form guess far from the
+    # first reading that can cross; the search must still end quickly.
+    hi = lo + width
+    answer = lo + int(where * width)
+    if isinstance(guess, int):  # an offset from the answer
+        guess = float(answer + guess)
+    calls = 0
+
+    def can(t):
+        nonlocal calls
+        assert lo <= t < hi
+        calls += 1
+        return t >= answer
+
+    assert _first(can, lo, hi, guess) == answer
+    assert calls <= width.bit_length() + 3
+
+
 def test_simulate_assigns_the_generator_state_only_to_draw():
     # Seats and skips are bookkeeping: each state assignment happens inside
     # a draw, so a cycle's seat and its first skip cost one assignment.
