@@ -223,11 +223,8 @@ def _route(method: str, cls, spec: DesignSpec, model) -> str:
         return "analytic"
     if method == "auto" and model is not None:
         return "chain" if isinstance(cls, Decoupled) else "joint"
-    if method == "auto" and not missing:
-        raise _Inapplicable(
-            f"design is {cls.kind}, so independent per-FR pdfs cannot give "
-            "the system probability, and the spec offers nothing to sample "
-            "(no scenario block, no design matrix with DP pdfs)")
+    # No model means no matrix, so cls is None and auto has already taken
+    # the analytic route unless some FR lacks a system pdf.
     if method == "auto":
         raise _Inapplicable(
             "no estimation route available: FRs lack system pdfs and the spec "

@@ -89,18 +89,10 @@ def _float64(entries, copy=None) -> np.ndarray:
     return arr
 
 
-def _checked(entries, copy=None) -> np.ndarray:
-    """``entries`` as a 2-D, non-empty, finite float array, copied only if
-    needed or if ``copy``."""
-    arr = _float64(entries, copy)
-    if not np.isfinite(arr).all():
-        raise ValueError(_NON_FINITE)
-    return arr
-
-
 def frozen_matrix(entries) -> np.ndarray:
     """A read-only copy of ``entries``, checked as a design matrix."""
-    arr = _checked(entries, copy=True)
+    arr = _float64(entries, copy=True)
+    _pattern(arr)
     arr.setflags(write=False)
     return arr
 

@@ -144,6 +144,11 @@ _U_LO = 2.0**-54
 _U_HI = 1.0 - 2.0**-53
 
 
+def is_count(value, most=math.inf) -> bool:
+    """Whether ``value`` is an int in [1, ``most``]; a bool is not."""
+    return isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= most
+
+
 @dataclass(frozen=True)
 class RngState:
     """Serializable random generator state.

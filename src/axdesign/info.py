@@ -63,7 +63,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import Pdf, RngState, Substreams
+from .distributions import Pdf, RngState, Substreams, is_count
 from .errors import NonFiniteSamples
 from .model import DesignRange, range_bounds
 
@@ -124,8 +124,7 @@ class McConfig:
 
     def __post_init__(self):
         RngState(self.seed)  # the one seed rule
-        if not (isinstance(self.n_samples, int) and not isinstance(self.n_samples, bool)
-                and self.n_samples >= 1):
+        if not is_count(self.n_samples):
             raise ValueError("n_samples must be a positive integer")
 
 

@@ -1,12 +1,12 @@
 """Deterministic report rendering.
 
-Reports are plain dict documents with a fixed key order, rendered to JSON
-by a renderer that owns the float format: finite floats are written with
-17 significant digits (enough to round-trip IEEE doubles), infinities are
-written as the JSON strings ``"inf"`` / ``"-inf"`` because infinite bits
-are a legitimate result, not an error. Identical inputs therefore produce
-byte-identical output. The text format is a human-oriented view of the
-same document and is never parsed back.
+Reports are plain dict documents with a fixed key order. JSON output is
+the stdlib encoder's (``indent=2``), so a float is written as Python's
+shortest round-trip ``repr``. Infinities are written as the JSON strings
+``"inf"`` / ``"-inf"``, because infinite bits are a legitimate result,
+not an error, and NaN is refused, so the output is strict JSON. Identical
+inputs therefore produce byte-identical output. The text format is a
+human-oriented view of the same document and is never parsed back.
 """
 
 from __future__ import annotations
@@ -28,56 +28,24 @@ __all__ = [
 ]
 
 
-def _float_token(x: float) -> str:
-    if math.isnan(x):
-        raise ValueError("reports must not contain NaN")
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(x, ".17g")
-
-
-def _render(value, indent: int, out: list) -> None:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+def _strict(value):
+    """``value`` with every infinity as the string ``"inf"`` / ``"-inf"``;
+    NaN raises."""
+    if isinstance(value, float):
+        if math.isnan(value):
+            raise ValueError("reports must not contain NaN")
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return value
     if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
-            out.append(f"{inner}{json.dumps(str(key))}: ")
-            _render(item, indent + 1, out)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(value):
-            out.append(inner)
-            _render(item, indent + 1, out)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif value is None:
-        out.append("null")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(_float_token(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    else:
-        raise TypeError(f"cannot render {type(value).__name__} in a report")
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
 
 
 def render_json(doc: dict) -> str:
-    out: list[str] = []
-    _render(doc, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return json.dumps(_strict(doc), indent=2) + "\n"
 
 
 def spec_echo(spec: DesignSpec) -> dict:
@@ -145,12 +113,6 @@ def info_doc(report: SystemInfoReport, spec: DesignSpec,
     return doc
 
 
-def _fmt_num(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".6g")
-
-
 def render_text(doc: dict) -> str:
     """Aligned, human-oriented view of a report document."""
     lines: list[str] = []
@@ -184,20 +146,20 @@ def render_text(doc: dict) -> str:
             rng = row["design_range"]
             lines.append(
                 f"{row['fr']:<{width}}"
-                f"{_fmt_num(row['probability']):>14}"
-                f"{_fmt_num(row['bits']):>12}"
-                f"{_fmt_num(row['std_error']):>12}"
-                f"  [{_fmt_num(rng['lower'])}, {_fmt_num(rng['upper'])}]"
+                f"{row['probability']:>14.6g}"
+                f"{row['bits']:>12.6g}"
+                f"{row['std_error']:>12.6g}"
+                f"  [{rng['lower']:.6g}, {rng['upper']:.6g}]"
                 f"  {row['system_pdf']}")
         lines.append(
             f"{'system':<{width}}"
-            f"{_fmt_num(info['system_probability']):>14}"
-            f"{_fmt_num(info['system_bits']):>12}")
+            f"{info['system_probability']:>14.6g}"
+            f"{info['system_bits']:>12.6g}")
         if info.get("mc"):
             mc = info["mc"]
             lines.append(
                 f"monte carlo: seed {mc['seed']}, {mc['n_samples']} samples, "
-                f"system std_error {_fmt_num(mc['std_error'])}")
+                f"system std_error {mc['std_error']:.6g}")
     if doc.get("csv"):
         lines.append(f"samples written to {doc['csv']}")
     if "issues" in doc:

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Pdf, RngState, Substreams, draw_from
+from .distributions import Pdf, RngState, Substreams, draw_from, is_count
 from .errors import SimulationDivergence
 
 __all__ = ["TankConfig", "tank_response"]
@@ -100,7 +100,8 @@ class TankConfig:
             self.mix_duration, self.mixer_to_temp, self.heater_to_level,
             self.mixer_to_level, self.timestep,
         )
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in numbers):
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   and math.isfinite(v) for v in numbers):
             raise ValueError("tank configuration values must be finite numbers")
         if not self.level_low < self.level_high:
             raise ValueError("level_low must be below level_high")
@@ -108,7 +109,7 @@ class TankConfig:
             raise ValueError("mix_duration must be positive")
         if self.timestep <= 0:
             raise ValueError("timestep must be positive")
-        if not (isinstance(self.cycles, int) and 1 <= self.cycles <= MAX_CYCLES):
+        if not is_count(self.cycles, MAX_CYCLES):
             raise ValueError(f"cycles must be an integer in [1, {MAX_CYCLES}]")
         for name, pdf in self.sensor_noise.items():
             if name not in _NOISE_CHANNELS:
@@ -236,13 +237,14 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
     bookkeeping, so a noisy crossing search costs at most one state
     assignment, made at its first draw, and a noiseless cycle none.
 
-    Raises ``ValueError`` for a cycle count outside [1, ``MAX_CYCLES``],
-    before allocating the table, and :class:`SimulationDivergence` (with the
-    cycle index) when a controlled phase fails to cross its setpoint within
-    a generous budget of sensor readings.
+    Raises ``ValueError``, before allocating the table, for a cycle count
+    that is not an int in [1, ``MAX_CYCLES``] (a bool is not), and
+    :class:`SimulationDivergence` (with the cycle index) when a controlled
+    phase fails to cross its setpoint within a generous budget of sensor
+    readings.
     """
     n = config.cycles if cycles is None else cycles
-    if not 1 <= n <= MAX_CYCLES:
+    if not is_count(n, MAX_CYCLES):
         raise ValueError(f"cycle count must be in [1, {MAX_CYCLES}]")
     dt = config.timestep
     noise = config.sensor_noise

@@ -258,7 +258,7 @@ def test_matrices_are_checked_and_stored_read_only():
             with pytest.raises(ValueError):
                 take(bad)
     entries = np.eye(2)
-    assert coupling._checked(entries) is entries
+    assert coupling._float64(entries) is entries
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,8 @@ def test_mc_config_validation():
         McConfig(n_samples=0)
     with pytest.raises(ValueError):
         McConfig(seed=True)  # booleans are not seeds
+    with pytest.raises(ValueError, match="^n_samples must be a positive integer$"):
+        McConfig(n_samples=True)
     with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
         McConfig(seed=1.0)
     assert McConfig().n_samples == 100_000

@@ -31,12 +31,11 @@ from conftest import load_spec
 
 
 def test_floats_round_trip_through_the_json_text():
-    doc = {"x": 1.0 / 3.0, "y": 0.1 + 0.2, "z": 1e-300}
+    doc = {"x": 1.0 / 3.0, "y": 0.1 + 0.2, "z": 1e-300, "zero": 0.0, "short": 6.95}
     text = render_json(doc)
-    parsed = json.loads(text)
-    assert parsed["x"] == doc["x"]
-    assert parsed["y"] == doc["y"]
-    assert parsed["z"] == doc["z"]
+    assert json.loads(text) == doc
+    for key, value in doc.items():
+        assert f'"{key}": {value!r}' in text
 
 
 def test_infinities_render_as_strings():

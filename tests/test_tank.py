@@ -54,6 +54,12 @@ def test_tank_config_validation():
         TankConfig(sensor_noise={"pressure": Normal(0.0, 1.0)})
     with pytest.raises(ValueError):
         TankConfig(sensor_noise={"level": 0.5})  # not a Pdf
+    with pytest.raises(ValueError):
+        TankConfig(cycles=True)
+    with pytest.raises(ValueError):
+        TankConfig(timestep=True)
+    with pytest.raises(ValueError, match="cycle count"):
+        simulate(TankConfig(), RngState(seed=0), cycles=True)
 
 
 # ---------------------------------------------------------------------------
