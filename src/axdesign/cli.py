@@ -32,11 +32,10 @@ not imported until a Normal pdf needs its CDF or a draw, so ``classify``,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .coupling import Coupled, Decoupled, Degenerate, Uncoupled, classify
-from .distributions import RngState, from_samples
+from .distributions import RngState, from_samples, is_real
 from .errors import NonFiniteSamples, SimulationDivergence, SpecFormatError
 from .info import (McConfig, conditional_chain_information, fr_information,
                    system_information_from_samples,
@@ -155,7 +154,7 @@ def _require(condition: bool, message: str) -> None:
 def _epsilon(args, spec: DesignSpec) -> float:
     if args.epsilon is None:
         return spec.epsilon
-    _require(math.isfinite(args.epsilon) and args.epsilon >= 0,
+    _require(is_real(args.epsilon) and args.epsilon >= 0,
              "--epsilon must be a finite number >= 0")
     return float(args.epsilon)
 

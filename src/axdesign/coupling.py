@@ -48,12 +48,13 @@ import functools
 import heapq
 import itertools
 import operator
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar
 
 import numpy as np
+
+from .distributions import _FLOAT_MAX, is_real
 
 __all__ = [
     "DegenerateReason",
@@ -70,7 +71,6 @@ __all__ = [
 
 
 _NON_FINITE = "design matrix entries must all be finite"
-_FLOAT_MAX = sys.float_info.max
 
 
 def _float64(entries, copy=None) -> np.ndarray:
@@ -143,10 +143,9 @@ Classification = Uncoupled | Decoupled | Coupled | Degenerate
 
 
 def checked_epsilon(epsilon) -> float:
-    """``epsilon`` as a float; ValueError unless it is a finite number >= 0
-    (a bool is not a number here)."""
-    if (isinstance(epsilon, bool) or not isinstance(epsilon, (int, float))
-            or not 0 <= epsilon <= _FLOAT_MAX):  # False for nan
+    """``epsilon`` as a float; ValueError unless it is a finite number
+    (:func:`~axdesign.distributions.is_real`) >= 0."""
+    if not (is_real(epsilon) and epsilon >= 0):
         raise ValueError("epsilon must be a finite number >= 0")
     return float(epsilon)
 

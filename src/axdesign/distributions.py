@@ -58,6 +58,7 @@ of many substreams in one pass.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -123,7 +124,7 @@ def _scale(lo: float, hi: float) -> float:
     of the subnormal range, so formulas on the scaled parameters give the
     bits of the unscaled ones wherever those do not overflow.
     """
-    width = hi - lo
+    width = float(hi) - float(lo)  # an int's square may be past float64
     if math.isfinite(width * width):
         return 1.0
     return 2.0 ** (510 - math.frexp(hi * 0.5 - lo * 0.5)[1])
@@ -147,6 +148,18 @@ _U_HI = 1.0 - 2.0**-53
 def is_count(value, most=math.inf) -> bool:
     """Whether ``value`` is an int in [1, ``most``]; a bool is not."""
     return isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= most
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is an int or float, not a bool, within
+    +-``_FLOAT_MAX``: a finite float64 number. Python compares an int with a
+    float exactly, so an int beyond float64's range fails, as do nan and the
+    infinities; ``np.float64`` passes, as it subclasses float."""
+    return (type(value) is not bool and isinstance(value, (int, float))
+            and -_FLOAT_MAX <= value <= _FLOAT_MAX)
 
 
 @dataclass(frozen=True)
@@ -370,7 +383,7 @@ class Uniform(Pdf):
     hi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+        if not (is_real(self.lo) and is_real(self.hi)):
             raise ValueError("uniform bounds must be finite")
         if not self.lo < self.hi:
             raise ValueError(f"uniform requires lo < hi, got [{self.lo}, {self.hi}]")
@@ -414,7 +427,7 @@ class Normal(Pdf):
     sigma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+        if not (is_real(self.mu) and is_real(self.sigma)):
             raise ValueError("normal parameters must be finite")
         if self.sigma <= 0:
             raise ValueError(f"normal requires sigma > 0, got {self.sigma}")
@@ -477,7 +490,7 @@ class Triangular(Pdf):
     hi: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.lo, self.mode, self.hi)):
+        if not all(map(is_real, (self.lo, self.mode, self.hi))):
             raise ValueError("triangular parameters must be finite")
         if not (self.lo <= self.mode <= self.hi) or not self.lo < self.hi:
             raise ValueError(
@@ -561,9 +574,9 @@ class Empirical(Pdf):
     def __post_init__(self):
         if len(self.samples) == 0:
             raise ValueError("empirical distribution requires at least one sample")
-        arr = np.asarray(self.samples, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not all(map(is_real, self.samples)):
             raise ValueError("empirical samples must all be finite")
+        object.__setattr__(self, "samples", tuple(map(float, self.samples)))
 
     @cached_property
     def _sorted(self) -> np.ndarray:
@@ -589,13 +602,14 @@ class Empirical(Pdf):
 
 
 def from_samples(values) -> Empirical:
-    """Build an :class:`Empirical` distribution from observed values.
+    """Build an :class:`Empirical` distribution from observed values, a
+    sequence or an array of any shape.
 
-    Raises ``ValueError`` when ``values`` is empty or contains non-finite
-    entries.
+    Raises ``ValueError`` when ``values`` is empty or holds an entry that
+    is not a finite number (see :func:`is_real`). The entries are checked
+    as given: an array's are read as Python numbers, not cast to float64.
     """
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    return Empirical(tuple(float(v) for v in arr))
+    return Empirical(tuple(np.asarray(values, dtype=object).ravel().tolist()))
 
 
 def draw_from(pdf: Pdf, gen: Generator, n: int) -> np.ndarray:

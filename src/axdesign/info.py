@@ -63,7 +63,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import Pdf, RngState, Substreams, is_count
+from .distributions import Pdf, RngState, Substreams, is_count, is_real
 from .errors import NonFiniteSamples
 from .model import DesignRange, range_bounds
 
@@ -159,9 +159,13 @@ class SystemInfoReport:
 
 
 def _bounds(design_range) -> tuple[float, float]:
+    """The bounds of a DesignRange, or of a ``(lo, hi)`` pair of finite
+    numbers with ``lo <= hi``; ValueError for any other pair."""
     if isinstance(design_range, DesignRange):
         return range_bounds(design_range)
     lo, hi = design_range
+    if not (is_real(lo) and is_real(hi) and lo <= hi):
+        raise ValueError("design range bounds must be finite numbers with lo <= hi")
     return float(lo), float(hi)
 
 
@@ -349,24 +353,16 @@ def conditional_chain_information(
     _, links = _draw_tally(model, ranges, idx_order, mc, labels)
     n = mc.n_samples
 
-    per = []
-    survivors = n
-    starved_after = None
-    total_bits = 0.0
-    for position, idx in enumerate(idx_order):
-        if survivors == 0:
-            if starved_after is None:
-                prev = idx_order[position - 1]
-                starved_after = labels[prev] if labels else f"column {prev}"
-            per.append(InfoResult(0.0, math.inf, math.inf))
-            total_bits = math.inf
-            continue
-        res = _mc_result(links[position], survivors)
-        per.append(res)
-        total_bits += res.bits
-        survivors = links[position]
+    # Each link is scored on the rows that survived the links before it;
+    # once none survive, the links after are unbounded.
+    before = [n] + links[:-1]
+    per = [_mc_result(hits, survivors) if survivors else InfoResult(0.0, math.inf, math.inf)
+           for hits, survivors in zip(links, before)]
+    total_bits = sum(res.bits for res in per)
     warnings = []
-    if starved_after is not None:
+    if 0 in before:
+        prev = idx_order[before.index(0) - 1]
+        starved_after = labels[prev] if labels else f"column {prev}"
         warnings.append(
             f"sample starvation: no samples survived past {starved_after}; "
             "later links are reported as zero probability with infinite error")

@@ -26,7 +26,10 @@ Unknown fields are rejected everywhere. ``parse_spec`` reports JSON syntax
 errors with their position and type violations with the offending field
 path. The structural rules (at least one FR, unique ids, the matrix shape,
 pdf maps keyed by known FRs, the scenario's 3 FRs) are invariants of
-:class:`DesignSpec`, so they hold however a spec is built.
+:class:`DesignSpec`, so they hold however a spec is built. Likewise the
+scenario block's value rules (the cycle count, the sensor-noise channels,
+the levels and rates) live in :class:`~axdesign.tank.TankConfig`: the codec
+checks only the block's JSON fields and types.
 ``validate_spec`` reports only the semantic issues a well-formed spec may
 still have, as data rather than raising.
 """
@@ -35,15 +38,15 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coupling import checked_epsilon, frozen_matrix
-from .distributions import Empirical, Normal, Pdf, Triangular, Uniform
+from .distributions import (_FLOAT_MAX, Empirical, Normal, Pdf, Triangular, Uniform,
+                            is_real)
 from .errors import SpecFormatError
-from .tank import _NOISE_CHANNELS, TankConfig
+from .tank import TankConfig
 
 __all__ = [
     "DesignRange",
@@ -72,8 +75,7 @@ class DesignRange:
 
     def __post_init__(self):
         for name in ("nominal", "tol_minus", "tol_plus"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if not is_real(getattr(self, name)):
                 raise ValueError(f"design range {name} must be a finite number")
         if self.tol_minus < 0 or self.tol_plus < 0:
             raise ValueError("design range tolerances must be non-negative")
@@ -106,7 +108,7 @@ class DesignParameter:
     def __post_init__(self):
         if not self.id:
             raise ValueError("DP id must be a non-empty string")
-        if not (isinstance(self.nominal, (int, float)) and math.isfinite(self.nominal)):
+        if not is_real(self.nominal):
             raise ValueError(f"DP {self.id!r} nominal must be a finite number")
 
 
@@ -176,13 +178,13 @@ def _check_keys(obj, allowed, where):
             raise SpecFormatError(f"unknown field {key!r}", where)
 
 
-# A JSON number v is a finite float64 when -_FLOAT_MAX <= v <= _FLOAT_MAX.
-# Python compares an int with a float exactly, so the test refuses an integer
-# beyond float64's range, on which float(v) would raise OverflowError, and
-# it refuses nan and infinities too.
-_FLOAT_MAX = sys.float_info.max
 # The types json.loads gives numbers; bool is not among them.
 _NUMBER_TYPES = {int, float}
+
+
+def _fault(v) -> str:
+    """What a JSON value that is not a finite number fails to be."""
+    return "must be a finite number" if type(v) in _NUMBER_TYPES else "must be a number"
 
 
 def _number(obj, key, where, required=True, default=None):
@@ -191,10 +193,8 @@ def _number(obj, key, where, required=True, default=None):
             raise SpecFormatError(f"missing required field {key!r}", where)
         return default
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SpecFormatError(f"field {key!r} must be a number", where)
-    if not -_FLOAT_MAX <= v <= _FLOAT_MAX:
-        raise SpecFormatError(f"field {key!r} must be a finite number", where)
+    if not is_real(v):
+        raise SpecFormatError(f"field {key!r} {_fault(v)}", where)
     return float(v)
 
 
@@ -241,11 +241,9 @@ def pdf_from_obj(obj, where: str = "pdf") -> Pdf:
     if not isinstance(samples, list) or not samples:
         raise SpecFormatError("field 'samples' must be a non-empty array", where)
     for i, v in enumerate(samples):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SpecFormatError(f"samples[{i}] must be a number", where)
-        if not -_FLOAT_MAX <= v <= _FLOAT_MAX:
-            raise SpecFormatError(f"samples[{i}] must be a finite number", where)
-    return _made(where, Empirical, tuple(float(v) for v in samples))
+        if not is_real(v):
+            raise SpecFormatError(f"samples[{i}] {_fault(v)}", where)
+    return _made(where, Empirical, tuple(samples))
 
 
 _SCENARIO_NUMBERS = ("level_low", "level_high", "temp_setpoint", "mix_duration", "timestep")
@@ -255,20 +253,14 @@ _GAIN_KEYS = ("mixer_to_temp", "heater_to_level", "mixer_to_level")
 def _scenario_from_obj(obj, where="scenario") -> TankConfig:
     _require_object(obj, where)
     _check_keys(obj, _SCENARIO_NUMBERS + ("sensor_noise", "coupling_gains", "cycles"), where)
-    kwargs = {}
+    kwargs = {"cycles": obj["cycles"]} if "cycles" in obj else {}
     for key in _SCENARIO_NUMBERS:
         v = _number(obj, key, f"{where}.{key}", required=False)
         if v is not None:
             kwargs[key] = v
-    if "cycles" in obj:
-        v = obj["cycles"]
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise SpecFormatError("field 'cycles' must be an integer", where)
-        kwargs["cycles"] = v
     if "sensor_noise" in obj:
         block = obj["sensor_noise"]
         _require_object(block, f"{where}.sensor_noise")
-        _check_keys(block, _NOISE_CHANNELS, f"{where}.sensor_noise")
         kwargs["sensor_noise"] = {
             ch: pdf_from_obj(block[ch], f"{where}.sensor_noise.{ch}") for ch in block
         }
@@ -341,7 +333,7 @@ def _matrix_from_obj(raw) -> list:
             if not isinstance(row, list):
                 raise SpecFormatError(f"row {i} must be an array", "matrix")
             for j, v in enumerate(row):
-                if type(v) not in _NUMBER_TYPES or not -_FLOAT_MAX <= v <= _FLOAT_MAX:
+                if not is_real(v):
                     raise SpecFormatError(f"entry [{i}][{j}] must be a finite number",
                                           "matrix")
     return raw

@@ -34,14 +34,13 @@ has ``chunk_rows = None`` and its table is sampled in one call.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .coupling import _float64, frozen_matrix
-from .distributions import Pdf, RngState, Substreams, draw_from
+from .distributions import Pdf, RngState, Substreams, draw_from, is_real
 from .tank import TankConfig, simulate, tank_response
 
 __all__ = [
@@ -200,7 +199,7 @@ def estimate_design_matrix(model, dp_nominals, step: float) -> np.ndarray:
     x0 = np.asarray(dp_nominals, dtype=np.float64)
     if x0.ndim != 1 or x0.size == 0 or not np.all(np.isfinite(x0)):
         raise ValueError("dp_nominals must be a non-empty finite 1-D vector")
-    if not (isinstance(step, (int, float)) and math.isfinite(step) and step > 0):
+    if not (is_real(step) and step > 0):
         raise ValueError("step must be a positive finite number")
     columns = []
     for j in range(x0.size):

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Pdf, RngState, Substreams, draw_from, is_count
+from .distributions import Pdf, RngState, Substreams, draw_from, is_count, is_real
 from .errors import SimulationDivergence
 
 __all__ = ["TankConfig", "tank_response"]
@@ -100,8 +100,7 @@ class TankConfig:
             self.mix_duration, self.mixer_to_temp, self.heater_to_level,
             self.mixer_to_level, self.timestep,
         )
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                   and math.isfinite(v) for v in numbers):
+        if not all(map(is_real, numbers)):
             raise ValueError("tank configuration values must be finite numbers")
         if not self.level_low < self.level_high:
             raise ValueError("level_low must be below level_high")

@@ -95,6 +95,13 @@ def test_classify_epsilon_override(capsys, tmp_path):
     assert code == 0 and doc["classification"]["class"] == "uncoupled"
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+def test_classify_rejects_a_non_finite_or_negative_epsilon(capsys, epsilon):
+    code, out, err = run(capsys, "classify", TANK, "--epsilon", epsilon)
+    assert code == 1 and out == ""
+    assert err == "error: --epsilon must be a finite number >= 0\n"
+
+
 def test_classify_without_matrix_exits_one(capsys):
     code, out, err = run(capsys, "classify", TURBULENT)
     assert code == 1

@@ -8,6 +8,8 @@ geometry; they are frozen here rather than recomputed from package code.
 from __future__ import annotations
 
 import math
+import re
+import sys
 
 import mpmath
 import numpy as np
@@ -18,16 +20,22 @@ from numpy.random import SeedSequence
 from scipy import stats
 
 from axdesign import (
+    DesignParameter,
+    DesignRange,
     Empirical,
+    LinearModel,
     Normal,
     Pdf,
     RngState,
+    TankConfig,
     Triangular,
     Uniform,
     draw_from,
+    estimate_design_matrix,
     from_samples,
 )
-from axdesign.distributions import Substreams, _substream_keys
+from axdesign.coupling import checked_epsilon
+from axdesign.distributions import Substreams, _substream_keys, is_real
 
 # Any warning fails the tests so marked, bar one: a failing property's report
 # imports libcst, whose use of mypy_extensions.TypedDict warns, and as an
@@ -313,6 +321,54 @@ def test_invalid_parameters_are_rejected():
         from_samples([1.0, math.inf])
     with pytest.raises(ValueError):
         Empirical(())
+
+
+# Every constructor that takes a number from its caller, with the message it
+# raises for one that is not a finite float64 number.
+_ONE_DP_MODEL = LinearModel(np.eye(1), [Uniform(0.0, 1.0)])
+_FINITE_NUMBER_SLOTS = {
+    "uniform": (lambda v: Uniform(0.0, v), "uniform bounds must be finite"),
+    "normal": (lambda v: Normal(v, 1.0), "normal parameters must be finite"),
+    "triangular": (lambda v: Triangular(0.0, 0.5, v), "triangular parameters must be finite"),
+    "empirical": (lambda v: Empirical((v,)), "empirical samples must all be finite"),
+    "from_samples": (lambda v: from_samples([0.0, v]), "empirical samples must all be finite"),
+    "design_range": (lambda v: DesignRange(v, 0.1, 0.1),
+                     "design range nominal must be a finite number"),
+    "design_parameter": (lambda v: DesignParameter("x", v),
+                         "DP 'x' nominal must be a finite number"),
+    "tank_config": (lambda v: TankConfig(level_high=v),
+                    "tank configuration values must be finite numbers"),
+    "epsilon": (checked_epsilon, "epsilon must be a finite number >= 0"),
+    "step": (lambda v: estimate_design_matrix(_ONE_DP_MODEL, [0.0], v),
+             "step must be a positive finite number"),
+}
+
+
+@pytest.mark.parametrize("value", [True, 10**400, math.nan, math.inf, "1"],
+                         ids=["bool", "big_int", "nan", "inf", "str"])
+@pytest.mark.parametrize("slot", sorted(_FINITE_NUMBER_SLOTS))
+def test_constructors_take_only_finite_float64_numbers(slot, value):
+    make, message = _FINITE_NUMBER_SLOTS[slot]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make(value)
+
+
+@pytest.mark.parametrize("make", [
+    lambda c: Uniform(0, c), lambda c: Uniform(-c, c), lambda c: Triangular(-c, 0, c),
+], ids=["uniform", "uniform_wide", "triangular"])
+def test_int_parameters_give_what_their_floats_give(make):
+    # (hi - lo) ** 2 of these ints is past float64 while the ints are not.
+    as_int, as_float = make(10**300), make(1e300)
+    assert as_int.interval_probability(-1.0, 1.0) == as_float.interval_probability(-1.0, 1.0)
+    assert as_int.cdf(5.0) == as_float.cdf(5.0)
+
+
+def test_is_real_is_the_finite_float64_test():
+    for value in (0, -3, 0.5, np.float64(2.0), 2**1023, -sys.float_info.max):
+        assert is_real(value)
+    for value in (True, 10**400, -(10**400), math.nan, -math.inf, "1", None,
+                  np.int64(1), np.float32(1.0)):
+        assert not is_real(value)
 
 
 # ---------------------------------------------------------------------------

@@ -383,6 +383,25 @@ def test_sample_table_certain_rows_have_zero_error():
     assert report.mc.std_error == 0.0
 
 
+_ROUTES = {
+    "analytic": lambda r: fr_information(Uniform(-1.0, 1.0), r),
+    "joint": lambda r: system_information_joint(
+        LinearModel(np.eye(1), [Uniform(-1.0, 1.0)]), [r], McConfig(n_samples=10)),
+    "chain": lambda r: conditional_chain_information(
+        LinearModel(np.eye(1), [Uniform(-1.0, 1.0)]), [0], [r], McConfig(n_samples=10)),
+    "samples": lambda r: system_information_from_samples(np.zeros((4, 1)), [r]),
+}
+
+
+@pytest.mark.parametrize("pair", [(0.5, -0.5), (0, 10**400), (math.nan, 1.0), (True, 2)],
+                         ids=["reversed", "big_int", "nan", "bool"])
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_every_route_rejects_a_bad_range_pair(route, pair):
+    with pytest.raises(ValueError,
+                       match="^design range bounds must be finite numbers with lo <= hi$"):
+        _ROUTES[route](pair)
+
+
 def test_sample_table_validation():
     with pytest.raises(ValueError, match="shape"):
         system_information_from_samples(np.zeros((4, 3)), [(-1.0, 1.0)])

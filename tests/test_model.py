@@ -256,7 +256,8 @@ def test_scenario_cycles_must_be_an_integer():
         "dps": [],
         "scenario": {"cycles": 10.5},
     })
-    with pytest.raises(SpecFormatError, match="cycles"):
+    with pytest.raises(SpecFormatError,
+                       match=r"^scenario: cycles must be an integer in \[1, 10000000\]$"):
         parse_spec(doc)
 
 
@@ -266,7 +267,23 @@ def test_scenario_rejects_unknown_noise_channel():
         "dps": [],
         "scenario": {"sensor_noise": {"pressure": {"kind": "normal", "mu": 0, "sigma": 1}}},
     })
-    with pytest.raises(SpecFormatError, match="pressure"):
+    with pytest.raises(SpecFormatError,
+                       match="^scenario: unknown sensor noise channel 'pressure'$"):
+        parse_spec(doc)
+
+
+@pytest.mark.parametrize("token, kind", [
+    ("true", "number"), ('"1"', "number"), (str(10**400), "finite number"),
+    ("NaN", "finite number"), ("Infinity", "finite number"),
+])
+@pytest.mark.parametrize("pdf, field", [
+    ('{"kind": "uniform", "lo": 0, "hi": %s}', "field 'hi'"),
+    ('{"kind": "empirical", "samples": [0, %s]}', r"samples\[1\]"),
+])
+def test_pdf_numbers_must_be_finite(pdf, field, token, kind):
+    doc = ('{"frs": [{"id": "f", "nominal": 1, "tol_minus": 0.1, "tol_plus": 0.1}], '
+           '"dps": [], "system_pdfs": {"f": %s}}' % (pdf % token))
+    with pytest.raises(SpecFormatError, match=f"^system_pdfs.f: {field} must be a {kind}$"):
         parse_spec(doc)
 
 
