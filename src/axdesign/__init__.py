@@ -11,7 +11,7 @@ from .coupling import (Classification, Coupled, Decoupled, Degenerate,
 from .distributions import (Empirical, Normal, Pdf, RngState, Triangular,
                             Uniform, draw_from, from_samples)
 from .errors import SimulationDivergence, SpecFormatError
-from .info import (InfoResult, McConfig, McStats, Method, SystemInfoReport,
+from .info import (InfoResult, McConfig, McStats, SystemInfoReport,
                    bits_from_probability, conditional_chain_information,
                    fr_information, system_information_from_samples,
                    system_information_independent, system_information_joint)
@@ -38,7 +38,7 @@ __all__ = [
     "Classification", "Uncoupled", "Decoupled", "Coupled", "Degenerate",
     "DegenerateReason", "classify", "binarize", "sequence", "affected_frs",
     # information content
-    "InfoResult", "Method", "McConfig", "McStats", "SystemInfoReport",
+    "InfoResult", "McConfig", "McStats", "SystemInfoReport",
     "bits_from_probability", "fr_information",
     "system_information_independent", "system_information_joint",
     "system_information_from_samples", "conditional_chain_information",

@@ -10,8 +10,8 @@ Four subcommands over a JSON design-spec file:
   ``joint`` (plain joint Monte Carlo), or ``auto`` — analytic whenever
   every FR has a system pdf and the design is uncoupled (or there is no
   dependency structure to speak of), otherwise the Monte Carlo route that
-  fits the classification. Exit 4 when the requested route cannot run,
-  or when the Monte Carlo samples overflow float64.
+  fits the classification. Exit 4 when the requested route cannot run or
+  a linear model's samples overflow float64, 5 when a tank run diverges.
 * ``simulate`` — run the tank scenario, optionally write the per-cycle
   samples as CSV (``--out``), and report the empirical information
   content. Exit 5 if the simulation diverges.

@@ -54,7 +54,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .distributions import _FLOAT_MAX, is_real
+from .distributions import _FLOAT_MAX, float64_array, is_real
 
 __all__ = [
     "DegenerateReason",
@@ -75,17 +75,11 @@ _NON_FINITE = "design matrix entries must all be finite"
 
 def _float64(entries, copy=None) -> np.ndarray:
     """``entries`` as a 2-D, non-empty float64 array, copied only if needed
-    or if ``copy``. Entries are not checked, except that an integer beyond
-    float64 raises the message of a non-finite entry after the shape check."""
-    try:
-        arr = np.array(entries, dtype=np.float64, copy=copy)
-        overflow = False
-    except OverflowError:
-        arr, overflow = np.array(entries, dtype=object), True
+    or if ``copy``. Entries are not checked: an integer beyond float64 is
+    +-inf, which the finite check of :func:`_pattern` rejects."""
+    arr = float64_array(entries, copy)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError("design matrix must be 2-D with at least one row and column")
-    if overflow:
-        raise ValueError(_NON_FINITE)
     return arr
 
 

@@ -2,12 +2,12 @@
 
 Four distribution families are supported: uniform, normal, triangular and
 empirical (resampling from stored observations). Every family exposes an
-exact CDF and interval probabilities computed as CDF differences, so
-interval masses are additive and total mass is 1 to within floating point.
-Uniform and triangular pdfs integrate masses below 2**-10 directly, where a
-CDF difference would cancel, and work on parameters scaled by a power of two
-when their width squared overflows, so any finite parameters give finite
-CDFs, draws and masses.
+exact CDF of one float, ``cdf(x)``, and interval probabilities computed as
+CDF differences, so masses are additive and total mass is 1 to within
+floating point. Uniform and triangular pdfs integrate masses below 2**-10
+directly, where a CDF difference would cancel, and work on parameters
+scaled by a power of two when their width squared overflows, so any finite
+parameters give finite CDFs, draws and masses.
 
 Random number generation
 ------------------------
@@ -130,12 +130,13 @@ def _scale(lo: float, hi: float) -> float:
     return 2.0 ** (510 - math.frexp(hi * 0.5 - lo * 0.5)[1])
 
 
-def _square_over(d, width, side):
-    """``d ** 2 / (width * side)``. Where ``width * side`` is below the
-    normal range, ``d ** 2`` loses its bits too, down to 0 / 0, so the two
-    ratios ``d / width`` and ``d / side`` are multiplied instead."""
+def _square_over(d: float, width: float, side: float) -> float:
+    """``d * d / (width * side)`` (not ``d ** 2``, which Python does not
+    always round as ``d * d``). Where ``width * side`` is below the normal
+    range, ``d * d`` loses its bits too, down to 0 / 0, so the two ratios
+    ``d / width`` and ``d / side`` are multiplied instead."""
     if width * side >= 2.0**-1022:
-        return d ** 2 / (width * side)
+        return d * d / (width * side)
     return d / width * (d / side)
 
 
@@ -160,6 +161,20 @@ def is_real(value) -> bool:
     infinities; ``np.float64`` passes, as it subclasses float."""
     return (type(value) is not bool and isinstance(value, (int, float))
             and -_FLOAT_MAX <= value <= _FLOAT_MAX)
+
+
+def float64_array(values, copy=None) -> np.ndarray:
+    """``values`` as a float64 array, copied only if needed or if ``copy``.
+    An int beyond float64 becomes +-inf, for the caller's finite check to
+    reject; nothing else is checked."""
+    try:
+        return np.array(values, dtype=np.float64, copy=copy)
+    except OverflowError:
+        objects = np.array(values, dtype=object)
+        for i, value in np.ndenumerate(objects):
+            if isinstance(value, int) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+                objects[i] = math.inf if value > 0 else -math.inf
+        return objects.astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -349,14 +364,14 @@ def _open(u):
 class Pdf:
     """Base class for probability models."""
 
-    def cdf(self, x):
+    def cdf(self, x: float) -> float:
         raise NotImplementedError
 
     def interval_probability(self, lo: float, hi: float) -> float:
         """Probability mass on [lo, hi], computed as cdf(hi) - cdf(lo)."""
         if lo > hi:
             raise ValueError(f"interval lower bound {lo} exceeds upper bound {hi}")
-        return float(self.cdf(hi)) - float(self.cdf(lo))
+        return self.cdf(hi) - self.cdf(lo)
 
     def _transform(self, u):
         """The draw for ``u = gen.random()``, a float or an array of them.
@@ -394,10 +409,9 @@ class Uniform(Pdf):
         s = _scale(self.lo, self.hi)
         return s, self.lo * s, self.hi * s - self.lo * s
 
-    def cdf(self, x):
+    def cdf(self, x: float) -> float:
         s, lo, width = self._scaled
-        x = np.clip(np.asarray(x, dtype=np.float64), self.lo, self.hi)
-        return ((x * s - lo) / width)[()]
+        return (min(max(x, self.lo), self.hi) * s - lo) / width
 
     def interval_probability(self, lo: float, hi: float) -> float:
         p = super().interval_probability(lo, hi)
@@ -432,9 +446,8 @@ class Normal(Pdf):
         if self.sigma <= 0:
             raise ValueError(f"normal requires sigma > 0, got {self.sigma}")
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return ndtr((x - self.mu) / self.sigma)[()]
+    def cdf(self, x: float) -> float:
+        return float(ndtr((x - self.mu) / self.sigma))
 
     def interval_probability(self, lo: float, hi: float) -> float:
         p = super().interval_probability(lo, hi)
@@ -446,7 +459,7 @@ class Normal(Pdf):
         # Below z = -1, ndtr(z) is itself good only to about z**2 ulps (it
         # takes erfc of a rounded z / sqrt(2)), so the bar rises by z**2.
         tail = min(b, 0.0)
-        if p / max(1.0, tail * tail) >= _DIRECT_MASS_BELOW * float(self.cdf(hi)):
+        if p / max(1.0, tail * tail) >= _DIRECT_MASS_BELOW * self.cdf(hi):
             return p
         # A range narrow against the density's scale (1, or 1/|z| in a tail)
         # integrates the density: the width times the density at the
@@ -504,24 +517,17 @@ class Triangular(Pdf):
         s = _scale(self.lo, self.hi)
         return s, self.lo * s, self.mode * s, self.hi * s
 
-    def cdf(self, x):
+    def cdf(self, x: float) -> float:
         s, lo, mode, hi = self._scaled
-        x = np.clip(np.asarray(x, dtype=np.float64), self.lo, self.hi) * s
-        width = hi - lo
-        out = np.zeros_like(x, dtype=np.float64)
-        peak = 0.0  # the cdf at the mode
-        # A branch overflows off its own side when the mode is a subnormal from an end.
-        with np.errstate(over="ignore"):
-            if mode > lo:
-                peak = _square_over(mode - lo, width, mode - lo)
-                rising = (x > lo) & (x <= mode)
-                out = np.where(rising, _square_over(x - lo, width, mode - lo), out)
-            if hi > mode:
-                # Just past the mode, rounding can leave 1 - ... below the peak.
-                falling = (x > mode) & (x < hi)
-                out = np.where(falling, np.maximum(
-                    1.0 - _square_over(hi - x, width, hi - mode), peak), out)
-        return np.where(x >= hi, 1.0, out)[()]
+        x = min(max(x, self.lo), self.hi) * s
+        if x <= lo:
+            return 0.0
+        width = hi - lo  # at x = hi, either branch gives 1.0
+        if x <= mode:
+            return _square_over(x - lo, width, mode - lo)
+        # Just past the mode, rounding can leave 1 - ... below the cdf there.
+        peak = _square_over(mode - lo, width, mode - lo) if mode > lo else 0.0
+        return max(1.0 - _square_over(hi - x, width, hi - mode), peak)
 
     def interval_probability(self, lo: float, hi: float) -> float:
         p = super().interval_probability(lo, hi)
@@ -536,10 +542,10 @@ class Triangular(Pdf):
         mass = 0.0
         top = min(b, mode)
         if a < top:
-            mass += (top - a) / width * ((top - left) + (a - left)) / (mode - left)
+            mass += (top - a) / width * (((top - left) + (a - left)) / (mode - left))
         bottom = max(a, mode)
         if bottom < b:
-            mass += (b - bottom) / width * ((right - bottom) + (right - b)) / (right - mode)
+            mass += (b - bottom) / width * (((right - bottom) + (right - b)) / (right - mode))
         return mass
 
     def _transform(self, u):
@@ -584,10 +590,8 @@ class Empirical(Pdf):
         arr.setflags(write=False)
         return arr
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        counts = np.searchsorted(self._sorted, x, side="right")
-        return (counts / len(self._sorted))[()]
+    def cdf(self, x: float) -> float:
+        return int(np.searchsorted(self._sorted, x, side="right")) / len(self._sorted)
 
     def _transform(self, u):
         # Observation floor(u * n), clipped to the last; an array u receives

@@ -18,7 +18,7 @@ class SpecFormatError(ValueError):
 
 
 class SimulationDivergence(RuntimeError):
-    """A simulated cycle failed to converge (e.g. a setpoint never reached)."""
+    """A simulated cycle failed: a setpoint never reached, or a value not finite."""
 
     def __init__(self, message: str, cycle: int):
         self.cycle = cycle

@@ -17,7 +17,8 @@ Estimation routes:
   :func:`system_information_from_samples` is the same estimator applied to
   an already-drawn sample table.
 * :func:`conditional_chain_information` — a product of conditional success
-  probabilities along a given FR order, each link estimated from the
+  probabilities along a given FR order (FR indices, as
+  :func:`~axdesign.coupling.sequence` gives them), each link estimated from the
   samples that already satisfied every earlier link (rejection
   conditioning on one shared sample set). The link product telescopes to
   the joint count, so chain and joint totals agree for the same seed; the
@@ -58,18 +59,17 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .distributions import Pdf, RngState, Substreams, is_count, is_real
+from .distributions import (Pdf, RngState, Substreams, float64_array,
+                            is_count, is_real)
 from .errors import NonFiniteSamples
 from .model import DesignRange, range_bounds
 
 __all__ = [
     "InfoResult",
-    "Method",
     "McConfig",
     "McStats",
     "SystemInfoReport",
@@ -109,12 +109,6 @@ class InfoResult:
     std_error: float = 0.0
 
 
-class Method(Enum):
-    ANALYTIC = "analytic"
-    CONDITIONAL_CHAIN = "chain"
-    JOINT_MONTE_CARLO = "joint"
-
-
 @dataclass(frozen=True)
 class McConfig:
     """Monte Carlo settings: the RNG seed and the number of samples."""
@@ -143,13 +137,14 @@ class McStats:
 class SystemInfoReport:
     """Per-FR and system-level information from one estimation run.
 
+    ``method`` is the route as ``--method`` names it: analytic, chain or joint.
     ``per_fr`` rows follow FR declaration order for the analytic and joint
     routes; for the conditional chain they follow the chain order and each
     row is conditional on its predecessors. ``fr_ids`` labels the rows when
     the caller supplied names. ``mc`` is ``None`` for closed-form results.
     """
 
-    method: Method
+    method: str
     per_fr: tuple[InfoResult, ...]
     system_probability: float
     system_bits: float
@@ -199,7 +194,7 @@ def system_information_independent(
         total_p *= res.probability
         total_bits += res.bits
     return SystemInfoReport(
-        method=Method.ANALYTIC, per_fr=results,
+        method="analytic", per_fr=results,
         system_probability=total_p, system_bits=total_bits,
         fr_ids=tuple(fr_ids) if fr_ids is not None else None)
 
@@ -235,7 +230,7 @@ def _tally(tables, ranges, order, labels=None) -> tuple[int, list[int], list[int
     hits = [0] * m
     links = [0] * m
     for table in tables:
-        arr = np.asarray(table, dtype=np.float64)
+        arr = float64_array(table)
         if arr.ndim != 2 or arr.shape[1] != m:
             raise ValueError(f"sample table has shape {arr.shape}, expected (n, {m})")
         n += arr.shape[0]
@@ -291,7 +286,7 @@ def _joint_report(n: int, hits, joint_hits: int, seed: int | None,
             f"no samples landed inside all design ranges ({n} drawn); "
             "system bits are unbounded at this sample size")
     return SystemInfoReport(
-        method=Method.JOINT_MONTE_CARLO, per_fr=per,
+        method="joint", per_fr=per,
         system_probability=system.probability, system_bits=system.bits,
         mc=McStats(seed=seed, n_samples=n, std_error=system.std_error),
         fr_ids=tuple(fr_ids) if fr_ids is not None else None,
@@ -338,8 +333,8 @@ def conditional_chain_information(
     """Chained conditional information along ``order``.
 
     ``order`` is a permutation of the FR columns, given as integer indices
-    (anything ``operator.index`` takes but a bool) or as FR ids (the latter
-    requires ``fr_ids`` naming the columns). Each link's probability is
+    (anything ``operator.index`` takes but a bool), as
+    :func:`~axdesign.coupling.sequence` gives them. Each link's probability is
     estimated from the samples that satisfied every earlier link, so the
     link product telescopes to the joint estimate for the same seed and
     sample count; the system bits are the sum of the per-link bits. A link
@@ -349,7 +344,7 @@ def conditional_chain_information(
     """
     ranges = tuple(ranges)
     labels = tuple(fr_ids) if fr_ids is not None else None
-    idx_order = _resolve_order(order, len(ranges), labels)
+    idx_order = _resolve_order(order, len(ranges))
     _, links = _draw_tally(model, ranges, idx_order, mc, labels)
     n = mc.n_samples
 
@@ -370,25 +365,18 @@ def conditional_chain_information(
     system = _mc_result(links[-1], n)
     chain_ids = tuple(labels[i] for i in idx_order) if labels else None
     return SystemInfoReport(
-        method=Method.CONDITIONAL_CHAIN, per_fr=tuple(per),
+        method="chain", per_fr=tuple(per),
         system_probability=system.probability, system_bits=total_bits,
         mc=McStats(seed=mc.seed, n_samples=n, std_error=system.std_error),
         fr_ids=chain_ids, warnings=tuple(warnings))
 
 
-def _resolve_order(order, n_frs: int, labels: tuple[str, ...] | None) -> list[int]:
+def _resolve_order(order, n_frs: int) -> list[int]:
     resolved = []
     for entry in order:
-        if isinstance(entry, str):
-            if labels is None:
-                raise ValueError("ordering by FR id requires fr_ids")
-            if entry not in labels:
-                raise ValueError(f"unknown FR id in order: {entry!r}")
-            resolved.append(labels.index(entry))
-        elif hasattr(entry, "__index__") and not isinstance(entry, bool):
-            resolved.append(operator.index(entry))
-        else:
-            raise ValueError(f"order entries must be FR indices or ids, got {entry!r}")
+        if not hasattr(entry, "__index__") or isinstance(entry, bool):
+            raise ValueError(f"order entries must be FR indices, got {entry!r}")
+        resolved.append(operator.index(entry))
     if sorted(resolved) != list(range(n_frs)):
         raise ValueError("order must be a permutation of the FR columns")
     return resolved

@@ -40,7 +40,8 @@ from typing import Sequence
 import numpy as np
 
 from .coupling import _float64, frozen_matrix
-from .distributions import Pdf, RngState, Substreams, draw_from, is_real
+from .distributions import (Pdf, RngState, Substreams, draw_from,
+                            float64_array, is_real)
 from .tank import TankConfig, simulate, tank_response
 
 __all__ = [
@@ -57,7 +58,9 @@ TANK_COLUMNS = ("level", "temperature", "mix_duration")
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Rectangular table of per-trial FR values with named columns."""
+    """Rectangular table of per-trial FR values with named columns. ``values``
+    is a read-only view of a float64 array given, which stays writable: later
+    writes to it show through."""
 
     columns: tuple[str, ...]
     values: np.ndarray
@@ -66,7 +69,7 @@ class SampleSet:
         cols = tuple(str(c) for c in self.columns)
         if len(set(cols)) != len(cols) or not cols:
             raise ValueError("column names must be non-empty and unique")
-        arr = np.array(self.values, dtype=np.float64, copy=True)
+        arr = float64_array(self.values).view()
         if arr.ndim != 2 or arr.shape[1] != len(cols):
             raise ValueError(
                 f"values must be 2-D with {len(cols)} columns, got shape {arr.shape}")
@@ -196,7 +199,7 @@ def estimate_design_matrix(model, dp_nominals, step: float) -> np.ndarray:
     using the model's ``evaluate``. Exact for linear maps at any positive
     step; non-finite model output raises with the offending DP named.
     """
-    x0 = np.asarray(dp_nominals, dtype=np.float64)
+    x0 = float64_array(dp_nominals)
     if x0.ndim != 1 or x0.size == 0 or not np.all(np.isfinite(x0)):
         raise ValueError("dp_nominals must be a non-empty finite 1-D vector")
     if not (is_real(step) and step > 0):

@@ -96,8 +96,8 @@ def info_doc(report: SystemInfoReport, spec: DesignSpec,
             "system_pdf": (pdf_labels or {}).get(fr_id, "(sampled)"),
         })
     doc = {
-        "method": report.method.value,
-        "order": list(report.fr_ids) if report.method.value == "chain"
+        "method": report.method,
+        "order": list(report.fr_ids) if report.method == "chain"
                  and report.fr_ids is not None else None,
         "per_fr": rows,
         "system_probability": report.system_probability,

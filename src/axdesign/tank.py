@@ -47,7 +47,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import Pdf, RngState, Substreams, draw_from, is_count, is_real
+from .distributions import (_FLOAT_MAX, Pdf, RngState, Substreams, draw_from,
+                            float64_array, is_count, is_real)
 from .errors import SimulationDivergence
 
 __all__ = ["TankConfig", "tank_response"]
@@ -240,7 +241,8 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
     that is not an int in [1, ``MAX_CYCLES``] (a bool is not), and
     :class:`SimulationDivergence` (with the cycle index) when a controlled
     phase fails to cross its setpoint within a generous budget of sensor
-    readings.
+    readings, or at the first cycle whose recorded level, temperature or
+    duration is not finite.
     """
     n = config.cycles if cycles is None else cycles
     if not is_count(n, MAX_CYCLES):
@@ -296,6 +298,13 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
         if dur_pdf is not None:
             run = max(0.0, run + float(dur_pdf._transform(stream.random())))
 
+        # A runaway run stops before an inf or nan reaches the next cycle.
+        if not (-_FLOAT_MAX <= achieved_level <= _FLOAT_MAX
+                and -_FLOAT_MAX <= achieved_temp <= _FLOAT_MAX
+                and -_FLOAT_MAX <= run <= _FLOAT_MAX):
+            raise SimulationDivergence(
+                f"recorded level, temperature and duration ({achieved_level:g}, "
+                f"{achieved_temp:g}, {run:g}) are not all finite", k)
         out[k, 0] = achieved_level
         out[k, 1] = achieved_temp
         out[k, 2] = run
@@ -322,7 +331,7 @@ def tank_response(config: TankConfig, dps) -> np.ndarray:
     The map is smooth within an operating regime, which makes it suitable
     for finite-difference influence estimation.
     """
-    dps = np.asarray(dps, dtype=np.float64)
+    dps = float64_array(dps)
     if dps.shape != (3,):
         raise ValueError("tank response expects a 3-vector (level, temperature, runtime)")
     if not np.all(np.isfinite(dps)):

@@ -397,6 +397,27 @@ def test_simulate_divergence_exits_five(capsys, tmp_path):
     assert "cycle 0" in err
 
 
+@pytest.mark.parametrize("command", [
+    ("simulate", "--cycles", "2"),
+    ("simulate", "--cycles", "5"),
+    ("info", "--method", "joint", "--samples", "2"),
+])
+def test_runaway_tank_diverges_at_its_first_non_finite_cycle(capsys, tmp_path, command):
+    # Agitation heat of 1e308 degC/s overflows the temperature carried out of
+    # cycle 0, so cycle 1 records an infinite temperature.
+    spec = json.loads(Path(TANK).read_text())
+    spec["scenario"]["coupling_gains"] = {"mixer_to_temp": 1e308}
+    path = tmp_path / "runaway.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: simulation diverged at cycle 1: recorded level, "
+                          "temperature and duration (")
+    assert err.endswith(", inf, 119.921) are not all finite\n")
+    assert err.count("\n") == 1
+
+
 def _tank_with_timestep(tmp_path, timestep):
     spec = json.loads(Path(TANK).read_text())
     spec["scenario"]["timestep"] = timestep

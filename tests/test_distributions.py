@@ -132,10 +132,10 @@ def test_interval_masses_are_additive(pdf: Pdf):
 
 
 @pytest.mark.parametrize("pdf", ALL_FAMILIES, ids=lambda p: p.describe())
-def test_cdf_is_monotone_and_vectorized(pdf: Pdf):
+def test_cdf_is_monotone(pdf: Pdf):
     grid = np.linspace(-60.0, 60.0, 401)
-    values = pdf.cdf(grid)
-    assert values.shape == grid.shape
+    values = np.array([pdf.cdf(x) for x in grid.tolist()])
+    assert all(type(pdf.cdf(x)) is float for x in (-1.0, 0.5, 60.0))
     assert np.all(np.diff(values) >= -1e-15)
     assert values[0] <= 1e-12
     assert values[-1] >= 1.0 - 1e-12
@@ -188,6 +188,8 @@ WIDE = [
     (Triangular(-1e200, 1e200, 1e200), 1e200 - 1e190, 1e200),
     (Triangular(0.0, 1.0, 2.0), -1e200, 1e200),
     (Triangular(-5.0, 2.0, 3.0), 1.0, 1.0 + 2.0**-40),
+    (Triangular(0.0, 1.0, 1e300), -1.0, 1.0),
+    (Triangular(-1e300, -1.0, 0.0), -1.0, 1.0),
     (Normal(0.0, 1.0), 10.0, 11.0),
     (Normal(0.0, 1.0), 37.0, 38.0),
     (Normal(0.0, 1e20), -1.0, 1.0),
@@ -426,7 +428,7 @@ CONTINUOUS = [
 @pytest.mark.parametrize("pdf", CONTINUOUS, ids=lambda p: p.describe())
 def test_samples_match_cdf_kolmogorov_smirnov(pdf: Pdf):
     values = draw_from(pdf, RngState(seed=42).generator(), 100_000)
-    statistic = stats.kstest(values, pdf.cdf).statistic
+    statistic = stats.kstest(values, np.vectorize(pdf.cdf)).statistic
     # K-S critical value at alpha=0.001 for n=1e5 is ~0.0062; with a fixed
     # seed this is a deterministic regression bound, not a flaky test.
     assert statistic < 0.01

@@ -28,7 +28,10 @@ from axdesign import (
     draw_from,
     estimate_design_matrix,
     from_samples,
+    system_information_from_samples,
+    tank_response,
 )
+from axdesign.errors import NonFiniteSamples
 from axdesign.info import _tables, _tally
 from axdesign.propagation import _CHUNK_ROWS
 
@@ -53,6 +56,29 @@ def test_sample_set_values_are_read_only():
     ss = SampleSet(columns=("a",), values=np.ones((2, 1)))
     with pytest.raises(ValueError):
         ss.values[0, 0] = 5.0
+
+
+def test_sample_set_keeps_a_read_only_view_of_a_float64_array():
+    given = np.ones((2, 1))
+    ss = SampleSet(columns=("a",), values=given)
+    assert np.shares_memory(ss.values, given)
+    assert not ss.values.flags.writeable
+    assert given.flags.writeable
+    given[0, 0] = 5.0  # the caller's writes show through
+    assert ss.values[0, 0] == 5.0
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: estimate_design_matrix(LinearModel([[1.0]], [Uniform(0.0, 1.0)]),
+                                    [10**400], 1e-3), ValueError),
+    (lambda: SampleSet(("a",), [[10**400]]), ValueError),
+    (lambda: tank_response(TankConfig(), [10**400, 65, 120]), ValueError),
+    (lambda: system_information_from_samples([[-10**400]], [(0, 1)]), NonFiniteSamples),
+], ids=["estimate_design_matrix", "SampleSet", "tank_response",
+        "system_information_from_samples"])
+def test_array_inputs_beyond_float64_fail_their_finite_check(call, error):
+    with pytest.raises(error, match="finite"):
+        call()
 
 
 def test_sample_set_csv_round_trip(tmp_path):

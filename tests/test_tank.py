@@ -226,6 +226,20 @@ def test_divergence_in_the_drain_phase():
     assert "drain level" in str(err.value)
 
 
+@pytest.mark.parametrize("config,message", [
+    # Agitation heat overflows the temperature carried into cycle 1.
+    (TankConfig(mixer_to_temp=1e308), "cycle 1: recorded level, temperature and "
+     "duration (7, inf, 120) are not all finite"),
+    # Timer jitter pushes the first mixing duration past float64.
+    (TankConfig(mix_duration=1e308, sensor_noise={"duration": Uniform(1e308, 1.7e308)}),
+     "cycle 0: recorded level, temperature and duration (7, 65, inf) are not all finite"),
+])
+def test_a_runaway_run_diverges_at_its_first_non_finite_cycle(config, message):
+    with pytest.raises(SimulationDivergence) as err:
+        simulate(config, RngState(seed=0), cycles=5)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # The crossing search skips readings that cannot cross, on a reseated
 # Substreams generator; it must return what drawing every reading from a
