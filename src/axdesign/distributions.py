@@ -446,13 +446,20 @@ class Normal(Pdf):
         if self.sigma <= 0:
             raise ValueError(f"normal requires sigma > 0, got {self.sigma}")
 
+    def _z(self, x: float) -> float:
+        """(x - mu) / sigma, taken as x / sigma - mu / sigma where x - mu
+        overflows but x does not, so a finite z stays finite."""
+        d = x - self.mu
+        if math.isinf(d) and math.isfinite(x):
+            return x / self.sigma - self.mu / self.sigma
+        return d / self.sigma
+
     def cdf(self, x: float) -> float:
-        return float(ndtr((x - self.mu) / self.sigma))
+        return float(ndtr(self._z(x)))
 
     def interval_probability(self, lo: float, hi: float) -> float:
         p = super().interval_probability(lo, hi)
-        a = (lo - self.mu) / self.sigma
-        b = (hi - self.mu) / self.sigma
+        a, b = self._z(lo), self._z(hi)
         # Rounding costs the CDF difference up to 2**-52 of cdf(hi), so it
         # keeps 2**-42 of the mass, as for the other families, while p is at
         # least 2**-10 of cdf(hi): always for masses of 2**-10 and above.
@@ -471,6 +478,11 @@ class Normal(Pdf):
             z2, w2 = z * z, width * width
             curve = w2 * ((z2 - 1.0) / 24.0 + w2 * ((z2 - 6.0) * z2 + 3.0) / 1920.0)
             return width * math.exp(-0.5 * z2) / _SQRT_2PI * (1.0 + curve)
+        # A range wholly beyond infinitely many sigmas on one side (a
+        # subnormal sigma makes every z infinite) holds no mass; the mirror
+        # below would divide by erfcx(inf) = 0.
+        if a == math.inf or b == -math.inf:
+            return 0.0
         # Otherwise mirror the range onto the lower side and take
         # ndtr(b) * (1 - r) for r = ndtr(a) / ndtr(b). Through the scaled
         # complementary error function, r = exp((b - a)(b + a) / 2)

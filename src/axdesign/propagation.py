@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 TANK_COLUMNS = ("level", "temperature", "mix_duration")
+_CSV_ROWS = 4096  # table rows turned into Python floats per CSV block
 
 
 @dataclass(frozen=True)
@@ -88,8 +89,11 @@ class SampleSet:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(self.columns)
-            for row in self.values:
-                writer.writerow([repr(float(v)) for v in row])
+            # tolist gives Python floats, whose repr round-trips exactly; a
+            # block at a time keeps those boxed floats to a few hundred KB.
+            for i in range(0, self.n, _CSV_ROWS):
+                block = self.values[i:i + _CSV_ROWS].tolist()
+                writer.writerows(map(repr, row) for row in block)
 
 
 # Rows per chunk: a (rows, FRs) chunk and its temporaries stay in L2.

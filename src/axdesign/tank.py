@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,7 +71,7 @@ _PHASE_RETRIES = 4  # chunks of sensor readings searched before divergence
 # Most readings a search chunk may hold: the phase's whole budget then has
 # indices below 2**53, which float64 times hold exactly.
 _MAX_CHUNK = 2**51
-_SLICE = 2**20  # sensor readings drawn and tested per array
+_SLICE = 2**12  # sensor readings per draw_from call; its tolist() is ~130 KB
 # Relative widening of a noise pdf's support when ruling readings out, so
 # that rounding in the support's endpoints cannot rule out a crossing.
 _SUPPORT_MARGIN = 1e-6
@@ -160,15 +161,29 @@ def _cross(stream, pdf, start, step, target, bias, upward, cycle, what):
     is non-decreasing in t, and the closed form
     ``(target + bias - reach - start) / step`` puts its first true reading
     within rounding, so :func:`_first` tests that reading and the one
-    before it on scalars (the same float operations as on an array).
+    before it on scalars (the same float operations as the scan below).
     A level or receding trajectory can cross only from the chunk's first
     reading on, so its search starts there. ``stream.skip`` passes over
-    the values of the earlier readings, the rest are drawn and tested
-    ``_SLICE`` at a time, and after a hit the rest of the chunk is skipped.
-    The skips are bookkeeping, so the stream is reseated at most once per
-    search, at its first draw. This leaves the stream and every drawn value
-    as if the whole chunk had been drawn, in bounded memory. A phase needing
-    more than ``_MAX_CHUNK`` readings per chunk raises
+    the values of the earlier readings, and the rest are drawn ``_SLICE``
+    at a time, one ``draw_from`` call per slice.
+
+    Each slice is tested one reading at a time, on Python floats, up to its
+    first crossing. The tank's windows hold tens to a few hundred readings
+    and usually cross within the first few, so this costs a few float
+    operations per reading tested, where an array test costs about eight
+    numpy calls of about a microsecond each, whatever the length. A window
+    of thousands of readings (a cold inlet, a fine timestep) that crosses
+    far in costs more this way than as arrays; no fixture or benchmark
+    workload has one. The scan computes ``start + step * t - bias + noise``
+    in that order, each operation rounded to float64, and compares with
+    ``float(target)``, so it stops at the reading the per-reading reference
+    does.
+
+    After a hit the rest of the chunk is skipped. The skips are
+    bookkeeping, so the stream is reseated at most once per search, at its
+    first draw. This leaves the stream and every drawn value as if the
+    whole chunk had been drawn, in bounded memory. A phase needing more
+    than ``_MAX_CHUNK`` readings per chunk raises
     :class:`SimulationDivergence` as a size limit.
     """
     if step != 0.0:
@@ -185,20 +200,18 @@ def _cross(stream, pdf, start, step, target, bias, upward, cycle, what):
         lo, hi = pdf._support
         pad = _SUPPORT_MARGIN * (hi - lo)
         reach = hi + pad if upward else lo - pad
+    crossed = operator.ge if upward else operator.le
+
     # ``step * t`` for an int t below 2**53 is ``step * float(t)``.
-    if upward:
-        def can(t):
-            return start + step * t - bias + reach >= target
-        crossed = np.greater_equal
-    else:
-        def can(t):
-            return start + step * t - bias + reach <= target
-        crossed = np.less_equal
+    def can(t):
+        return crossed(start + step * t - bias + reach, target)
+
     approaching = step > 0.0 if upward else step < 0.0
     if approaching:
         guess = (target + bias - reach - start) / step
     else:  # ``can`` is non-increasing or constant
         guess = -math.inf
+    goal = float(target)  # as the reference casts it to compare an array
     for t0 in range(0, _PHASE_RETRIES * chunk, chunk):
         end = t0 + chunk
         i0 = _first(can, t0, end, guess)
@@ -209,17 +222,11 @@ def _cross(stream, pdf, start, step, target, bias, upward, cycle, what):
         stream.skip(i0 - t0)
         for s0 in range(i0, end, _SLICE):
             s1 = min(s0 + _SLICE, end)
-            # start + step * t - bias + noise, in one buffer
-            measured = np.arange(s0, s1, dtype=np.float64)
-            measured *= step
-            measured += start
-            measured -= bias
-            measured += draw_from(pdf, stream, s1 - s0)
-            hits = crossed(measured, target)
-            i = int(hits.argmax())
-            if hits[i]:
-                stream.skip(end - s1)
-                return float(start + step * (s0 + i))
+            noise = draw_from(pdf, stream, s1 - s0)
+            for t, e in enumerate(noise.tolist(), s0):
+                if crossed(start + step * t - bias + e, goal):
+                    stream.skip(end - s1)
+                    return float(start + step * t)
     raise SimulationDivergence(f"{what} never crossed its setpoint", cycle)
 
 
@@ -232,10 +239,12 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
     cycles run on one :class:`Substreams` generator, seated at the start of
     substream k for cycle k, which yields exactly the values of
     ``rng.substream(k).generator()``; the crossing search skips the values
-    of readings that cannot cross, and the one-value inlet and duration
-    reads transform a single ``random()`` float. Seats and skips are
-    bookkeeping, so a noisy crossing search costs at most one state
-    assignment, made at its first draw, and a noiseless cycle none.
+    of readings that cannot cross, draws the rest of its window ``_SLICE``
+    readings per call and tests them one by one up to the first crossing
+    (see :func:`_cross`), and the one-value inlet and duration reads
+    transform a single ``random()`` float. Seats and skips are bookkeeping,
+    so a noisy crossing search costs at most one state assignment, made at
+    its first draw, and a noiseless cycle none.
 
     Raises ``ValueError``, before allocating the table, for a cycle count
     that is not an int in [1, ``MAX_CYCLES``] (a bool is not), and

@@ -6,6 +6,7 @@ in the acceptance suite.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import resource
@@ -370,6 +371,17 @@ def test_simulate_writes_csv_and_report(capsys, tmp_path):
     assert doc["info"]["mc"]["n_samples"] == 40
 
 
+def test_simulate_csv_bytes_are_pinned(capsys, tmp_path):
+    # sha256 of the CSV an earlier build wrote: a change to the simulator,
+    # the draws or the CSV writer that moves any byte fails here.
+    csv_path = tmp_path / "cycles.csv"
+    code, _, _ = run(capsys, "simulate", TURBULENT, "--cycles", "40",
+                     "--seed", "9", "--out", str(csv_path))
+    assert code == 0
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
+        "9cf74abbe381dbadb39a981419fee7aaf42db3987864c3c8de7dc0c9d36228db"
+
+
 def test_simulate_without_scenario_exits_one(capsys):
     code, _, err = run(capsys, "simulate", SCHEDULING)
     assert code == 1
@@ -603,6 +615,26 @@ def test_wide_pdfs_give_the_exact_analytic_bits(capsys, tmp_path, pdf, bits):
         code, out, err = run(capsys, "info", str(path), "--method", "analytic")
     assert code == 0 and err == ""
     assert json.loads(out)["info"]["system_bits"] == pytest.approx(bits, rel=1e-12)
+
+
+def test_a_subnormal_sigma_off_its_range_costs_infinite_bits(tmp_path):
+    # Both z-values of [1, 2] overflow to +inf at sigma 1e-311: the range
+    # holds no mass, which the report gives as probability 0 and "inf" bits.
+    spec = dict(HUGE_SPEC,
+                frs=[{"id": "f", "nominal": 1.5, "tol_minus": 0.5, "tol_plus": 0.5}],
+                system_pdfs={"f": {"kind": "normal", "mu": 0, "sigma": 1e-311}})
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(spec))
+    src = str(Path(axdesign.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-m", "axdesign", "info", str(path)], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert "Traceback" not in result.stderr
+    assert result.returncode == 0
+    info = json.loads(result.stdout)["info"]
+    assert info["per_fr"][0]["probability"] == 0.0
+    assert info["per_fr"][0]["bits"] == "inf"
+    assert info["system_bits"] == "inf"
 
 
 def test_usage_errors_exit_one_not_two(capsys):

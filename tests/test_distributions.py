@@ -194,6 +194,9 @@ WIDE = [
     (Normal(0.0, 1.0), 37.0, 38.0),
     (Normal(0.0, 1e20), -1.0, 1.0),
     (Normal(0.0, 1e20), 1.0, 2.0),
+    # x - mu overflows, z = (x - mu) / sigma does not
+    (Normal(-1.7e308, 1e308), 1e308, 1.7e308),
+    (Normal(1.7e308, 1e308), -1.7e308, -1e308),
 ]
 
 
@@ -248,6 +251,14 @@ NARROW = [
 @pytest.mark.parametrize("a, b, exact", NARROW)
 def test_narrow_normal_ranges_integrate_the_density(a, b, exact):
     assert Normal(0.0, 1.0).interval_probability(a, b) == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+@WARNINGS_ARE_ERRORS
+@pytest.mark.parametrize("a, b, mass", [(1.0, 2.0, 0.0), (-2.0, -1.0, 0.0), (-1.0, 1.0, 1.0)])
+def test_a_subnormal_sigma_puts_every_range_at_infinite_z(a, b, mass):
+    # At sigma 1e-311 every z-value off the mean overflows to +-inf: a range
+    # on one side holds nothing, a range about the mean holds everything.
+    assert Normal(0.0, 1e-311).interval_probability(a, b) == mass
 
 
 @WARNINGS_ARE_ERRORS

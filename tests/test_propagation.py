@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from axdesign import (
     system_information_from_samples,
     tank_response,
 )
+from axdesign import propagation
 from axdesign.errors import NonFiniteSamples
 from axdesign.info import _tables, _tally
 from axdesign.propagation import _CHUNK_ROWS
@@ -94,6 +96,18 @@ def test_sample_set_csv_round_trip(tmp_path):
                        for line in lines[1:]])
     # repr() of a float round-trips exactly.
     assert np.array_equal(parsed, values)
+
+
+@pytest.mark.parametrize("rows", [1, propagation._CSV_ROWS])
+def test_sample_set_csv_text_is_pinned(tmp_path, rows):
+    # Each value is written as repr of its float: the shortest text that
+    # round-trips, with the sign of -0.0, subnormals and large exponents.
+    # One row per block crosses a block boundary.
+    values = np.array([[1.0 / 3.0, 1e-17, -0.0], [7.0, 5e-324, 1e300]])
+    path = tmp_path / "samples.csv"
+    with mock.patch.object(propagation, "_CSV_ROWS", rows):
+        SampleSet(columns=("a", "b", "c"), values=values).to_csv(path)
+    assert path.read_bytes() == b"a,b,c\n0.3333333333333333,1e-17,-0.0\n7.0,5e-324,1e+300\n"
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,27 @@ def test_cross_search_covers_each_outcome():
     assert never == ref and never[0] == "diverged"
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    pdf=noise_pdfs.filter(lambda pdf: pdf is not None),
+    start=finite,
+    step=st.one_of(st.floats(0.01, 1.0), st.floats(-1.0, -0.01)),
+    bias=st.floats(-1.0, 1.0),
+    at=st.integers(0, 63),
+)
+def test_cross_rounds_each_reading_as_the_reference(seed, pdf, start, step, bias, at):
+    # The target is the reference's own float64 value of the most extreme
+    # of the first at + 1 readings, so the crossing sits exactly on it: a
+    # search that rounded a reading differently would stop elsewhere.
+    upward = step > 0
+    noise = draw_from(pdf, RngState(seed).substream(0).generator(), at + 1)
+    measured = start + step * np.arange(at + 1.0) - bias + noise
+    target = float(measured.max() if upward else measured.min())
+    args = (pdf, start, step, target, bias, upward)
+    assert _outcome(_cross, seed, args) == _outcome(_cross_every_reading, seed, args)
+
+
 @pytest.mark.parametrize("pdf", [None, Normal(0.0, 0.01), Uniform(-0.3, 0.2)])
 @pytest.mark.parametrize("step,target,upward", [
     (1e-3, 1e15 + 0.3, True),
