@@ -188,6 +188,8 @@ def _two_by_two(matrix_text: str) -> str:
     (f"[[1, 2], [3, {10**400}]]", r"entry \[1\]\[1\] must be a finite number"),
     (f"[[1, 2], [NaN, {_MAX_INT + 1}]]", r"entry \[1\]\[0\] must be a finite number"),
     ("[[1, 2], [Infinity, -Infinity]]", r"entry \[1\]\[0\] must be a finite number"),
+    # Row sums that overflow do not hide a later fault.
+    ("[[1e308, 1e308], [3, true]]", r"entry \[1\]\[1\] must be a finite number"),
     # The first fault in document order is the one reported.
     ('[[1, "x"], 5]', r"entry \[0\]\[1\] must be a finite number"),
     ("[[1, 2], 5]", "row 1 must be an array"),
@@ -205,6 +207,7 @@ def test_matrix_faults_name_their_first_entry(matrix_text, message):
     # Row sums beyond float64, as floats and as exact ints.
     (f"[[{_MAX_INT}, {_MAX_INT}], [1.5e308, 1.5e308]]",
      ((sys.float_info.max, sys.float_info.max), (1.5e308, 1.5e308))),
+    ("[[1e308, 1e308], [1e308, 1e308]]", ((1e308, 1e308), (1e308, 1e308))),
 ])
 def test_matrix_entries_become_floats_up_to_float64_max(matrix_text, matrix):
     spec = parse_spec(_two_by_two(matrix_text))
