@@ -141,7 +141,7 @@ def _load(path: str) -> DesignSpec:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecFormatError(f"cannot read spec file: {exc}") from exc
     return parse_spec(text)
 

@@ -31,19 +31,18 @@ Monte Carlo standard errors are binomial on the probability scale and
 mapped to bits by the delta method (divide by ``p * ln 2``); a zero
 estimate has infinite bits-scale error, a certain one has zero.
 
-Sampling models are duck-typed: anything with
-``sample_frs(rng: RngState, n: int) -> (n, n_frs) ndarray`` works. A model
-that sets ``chunk_rows`` (:class:`~axdesign.propagation.LinearModel`, 8192
-rows) is sampled that many rows at a time, as
+The Monte Carlo routes sample a :class:`~axdesign.propagation.LinearModel`
+or a :class:`~axdesign.propagation.ScenarioModel`, through the
+``chunk_rows`` and ``sample_frs`` the two share. A linear model
+(``chunk_rows`` 8192) is sampled that many rows at a time, as
 ``sample_frs(stream, rows, start)`` on one
 :class:`~axdesign.distributions.Substreams` of the run's seed, and each
 chunk is scored before the next is drawn. A chunk holds the rows
 ``start … start+rows-1`` of the one-call table, so the counts, and the
 reports, do not depend on the chunking, and the memory of a linear-model
-run does not grow with the sample count. A model with ``chunk_rows = None``
-(the tank :class:`~axdesign.propagation.ScenarioModel`, whose rows are
-consecutive cycles of one run) or without the attribute is sampled in one
-call, and that one table is scored.
+run does not grow with the sample count. The tank model, whose rows are
+consecutive cycles of one run, has ``chunk_rows = None``: it is sampled in
+one call, ``sample_frs(rng, n)``, and that one table is scored.
 
 Every route scores samples with one streaming tally: per-FR hits, and for
 each link of an FR order the rows inside every range so far (the joint
@@ -256,11 +255,11 @@ def _tally(tables, ranges, order, labels=None) -> tuple[int, list[int], list[int
 
 def _tables(model, mc: McConfig):
     """The model's sample table for ``mc``: ``chunk_rows`` rows at a time
-    from one reseated :class:`Substreams`, or in one call when the model
-    has no ``chunk_rows``."""
+    from one reseated :class:`Substreams`, or in one call when
+    ``chunk_rows`` is None."""
     rng = RngState(seed=mc.seed)
     n = mc.n_samples
-    rows = getattr(model, "chunk_rows", None)
+    rows = model.chunk_rows
     if rows is None:
         yield model.sample_frs(rng, n)
         return

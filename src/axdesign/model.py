@@ -37,14 +37,12 @@ still have, as data rather than raising.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coupling import checked_epsilon, frozen_matrix
-from .distributions import (_FLOAT_MAX, Empirical, Normal, Pdf, Triangular, Uniform,
-                            is_real)
+from .distributions import Empirical, Normal, Pdf, Triangular, Uniform, is_real
 from .errors import SpecFormatError
 from .tank import TankConfig
 
@@ -178,13 +176,10 @@ def _check_keys(obj, allowed, where):
             raise SpecFormatError(f"unknown field {key!r}", where)
 
 
-# The types json.loads gives numbers; bool is not among them.
-_NUMBER_TYPES = {int, float}
-
-
 def _fault(v) -> str:
-    """What a JSON value that is not a finite number fails to be."""
-    return "must be a finite number" if type(v) in _NUMBER_TYPES else "must be a number"
+    """What a JSON value that is not a finite number fails to be; bool is
+    not among the types json.loads gives numbers."""
+    return "must be a finite number" if type(v) in (int, float) else "must be a number"
 
 
 def _number(obj, key, where, required=True, default=None):
@@ -306,36 +301,17 @@ def _pdf_map_from_obj(obj, where) -> dict[str, Pdf]:
     return {key: pdf_from_obj(val, f"{where}.{key}") for key, val in obj.items()}
 
 
-def _finite_numbers(row) -> bool:
-    """Whether every entry of ``row`` is a number within +-_FLOAT_MAX, found
-    with a few passes of builtins rather than a check per entry. False can
-    also mean the passes could not tell: a float sum that overflows, or an
-    int sum beyond float64."""
-    if not set(map(type, row)) <= _NUMBER_TYPES:
-        return False
-    try:
-        # min and max compare ints exactly; the sum is nan or infinite when
-        # an entry is.
-        return (-_FLOAT_MAX <= min(row, default=0.0) and max(row, default=0.0) <= _FLOAT_MAX
-                and math.isfinite(sum(row)))
-    except OverflowError:
-        return False
-
-
 def _matrix_from_obj(raw) -> list:
-    """Check the matrix rows a row at a time and return them as they are.
-    Only a matrix that fails that check is walked entry by entry, which
-    reports its first fault with the entry's path."""
+    """The matrix rows as they are, once every entry is a finite number;
+    the first fault is reported with its entry's path."""
     if not isinstance(raw, list):
         raise SpecFormatError("matrix must be an array of rows", "matrix")
-    if not all(isinstance(row, list) and _finite_numbers(row) for row in raw):
-        for i, row in enumerate(raw):
-            if not isinstance(row, list):
-                raise SpecFormatError(f"row {i} must be an array", "matrix")
-            for j, v in enumerate(row):
-                if not is_real(v):
-                    raise SpecFormatError(f"entry [{i}][{j}] must be a finite number",
-                                          "matrix")
+    for i, row in enumerate(raw):
+        if not isinstance(row, list):
+            raise SpecFormatError(f"row {i} must be an array", "matrix")
+        for j, v in enumerate(row):
+            if not is_real(v):
+                raise SpecFormatError(f"entry [{i}][{j}] must be a finite number", "matrix")
     return raw
 
 
@@ -343,8 +319,10 @@ def parse_spec(text: str) -> DesignSpec:
     """Parse a JSON design-spec document.
 
     Raises :class:`SpecFormatError` with the error position for malformed
-    JSON, with the offending field path for type violations, and at
-    ``document`` for a broken :class:`DesignSpec` invariant. Semantic
+    JSON, at ``document`` for JSON that ``json.loads`` cannot build (arrays
+    nested too deep for the recursion limit, an integer literal of more
+    than 4300 digits), with the offending field path for type violations,
+    and at ``document`` for a broken :class:`DesignSpec` invariant. Semantic
     problems that are representable (zero-width ranges, missing probability
     sources) are left to :func:`validate_spec`.
     """
@@ -354,6 +332,8 @@ def parse_spec(text: str) -> DesignSpec:
         raise SpecFormatError(
             f"syntax error: {exc.msg}", f"line {exc.lineno} column {exc.colno}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        raise SpecFormatError(f"cannot decode JSON: {exc}", "document") from exc
     _require_object(doc, "document")
     _check_keys(doc, _TOP_KEYS, "document")
 

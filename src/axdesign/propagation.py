@@ -1,6 +1,7 @@
 """Forward uncertainty propagation from design parameters to requirements.
 
-Two model flavours share one sampling protocol
+Two model flavours, the ones the Monte Carlo routes of :mod:`axdesign.info`
+sample, share one sampling protocol
 (``sample_frs(rng, n) -> (n, n_frs) ndarray``) and one point map
 (``evaluate(dp_values) -> FR values``):
 
@@ -19,8 +20,8 @@ Determinism: every DP column, noise row, and simulated cycle draws from
 its own derived substream of the caller's ``RngState``, so results are
 reproducible for a given seed and independent across columns.
 
-Rows in chunks: a model with a ``chunk_rows`` attribute can be sampled
-``chunk_rows`` rows at a time. ``LinearModel.sample_frs(rng, n, start)``
+Rows in chunks: :class:`LinearModel` sets ``chunk_rows``, the rows the
+Monte Carlo routes sample at a time. ``LinearModel.sample_frs(rng, n, start)``
 returns rows ``start … start+n-1`` of the table that one call for all rows
 gives, bit for bit: each draw takes one uniform, so row r of DP column j
 is value r of substream j, which a :class:`~axdesign.distributions.Substreams`

@@ -230,6 +230,9 @@ def _cross(stream, pdf, start, step, target, bias, upward, cycle, what):
     raise SimulationDivergence(f"{what} never crossed its setpoint", cycle)
 
 
+# Once per call: draws of a noise pdf scaled near float64's limit overflow to
+# inf without a warning, and a recorded value that is not finite is rejected.
+@np.errstate(over="ignore", invalid="ignore")
 def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np.ndarray:
     """Run the cycle simulation; returns an (n, 3) array of achieved values.
 

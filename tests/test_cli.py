@@ -569,6 +569,31 @@ def test_malformed_json_exits_one(capsys, tmp_path):
     assert "syntax error" in err
 
 
+# Files that json.loads or the UTF-8 read cannot turn into a document.
+UNDECODABLE = {
+    "deep-arrays": b'{"frs": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
+    "5000-digit-int": b'{"frs": [{"id": "f", "nominal": ' + b"9" * 5000
+                      + b', "tol_minus": 0, "tol_plus": 0}], "dps": []}',
+    "not-utf-8": b'{"frs": [{"id": "f\xff", "nominal": 1, "tol_minus": 0, "tol_plus": 0}],'
+                 b' "dps": []}',
+}
+
+
+@pytest.mark.parametrize("name", UNDECODABLE)
+def test_undecodable_spec_files_exit_one_without_a_traceback(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNDECODABLE[name])
+    src = str(Path(axdesign.__file__).resolve().parent.parent)
+    for command in ("classify", "info", "simulate", "validate"):
+        result = subprocess.run(
+            [sys.executable, "-m", "axdesign", command, str(path)], capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert "Traceback" not in result.stderr, command
+        assert result.returncode == 1, command
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
 # A 401-digit integer: valid JSON, but far beyond float64's range.
 HUGE = "1" + "0" * 400
 HUGE_SPEC = {

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -238,6 +239,17 @@ def test_a_runaway_run_diverges_at_its_first_non_finite_cycle(config, message):
     with pytest.raises(SimulationDivergence) as err:
         simulate(config, RngState(seed=0), cycles=5)
     assert str(err.value) == message
+
+
+def test_overflowing_sensor_noise_runs_without_a_warning():
+    # Most draws of sigma 1e308 overflow to +-inf readings, which cross at
+    # once; numpy's overflow warning must not reach the caller.
+    cfg = TankConfig(sensor_noise={"level": Normal(0.0, 1e308)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = simulate(cfg, RngState(seed=0), cycles=5)
+    assert np.isfinite(rows).all()
+    assert rows[:, 1:].tolist() == [[65.0, 120.0]] * 5
 
 
 # ---------------------------------------------------------------------------
