@@ -139,7 +139,8 @@ def main(argv=None) -> int:
 
 def _load(path: str) -> DesignSpec:
     try:
-        with open(path, encoding="utf-8") as handle:
+        # utf-8-sig drops a leading byte-order mark (RFC 8259, section 8.1).
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecFormatError(f"cannot read spec file: {exc}") from exc

@@ -44,6 +44,20 @@ run does not grow with the sample count. The tank model, whose rows are
 consecutive cycles of one run, has ``chunk_rows = None``: it is sampled in
 one call, ``sample_frs(rng, n)``, and that one table is scored.
 
+A linear-model run of more than one chunk is scored on every CPU the
+process may use: its chunks are split into contiguous parts, one per CPU
+(at most one per chunk). The calling thread scores part 0 and a pool of
+one thread fewer than the CPU count scores the rest, each part drawing its
+own chunks from its own :class:`~axdesign.distributions.Substreams`, since
+a Philox generator must not be shared between threads. Substream values
+are addressed by position, so a part draws exactly the rows a serial run
+draws for those chunks. Each part returns integer counts, and integer sums
+do not depend on the order they are added in, so the summed counts, and
+the reports, are those of a serial run on any number of CPUs. When parts
+fail, the failure of the earliest rows is raised, after every part has
+stopped. One-chunk runs, one-CPU hosts and the tank model stay on the
+calling thread and start no thread.
+
 Every route scores samples with one streaming tally: per-FR hits, and for
 each link of an FR order the rows inside every range so far (the joint
 route uses declaration order, so its last link is the joint count). The
@@ -57,6 +71,8 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -253,10 +269,11 @@ def _tally(tables, ranges, order, labels=None) -> tuple[int, list[int], list[int
     return n, hits, links
 
 
-def _tables(model, mc: McConfig):
+def _tables(model, mc: McConfig, chunks: range | None = None):
     """The model's sample table for ``mc``: ``chunk_rows`` rows at a time
     from one reseated :class:`Substreams`, or in one call when
-    ``chunk_rows`` is None."""
+    ``chunk_rows`` is None. ``chunks`` picks chunk indices of a chunked
+    table (all of them by default)."""
     rng = RngState(seed=mc.seed)
     n = mc.n_samples
     rows = model.chunk_rows
@@ -264,12 +281,59 @@ def _tables(model, mc: McConfig):
         yield model.sample_frs(rng, n)
         return
     stream = Substreams(rng)
-    for start in range(0, n, rows):
+    starts = range(0, n, rows)
+    if chunks is not None:
+        starts = starts[chunks.start:chunks.stop]
+    for start in starts:
         yield model.sample_frs(stream, min(rows, n - start), start)
 
 
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_CPUS = _cpu_count()
+_POOL_LOCK = threading.Lock()
+_pool = None  # (pid, executor), made by the first run that has parts to share
+
+
+def _executor():
+    """The pool that scores parts 1 and on. A forked child makes its own,
+    since the parent's threads do not exist in it."""
+    global _pool
+    with _POOL_LOCK:
+        if _pool is None or _pool[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = (os.getpid(), ThreadPoolExecutor(_CPUS - 1))
+        return _pool[1]
+
+
 def _draw_tally(model, ranges, order, mc: McConfig, labels):
-    n, hits, links = _tally(_tables(model, mc), ranges, order, labels)
+    rows = model.chunk_rows
+    n_chunks = 1 if rows is None else -(-mc.n_samples // rows)
+    parts = min(_CPUS, n_chunks)
+    if parts == 1:
+        n, hits, links = _tally(_tables(model, mc), ranges, order, labels)
+    else:
+        cuts = [n_chunks * i // parts for i in range(parts + 1)]
+
+        def score(i):
+            chunks = range(cuts[i], cuts[i + 1])
+            return _tally(_tables(model, mc, chunks), ranges, order, labels)
+
+        from concurrent.futures import wait
+        futures = [_executor().submit(score, i) for i in range(1, parts)]
+        try:
+            counts = [score(0)]
+        finally:
+            wait(futures)
+        counts += [future.result() for future in futures]  # raises in row order
+        n = sum(c[0] for c in counts)
+        hits = [sum(col) for col in zip(*(c[1] for c in counts))]
+        links = [sum(col) for col in zip(*(c[2] for c in counts))]
     if n != mc.n_samples:
         raise ValueError(f"model produced {n} sample rows, expected {mc.n_samples}")
     return hits, links

@@ -333,7 +333,10 @@ def parse_spec(text: str) -> DesignSpec:
             f"syntax error: {exc.msg}", f"line {exc.lineno} column {exc.colno}"
         ) from exc
     except (ValueError, RecursionError) as exc:
-        raise SpecFormatError(f"cannot decode JSON: {exc}", "document") from exc
+        # The digit limit's message ends in advice to call
+        # sys.set_int_max_str_digits(), which a spec author cannot act on.
+        reason = str(exc).partition("; use sys.set_int_max_str_digits()")[0]
+        raise SpecFormatError(f"cannot decode JSON: {reason}", "document") from exc
     _require_object(doc, "document")
     _check_keys(doc, _TOP_KEYS, "document")
 

@@ -1,14 +1,16 @@
-"""Shared test helpers: fixture-file locations and loaders, and the
-hypothesis profile for CI runs."""
+"""Shared test helpers: fixture-file locations and loaders, the hypothesis
+profile for CI runs, and a fixture that sets the CPU count of the Monte
+Carlo routes."""
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
 
+import pytest
 from hypothesis import settings
 
-from axdesign import DesignSpec, parse_spec
+from axdesign import DesignSpec, info, parse_spec
 
 # Under CI a failing property prints the @reproduce_failure blob that
 # replays it locally, and no example fails for running slow on a busy runner.
@@ -28,3 +30,22 @@ def fixture_path(name: str) -> Path:
 
 def load_spec(name: str) -> DesignSpec:
     return parse_spec(fixture_path(name).read_text())
+
+
+@pytest.fixture
+def set_cpus(monkeypatch):
+    """Set the CPU count that the Monte Carlo routes split runs by. Each
+    setting gets a pool of its own, shut down when the test ends."""
+
+    def shut_down():
+        if info._pool is not None:
+            info._pool[1].shutdown()
+        monkeypatch.setattr(info, "_pool", None)
+
+    def set_cpus(cpus: int) -> None:
+        shut_down()
+        monkeypatch.setattr(info, "_CPUS", cpus)
+
+    monkeypatch.setattr(info, "_pool", None)
+    yield set_cpus
+    shut_down()

@@ -12,6 +12,7 @@ import os
 import resource
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -19,6 +20,7 @@ import pytest
 
 import axdesign
 from axdesign.cli import main
+from axdesign.propagation import _CHUNK_ROWS as C
 
 from conftest import FIXTURES, fixture_path
 
@@ -329,6 +331,70 @@ def test_info_samples_that_overflow_exit_four_naming_the_fr(capsys, tmp_path, me
     assert "FR thrust" in err and "overflow" in err
 
 
+# Four decoupled FRs over one DP of each pdf family, with a noise row of
+# each family: multi-chunk runs of it are split into parts on many CPUs.
+FAMILIES_SPEC = {
+    "frs": [{"id": f"f{i}", "nominal": 0, "tol_minus": 1.5, "tol_plus": 1.0}
+            for i in range(4)],
+    "dps": [
+        {"id": "n", "nominal": 0, "uncertainty": {"kind": "normal", "mu": 0, "sigma": 1}},
+        {"id": "u", "nominal": 0, "uncertainty": {"kind": "uniform", "lo": -1, "hi": 1}},
+        {"id": "t", "nominal": 0,
+         "uncertainty": {"kind": "triangular", "lo": -1, "mode": 0.5, "hi": 1}},
+        {"id": "e", "nominal": 0,
+         "uncertainty": {"kind": "empirical", "samples": [-1, -0.25, 0, 0.5, 1.5]}},
+    ],
+    "matrix": [[1, 0, 0, 0], [0.5, 1, 0, 0], [0.25, -0.5, 1, 0], [0.1, 0.2, -0.3, 1]],
+    "noise_pdfs": {
+        "f0": {"kind": "uniform", "lo": -0.2, "hi": 0.2},
+        "f1": {"kind": "normal", "mu": 0, "sigma": 0.3},
+        "f2": {"kind": "triangular", "lo": -0.3, "mode": 0, "hi": 0.1},
+        "f3": {"kind": "empirical", "samples": [-0.1, 0, 0.2]},
+    },
+}
+
+
+@pytest.mark.parametrize("n", [C + 1, 3 * C + 1, 100_000])
+@pytest.mark.parametrize("method", ["chain", "joint"])
+def test_info_reports_do_not_depend_on_the_cpu_count(capsys, tmp_path, set_cpus, method, n):
+    path = tmp_path / "families.json"
+    path.write_text(json.dumps(FAMILIES_SPEC))
+    argv = ("info", str(path), "--method", method, "--seed", "3", "--samples", str(n))
+    set_cpus(1)
+    code, serial, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    probabilities = [fr["probability"] for fr in json.loads(serial)["info"]["per_fr"]]
+    assert all(0.0 < p < 1.0 for p in probabilities)
+    for cpus in sorted({2, 3, axdesign.info._cpu_count()}):
+        set_cpus(cpus)
+        assert run(capsys, *argv) == (0, serial, ""), cpus
+
+
+def test_an_overflowing_run_fails_alike_on_any_cpu_count(capsys, tmp_path, set_cpus):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(OVERFLOW_SPEC))
+    argv = ("info", str(path), "--samples", str(3 * C + 1))
+    set_cpus(1)
+    serial = run(capsys, *argv)
+    assert serial[0] == 4 and "FR thrust" in serial[2]
+    for cpus in sorted({2, 3, axdesign.info._cpu_count()}):
+        set_cpus(cpus)
+        assert run(capsys, *argv) == serial, cpus
+
+
+def test_one_chunk_and_scenario_runs_start_no_thread(capsys, set_cpus):
+    # Threads would only add latency to these runs.
+    set_cpus(4)
+    before = threading.active_count()
+    assert main(["info", CASCADE, "--method", "chain", "--samples", str(C)]) == 0
+    assert main(["info", TANK, "--method", "joint", "--samples", str(C + 1)]) == 0
+    assert threading.active_count() == before
+    assert axdesign.info._pool is None
+    assert main(["info", CASCADE, "--method", "chain", "--samples", str(C + 1)]) == 0
+    assert axdesign.info._pool is not None and threading.active_count() > before
+    capsys.readouterr()
+
+
 def _limit_address_space():
     limit = 1 << 30
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -592,6 +658,18 @@ def test_undecodable_spec_files_exit_one_without_a_traceback(tmp_path, name):
         assert result.returncode == 1, command
         assert result.stdout == ""
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        # The interpreter's advice on its digit limit is not for CLI users.
+        assert "set_int_max_str_digits" not in result.stderr
+
+
+def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path):
+    # RFC 8259 (section 8.1) lets a parser ignore the mark some editors save.
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + Path(CASCADE).read_bytes())
+    for command in ("classify", "info", "validate"):
+        plain = run(capsys, command, CASCADE)
+        assert run(capsys, command, str(path)) == plain, command
+        assert plain[0] == 0 and plain[2] == ""
 
 
 # A 401-digit integer: valid JSON, but far beyond float64's range.

@@ -9,6 +9,7 @@ they are frozen rather than recomputed from package code.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +28,9 @@ from axdesign import (
     system_information_independent,
     system_information_joint,
 )
+
+from axdesign.errors import NonFiniteSamples
+from axdesign.propagation import _CHUNK_ROWS as C
 
 from conftest import load_spec
 
@@ -344,6 +348,46 @@ def test_chain_starvation_reports_downstream_links_as_unbounded():
     assert report.system_bits == math.inf
     assert report.system_probability == 0.0
     assert any("starvation" in w and "impossible" in w for w in report.warnings)
+
+
+# ---------------------------------------------------------------------------
+# Runs split into parts on many CPUs
+
+class _Faulty:
+    """A chunked model of FRs a and b that records the chunks it draws.
+    Column b is infinite in chunk 5 and column a from chunk 9 on, so a
+    serial run fails in chunk 5, naming b. The chunks in ``slow`` take
+    50 ms each."""
+
+    chunk_rows = C
+
+    def __init__(self, slow):
+        self.slow = slow
+        self.drawn = []
+
+    def sample_frs(self, stream, n, start):
+        chunk = start // C
+        if chunk in self.slow:
+            time.sleep(0.05)
+        table = np.zeros((n, 2))
+        table[:, 1] = math.inf if chunk == 5 else 0.0
+        table[:, 0] = math.inf if chunk >= 9 else 0.0
+        self.drawn.append(chunk)
+        return table
+
+
+# A slow chunk before chunk 5 lets the part holding chunk 9 fail first;
+# slow chunks after it keep that part running once the other has failed.
+@pytest.mark.parametrize("slow", [(4,), (6, 7, 8)], ids=["early", "late"])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_failing_run_raises_the_earliest_failure_once_every_part_stops(set_cpus, cpus, slow):
+    set_cpus(cpus)
+    model = _Faulty(slow)
+    with pytest.raises(NonFiniteSamples, match="FR b"):
+        system_information_joint(model, [(-1.0, 1.0)] * 2, McConfig(n_samples=13 * C),
+                                 fr_ids=("a", "b"))
+    # The last part fails in chunk 9, after the slow chunks.
+    assert (9 in model.drawn) == (cpus > 1)
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,17 @@ def test_chunked_tables_and_tally_match_the_one_call_reference(n, seed, shape, d
     assert links == [int(inside[:, order[:k + 1]].all(axis=1).sum())
                      for k in range(n_frs)]
 
+    # Contiguous parts of the chunks, each drawn and tallied on its own
+    # stream, sum to the one-call counts.
+    cuts = sorted(data.draw(st.lists(st.integers(1, len(chunks) - 1), unique=True))
+                  if len(chunks) > 1 else [])
+    parts = [_tally(_tables(model, McConfig(seed=seed, n_samples=n), range(a, b)),
+                    ranges, order)
+             for a, b in zip([0] + cuts, cuts + [len(chunks)])]
+    assert sum(part[0] for part in parts) == n
+    assert [sum(col) for col in zip(*(part[1] for part in parts))] == hits
+    assert [sum(col) for col in zip(*(part[2] for part in parts))] == links
+
 
 @pytest.mark.parametrize("n_frs", [1, 3])
 @pytest.mark.parametrize("n", [1, C + 1, 2 * C + 1])
