@@ -47,16 +47,21 @@ one call, ``sample_frs(rng, n)``, and that one table is scored.
 A linear-model run of more than one chunk is scored on every CPU the
 process may use: its chunks are split into contiguous parts, one per CPU
 (at most one per chunk). The calling thread scores part 0 and a pool of
-one thread fewer than the CPU count scores the rest, each part drawing its
-own chunks from its own :class:`~axdesign.distributions.Substreams`, since
-a Philox generator must not be shared between threads. Substream values
-are addressed by position, so a part draws exactly the rows a serial run
-draws for those chunks. Each part returns integer counts, and integer sums
+one thread fewer than the CPU count, made on first use, scores the rest,
+each part drawing its own chunks from its own
+:class:`~axdesign.distributions.Substreams`, since a Philox generator must
+not be shared between threads. Substream values are addressed by
+position, so a part draws exactly the rows a serial run draws for those
+chunks. Each part returns integer counts, and integer sums
 do not depend on the order they are added in, so the summed counts, and
 the reports, are those of a serial run on any number of CPUs. When parts
 fail, the failure of the earliest rows is raised, after every part has
 stopped. One-chunk runs, one-CPU hosts and the tank model stay on the
-calling thread and start no thread.
+calling thread and start no thread. Any model with ``chunk_rows`` set is
+split so, not only :class:`~axdesign.propagation.LinearModel`: its
+``sample_frs(stream, rows, start)`` is called from several threads at once
+and not in row order, so it must be safe to call that way, and the rows it
+returns must depend only on ``start`` and ``rows``.
 
 Every route scores samples with one streaming tally: per-FR hits, and for
 each link of an FR order the rows inside every range so far (the joint
@@ -69,10 +74,10 @@ naming the FR.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -296,44 +301,37 @@ def _cpu_count() -> int:
 
 
 _CPUS = _cpu_count()
-_POOL_LOCK = threading.Lock()
-_pool = None  # (pid, executor), made by the first run that has parts to share
 
 
-def _executor():
-    """The pool that scores parts 1 and on. A forked child makes its own,
-    since the parent's threads do not exist in it."""
-    global _pool
-    with _POOL_LOCK:
-        if _pool is None or _pool[0] != os.getpid():
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = (os.getpid(), ThreadPoolExecutor(_CPUS - 1))
-        return _pool[1]
+@functools.cache
+def _executor(pid: int, threads: int):
+    """The pool that scores parts 1 and on, made on first use. It is keyed
+    by the process id because a forked child has none of its threads."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(threads)
 
 
 def _draw_tally(model, ranges, order, mc: McConfig, labels):
     rows = model.chunk_rows
     n_chunks = 1 if rows is None else -(-mc.n_samples // rows)
     parts = min(_CPUS, n_chunks)
-    if parts == 1:
-        n, hits, links = _tally(_tables(model, mc), ranges, order, labels)
-    else:
-        cuts = [n_chunks * i // parts for i in range(parts + 1)]
+    cuts = [n_chunks * i // parts for i in range(parts + 1)]
 
-        def score(i):
-            chunks = range(cuts[i], cuts[i + 1])
-            return _tally(_tables(model, mc, chunks), ranges, order, labels)
+    def score(i):
+        chunks = range(cuts[i], cuts[i + 1])
+        return _tally(_tables(model, mc, chunks), ranges, order, labels)
 
-        from concurrent.futures import wait
-        futures = [_executor().submit(score, i) for i in range(1, parts)]
-        try:
-            counts = [score(0)]
-        finally:
-            wait(futures)
-        counts += [future.result() for future in futures]  # raises in row order
-        n = sum(c[0] for c in counts)
-        hits = [sum(col) for col in zip(*(c[1] for c in counts))]
-        links = [sum(col) for col in zip(*(c[2] for c in counts))]
+    futures = [_executor(os.getpid(), _CPUS - 1).submit(score, i)
+               for i in range(1, parts)]
+    try:
+        counts = [score(0)]
+    finally:
+        for future in futures:
+            future.exception()  # waits for the part without raising
+    counts += [future.result() for future in futures]  # raises in row order
+    n = sum(c[0] for c in counts)
+    hits = [sum(col) for col in zip(*(c[1] for c in counts))]
+    links = [sum(col) for col in zip(*(c[2] for c in counts))]
     if n != mc.n_samples:
         raise ValueError(f"model produced {n} sample rows, expected {mc.n_samples}")
     return hits, links
@@ -366,7 +364,9 @@ def system_information_joint(
 
     Samples the model once; the system probability is the fraction of
     outcome vectors inside all ranges at once, and the per-FR rows are the
-    marginal fractions. No independence assumption."""
+    marginal fractions. No independence assumption. A model with
+    ``chunk_rows`` set is sampled from several threads at once, out of row
+    order (see the module docstring)."""
     ranges = tuple(ranges)
     hits, links = _draw_tally(model, ranges, range(len(ranges)), mc, fr_ids)
     return _joint_report(mc.n_samples, hits, links[-1], mc.seed, fr_ids)
@@ -403,7 +403,8 @@ def conditional_chain_information(
     sample count; the system bits are the sum of the per-link bits. A link
     that leaves zero surviving samples starves the links after it: those
     are reported as zero probability with infinite error, and a warning is
-    attached.
+    attached. The model is sampled as :func:`system_information_joint`
+    samples it.
     """
     ranges = tuple(ranges)
     labels = tuple(fr_ids) if fr_ids is not None else None

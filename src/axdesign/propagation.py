@@ -27,7 +27,11 @@ gives, bit for bit: each draw takes one uniform, so row r of DP column j
 is value r of substream j, which a :class:`~axdesign.distributions.Substreams`
 seated at ``(j, start)`` reads directly. Passing one ``Substreams`` of the
 run's ``RngState`` as ``rng`` reuses one generator for every chunk, so
-sampling memory is set by the chunk, not by the sample count.
+sampling memory is set by the chunk, not by the sample count. The info
+routes split a multi-chunk run into parts scored on several threads, each
+with its own ``Substreams``, so a chunked model's ``sample_frs`` is called
+concurrently and out of row order; ``LinearModel`` holds no per-call state
+and its rows depend only on their position.
 :class:`ScenarioModel` rows are consecutive cycles of one Markov run, so it
 has ``chunk_rows = None`` and its table is sampled in one call.
 """

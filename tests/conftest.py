@@ -34,18 +34,5 @@ def load_spec(name: str) -> DesignSpec:
 
 @pytest.fixture
 def set_cpus(monkeypatch):
-    """Set the CPU count that the Monte Carlo routes split runs by. Each
-    setting gets a pool of its own, shut down when the test ends."""
-
-    def shut_down():
-        if info._pool is not None:
-            info._pool[1].shutdown()
-        monkeypatch.setattr(info, "_pool", None)
-
-    def set_cpus(cpus: int) -> None:
-        shut_down()
-        monkeypatch.setattr(info, "_CPUS", cpus)
-
-    monkeypatch.setattr(info, "_pool", None)
-    yield set_cpus
-    shut_down()
+    """Set the CPU count that the Monte Carlo routes split runs by."""
+    return lambda cpus: monkeypatch.setattr(info, "_CPUS", cpus)

@@ -382,16 +382,25 @@ def test_an_overflowing_run_fails_alike_on_any_cpu_count(capsys, tmp_path, set_c
         assert run(capsys, *argv) == serial, cpus
 
 
-def test_one_chunk_and_scenario_runs_start_no_thread(capsys, set_cpus):
+def test_one_chunk_and_scenario_runs_start_no_thread(capsys, monkeypatch, set_cpus):
     # Threads would only add latency to these runs.
     set_cpus(4)
+    scorers = set()
+    tally = axdesign.info._tally
+
+    def spy(*args):
+        scorers.add(threading.get_ident())
+        return tally(*args)
+
+    monkeypatch.setattr(axdesign.info, "_tally", spy)
     before = threading.active_count()
     assert main(["info", CASCADE, "--method", "chain", "--samples", str(C)]) == 0
     assert main(["info", TANK, "--method", "joint", "--samples", str(C + 1)]) == 0
+    assert scorers == {threading.get_ident()}
     assert threading.active_count() == before
-    assert axdesign.info._pool is None
+    # The control: a two-chunk run is scored on a second thread.
     assert main(["info", CASCADE, "--method", "chain", "--samples", str(C + 1)]) == 0
-    assert axdesign.info._pool is not None and threading.active_count() > before
+    assert len(scorers) == 2
     capsys.readouterr()
 
 

@@ -9,7 +9,11 @@ they are frozen rather than recomputed from package code.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from axdesign import (
     bits_from_probability,
     conditional_chain_information,
     fr_information,
+    info,
     system_information_from_samples,
     system_information_independent,
     system_information_joint,
@@ -388,6 +393,37 @@ def test_a_failing_run_raises_the_earliest_failure_once_every_part_stops(set_cpu
                                  fr_ids=("a", "b"))
     # The last part fails in chunk 9, after the slow chunks.
     assert (9 in model.drawn) == (cpus > 1)
+
+
+_FORKED_RUN = """
+import os
+import signal
+import numpy as np
+from axdesign import LinearModel, McConfig, Uniform, info, system_information_joint
+
+info._CPUS = 2
+model = LinearModel(np.eye(2), [Uniform(0.0, 1.0)] * 2)
+
+def report():
+    return system_information_joint(model, [(0.0, 0.5)] * 2, McConfig(n_samples=3 * 8192))
+
+parent = report()  # leaves a pool whose thread the child does not inherit
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)  # a hung child ends itself
+    os._exit(0 if report() == parent else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+def test_a_forked_child_scores_parts_on_a_pool_of_its_own():
+    # The child would wait forever on the parent's pool, whose thread it
+    # does not have.
+    src = str(Path(info.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", _FORKED_RUN], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"
 
 
 # ---------------------------------------------------------------------------
