@@ -43,16 +43,16 @@ whatever the family.
 * Empirical picks observation ``floor(u * n_obs)`` of the sorted
   observations.
 
-Many short substreams, such as one per simulated cycle, are read through
-:class:`Substreams`: one Philox generator that is reseated by assigning its
-state rather than rebuilt. Philox is counter-based (Salmon et al., SC 2011),
-so seating it at value ``p`` of a substream costs the same for every ``p``,
-and ``Substreams.skip(m)`` passes over ``m`` values without drawing them.
-Seats and skips only record the position; the next draw assigns the state.
-After ``seat(k)`` it yields exactly the values of
-``RngState(seed).substream(k).generator()``: the substream keys are
-computed by a uint32 restatement of ``SeedSequence`` that derives the keys
-of many substreams in one pass.
+Many substreams read in pieces, such as the DP columns of a Monte Carlo
+run drawn chunk by chunk, are read through :class:`Substreams`: one Philox
+generator that is reseated by assigning its state rather than rebuilt.
+Philox is counter-based (Salmon et al., SC 2011), so seating it at value
+``p`` of a substream costs the same for every ``p``. A seat only records
+the position; the next draw assigns the state. After ``seat(k, p)`` it
+yields exactly the values of ``RngState(seed).substream(k).generator()``
+from value ``p`` on: the substream keys are computed by a uint32
+restatement of ``SeedSequence`` that derives the keys of many substreams
+in one pass.
 """
 
 from __future__ import annotations
@@ -280,15 +280,14 @@ def _substream_keys(seed: int, stream: tuple[int, ...], ks: np.ndarray) -> np.nd
 class Substreams:
     """The substreams of an :class:`RngState` on one reused Philox generator.
 
-    After :meth:`seat` ``(k)``, :meth:`random` returns exactly what
-    ``rng.substream(k).generator().random`` returns, and :meth:`skip`
-    passes over values without drawing them. Pass the object to
-    :func:`draw_from` in place of a Generator. Substream keys must be below
-    2**32.
+    After :meth:`seat` ``(k, p)``, :meth:`random` returns exactly what
+    ``rng.substream(k).generator().random`` returns from value ``p`` on.
+    Pass the object to :func:`draw_from` in place of a Generator. Substream
+    keys must be below 2**32.
 
-    ``seat`` and ``skip`` are bookkeeping: they record the position, and
-    the next :meth:`random` assigns the generator state once, however many
-    seats and skips came before it.
+    ``seat`` is bookkeeping: it records the position, and the next
+    :meth:`random` assigns the generator state once, however many seats
+    came before it.
     """
 
     def __init__(self, rng: RngState):
@@ -317,17 +316,11 @@ class Substreams:
         self._pos = p
         self._placed = False
 
-    def skip(self, m: int) -> None:
-        """Pass over the next ``m`` values of the current substream."""
-        if m:
-            self._pos += m
-            self._placed = False
-
-    def random(self, n: int | None = None):
-        """As ``Generator.random``: the next value, or an array of ``n``."""
+    def random(self, n: int) -> np.ndarray:
+        """As ``Generator.random(n)``: an array of the next ``n`` values."""
         if not self._placed:
             self._place()
-        self._pos += 1 if n is None else n
+        self._pos += n
         return self._gen.random(n)
 
     def _place(self) -> None:

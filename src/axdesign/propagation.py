@@ -16,9 +16,9 @@ sample, share one sampling protocol
 model exposing ``evaluate`` by central finite differences — exact for
 linear maps at any step size.
 
-Determinism: every DP column, noise row, and simulated cycle draws from
-its own derived substream of the caller's ``RngState``, so results are
-reproducible for a given seed and independent across columns.
+Determinism: every DP column, noise row, and tank noise channel draws
+from its own derived substream of the caller's ``RngState``, so results
+are reproducible for a given seed and independent across columns.
 
 Rows in chunks: :class:`LinearModel` sets ``chunk_rows``, the rows the
 Monte Carlo routes sample at a time. ``LinearModel.sample_frs(rng, n, start)``

@@ -48,8 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import (_FLOAT_MAX, Pdf, RngState, Substreams, draw_from,
-                            float64_array, is_count, is_real)
+from .distributions import (_FLOAT_MAX, Pdf, RngState, draw_from, float64_array,
+                            is_count, is_real)
 from .errors import SimulationDivergence
 
 __all__ = ["TankConfig", "tank_response"]
@@ -71,7 +71,7 @@ _PHASE_RETRIES = 4  # chunks of sensor readings searched before divergence
 # Most readings a search chunk may hold: the phase's whole budget then has
 # indices below 2**53, which float64 times hold exactly.
 _MAX_CHUNK = 2**51
-_SLICE = 2**12  # sensor readings per draw_from call; its tolist() is ~130 KB
+_BLOCK = 2**8  # noise values per draw_from call of one channel
 # Relative widening of a noise pdf's support when ruling readings out, so
 # that rounding in the support's endpoints cannot rule out a crossing.
 _SUPPORT_MARGIN = 1e-6
@@ -146,7 +146,16 @@ def _first(can, lo: int, hi: int, guess: float) -> int:
     return lo + bisect.bisect_left(range(lo, hi), True, key=can)
 
 
-def _cross(stream, pdf, start, step, target, bias, upward, cycle, what):
+def _noise(pdf, rng: RngState):
+    """The values of one noise channel, in order: the stream of
+    ``rng.generator()``, built at the first value and drawn ``_BLOCK``
+    values per :func:`draw_from` call."""
+    gen = rng.generator()
+    while True:
+        yield from draw_from(pdf, gen, _BLOCK).tolist()
+
+
+def _cross(noise, pdf, start, step, target, bias, upward, cycle, what):
     """True value at the first noisy reading across ``target``.
 
     Readings happen at t = 0, 1, 2, ...; the true value follows
@@ -154,36 +163,25 @@ def _cross(stream, pdf, start, step, target, bias, upward, cycle, what):
     has no accumulation error) and the transmitter reports
     ``true + noise - bias``.
 
-    Readings are searched in chunks, one noise draw per reading from the
-    seated ``stream`` (a :class:`Substreams`). A reading can cross only if
-    its noiseless value, moved by the most extreme value ``pdf`` can
-    return, crosses. While the trajectory approaches the target that test
-    is non-decreasing in t, and the closed form
-    ``(target + bias - reach - start) / step`` puts its first true reading
-    within rounding, so :func:`_first` tests that reading and the one
-    before it on scalars (the same float operations as the scan below).
-    A level or receding trajectory can cross only from the chunk's first
-    reading on, so its search starts there. ``stream.skip`` passes over
-    the values of the earlier readings, and the rest are drawn ``_SLICE``
-    at a time, one ``draw_from`` call per slice.
+    Readings are searched in chunks. A reading can cross only if its
+    noiseless value, moved by the most extreme value ``pdf`` can return,
+    crosses; each reading that can cross takes the next value of the
+    ``noise`` iterator, and a reading that cannot takes none. That test is
+    monotone in t, so the readings of a chunk that can cross form one run:
+    from :func:`_first` of them to the chunk's end while the trajectory
+    approaches the target, where the closed form
+    ``(target + bias - reach - start) / step`` puts the first within
+    rounding, and from the chunk's start up to the first that cannot
+    otherwise.
 
-    Each slice is tested one reading at a time, on Python floats, up to its
-    first crossing. The tank's windows hold tens to a few hundred readings
-    and usually cross within the first few, so this costs a few float
-    operations per reading tested, where an array test costs about eight
-    numpy calls of about a microsecond each, whatever the length. A window
-    of thousands of readings (a cold inlet, a fine timestep) that crosses
-    far in costs more this way than as arrays; no fixture or benchmark
-    workload has one. The scan computes ``start + step * t - bias + noise``
-    in that order, each operation rounded to float64, and compares with
-    ``float(target)``, so it stops at the reading the per-reading reference
-    does.
-
-    After a hit the rest of the chunk is skipped. The skips are
-    bookkeeping, so the stream is reseated at most once per search, at its
-    first draw. This leaves the stream and every drawn value as if the
-    whole chunk had been drawn, in bounded memory. A phase needing more
-    than ``_MAX_CHUNK`` readings per chunk raises
+    That run is tested one reading at a time, on Python floats, up to its
+    first crossing, which usually comes within a few readings; a window of
+    thousands of readings that crosses far in (a cold inlet, a fine
+    timestep) costs a few float operations per reading. The scan
+    computes ``start + step * t - bias + noise`` in that order, each
+    operation rounded to float64, and compares with ``float(target)``, so
+    it stops at the reading the per-reading reference does. A phase
+    needing more than ``_MAX_CHUNK`` readings per chunk raises
     :class:`SimulationDivergence` as a size limit.
     """
     if step != 0.0:
@@ -207,26 +205,20 @@ def _cross(stream, pdf, start, step, target, bias, upward, cycle, what):
         return crossed(start + step * t - bias + reach, target)
 
     approaching = step > 0.0 if upward else step < 0.0
-    if approaching:
-        guess = (target + bias - reach - start) / step
-    else:  # ``can`` is non-increasing or constant
-        guess = -math.inf
     goal = float(target)  # as the reference casts it to compare an array
     for t0 in range(0, _PHASE_RETRIES * chunk, chunk):
         end = t0 + chunk
-        i0 = _first(can, t0, end, guess)
+        if approaching:
+            first = _first(can, t0, end, (target + bias - reach - start) / step)
+        else:  # ``can`` is non-increasing or constant
+            first, end = t0, _first(lambda t: not can(t), t0, end, -math.inf)
         if pdf is None:  # with no noise the first reading that can cross does
-            if i0 < end:
-                return float(start + step * i0)
+            if first < end:
+                return float(start + step * first)
             continue
-        stream.skip(i0 - t0)
-        for s0 in range(i0, end, _SLICE):
-            s1 = min(s0 + _SLICE, end)
-            noise = draw_from(pdf, stream, s1 - s0)
-            for t, e in enumerate(noise.tolist(), s0):
-                if crossed(start + step * t - bias + e, goal):
-                    stream.skip(end - s1)
-                    return float(start + step * t)
+        for t in range(first, end):
+            if crossed(start + step * t - bias + next(noise), goal):
+                return float(start + step * t)
     raise SimulationDivergence(f"{what} never crossed its setpoint", cycle)
 
 
@@ -237,17 +229,14 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
     """Run the cycle simulation; returns an (n, 3) array of achieved values.
 
     Columns: level at close of fill (m), temperature at mix start (degC),
-    mixing duration (s). Cycle k draws from substream k of ``rng``, so
-    results are reproducible from the seed regardless of batching. All
-    cycles run on one :class:`Substreams` generator, seated at the start of
-    substream k for cycle k, which yields exactly the values of
-    ``rng.substream(k).generator()``; the crossing search skips the values
-    of readings that cannot cross, draws the rest of its window ``_SLICE``
-    readings per call and tests them one by one up to the first crossing
-    (see :func:`_cross`), and the one-value inlet and duration reads
-    transform a single ``random()`` float. Seats and skips are bookkeeping,
-    so a noisy crossing search costs at most one state assignment, made at
-    its first draw, and a noiseless cycle none.
+    mixing duration (s). Noise channel c of ``_NOISE_CHANNELS`` reads the
+    values of ``rng.substream(c).generator()`` in order, through one
+    :func:`_noise` iterator per noisy channel, so a given seed gives one
+    table and a shorter run is a prefix of a longer one. Each sensor
+    reading that can cross its setpoint takes one value of its channel
+    (see :func:`_cross`), and the inlet and duration channels take one
+    value per cycle. A run builds at most one generator per noisy channel
+    and holds at most ``_BLOCK`` drawn values per channel.
 
     Raises ``ValueError``, before allocating the table, for a cycle count
     that is not an int in [1, ``MAX_CYCLES``] (a bool is not), and
@@ -260,11 +249,10 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
     if not is_count(n, MAX_CYCLES):
         raise ValueError(f"cycle count must be in [1, {MAX_CYCLES}]")
     dt = config.timestep
-    noise = config.sensor_noise
-    lvl_pdf = noise.get("level")
-    tmp_pdf = noise.get("temp")
-    dur_pdf = noise.get("duration")
-    inl_pdf = noise.get("inlet")
+    pdfs = [config.sensor_noise.get(name) for name in _NOISE_CHANNELS]
+    lvl_pdf, tmp_pdf = pdfs[:2]
+    lvl, tmp, dur, inl = (None if pdf is None else _noise(pdf, rng.substream(c))
+                          for c, pdf in enumerate(pdfs))
 
     out = np.empty((n, 3), dtype=np.float64)
     temp = config.temp_setpoint
@@ -272,26 +260,24 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
     prev_heat = 0.0  # degC added by the heater in the previous cycle
     prev_run = 0.0  # mixer runtime in the previous cycle, s
 
-    stream = Substreams(rng)
     for k in range(n):
-        stream.seat(k)
         drift = (
             config.heater_to_level * prev_heat * LEVEL_DRIFT_PER_DEGC
             + config.mixer_to_level * (prev_run / MIX_REF) * LEVEL_DRIFT_PER_RUN
         )
 
         # Drain until the transmitter reads the low setpoint.
-        low = _cross(stream, lvl_pdf, level, -DRAIN_RATE * dt, config.level_low,
+        low = _cross(lvl, lvl_pdf, level, -DRAIN_RATE * dt, config.level_low,
                      drift, False, k, "drain level")
 
         # Fill until the transmitter reads the high setpoint; the inlet
         # stream blends with the residue (exact mass-weighted mixing, the
         # telescoped form of per-step Euler blending).
-        achieved_level = _cross(stream, lvl_pdf, low, FILL_RATE * dt,
+        achieved_level = _cross(lvl, lvl_pdf, low, FILL_RATE * dt,
                                 config.level_high, drift, True, k, "fill level")
         t_in = INLET_TEMP
-        if inl_pdf is not None:
-            t_in += float(inl_pdf._transform(stream.random()))
+        if inl is not None:
+            t_in += next(inl)
         t_blend = t_in + low * (temp - t_in) / achieved_level
 
         # Heat to the setpoint. The thermostat cuts at the setpoint exactly
@@ -300,15 +286,15 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
         if t_blend >= config.temp_setpoint:
             achieved_temp = t_blend
         else:
-            stopped = _cross(stream, tmp_pdf, t_blend, HEAT_RATE * dt,
+            stopped = _cross(tmp, tmp_pdf, t_blend, HEAT_RATE * dt,
                              config.temp_setpoint, 0.0, True, k, "heater temperature")
             achieved_temp = max(t_blend, min(stopped, config.temp_setpoint))
         heat_added = achieved_temp - t_blend
 
         # Timed mix; agitation heat stays in the batch for the next cycle.
         run = config.mix_duration
-        if dur_pdf is not None:
-            run = max(0.0, run + float(dur_pdf._transform(stream.random())))
+        if dur is not None:
+            run = max(0.0, run + next(dur))
 
         # A runaway run stops before an inf or nan reaches the next cycle.
         if not (-_FLOAT_MAX <= achieved_level <= _FLOAT_MAX

@@ -454,7 +454,7 @@ def test_simulate_csv_bytes_are_pinned(capsys, tmp_path):
                      "--seed", "9", "--out", str(csv_path))
     assert code == 0
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
-        "9cf74abbe381dbadb39a981419fee7aaf42db3987864c3c8de7dc0c9d36228db"
+        "715f15c4a69a6f5f1c709a1237b9831bc8890c563290f15a5542ef03e97f4953"
 
 
 def test_simulate_without_scenario_exits_one(capsys):
@@ -501,7 +501,7 @@ def test_runaway_tank_diverges_at_its_first_non_finite_cycle(capsys, tmp_path, c
     assert out == ""
     assert err.startswith("error: simulation diverged at cycle 1: recorded level, "
                           "temperature and duration (")
-    assert err.endswith(", inf, 119.921) are not all finite\n")
+    assert err.endswith(", inf, 119.988) are not all finite\n")
     assert err.count("\n") == 1
 
 
@@ -519,7 +519,7 @@ def _tank_with_timestep(tmp_path, timestep):
 ])
 def test_tiny_timestep_runs_in_bounded_memory(capsys, tmp_path, command):
     # At 1e-7 s per step a fill phase needs ~1.2e9 sensor readings; the
-    # search draws only the readings that can cross, a slice at a time.
+    # search draws only the readings that can cross, a block at a time.
     path = _tank_with_timestep(tmp_path, 1e-7)
     code, out, err = run(capsys, command[0], path, *command[1:])
     assert code == 0

@@ -88,9 +88,9 @@ PINNED = {
     ("tank_turbulent.json", "classify"): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("tank_turbulent.json", "classify-text"): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("tank_turbulent.json", "validate"): (0, "3c902d9aa5abc7ecbcbc89b71197d784f4001dfacd7e22bdd4403f1c174ff58c"),
-    ("tank_turbulent.json", "info"): (0, "c210facf008122d27fb33580ebd92c042382ec6a2187783980b6cf17ef4d8085"),
-    ("tank_turbulent.json", "info-joint"): (0, "c210facf008122d27fb33580ebd92c042382ec6a2187783980b6cf17ef4d8085"),
-    ("tank_turbulent.json", "info-chain-text"): (0, "d0e9eca4012e4bb217a90da3e8ede54bb8f460d4a476add312791c860aa0f104"),
+    ("tank_turbulent.json", "info"): (0, "362c81691951b07ee35a91c0eb43c680df90085275935eb9cf8918df0eccaf10"),
+    ("tank_turbulent.json", "info-joint"): (0, "362c81691951b07ee35a91c0eb43c680df90085275935eb9cf8918df0eccaf10"),
+    ("tank_turbulent.json", "info-chain-text"): (0, "1aaf53e8561a03e2fa97fc754ddf9b11a9812b1030ed36e83e83f6c90ccc09e2"),
     ("tank_turbulent.json", "simulate"): (0, "972fd0719a6501c7a62d5ca085913bdaee1f749918c657bc6bea50bc02498cda"),
 }
 

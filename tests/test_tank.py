@@ -6,11 +6,12 @@ from __future__ import annotations
 import hashlib
 import math
 import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from axdesign import (
@@ -24,7 +25,7 @@ from axdesign import (
     simulate_tank,
     tank_response,
 )
-from axdesign import distributions, tank
+from axdesign import tank
 from axdesign.distributions import Substreams, draw_from
 from axdesign.tank import _PHASE_RETRIES, _cross, _first, simulate
 
@@ -99,52 +100,191 @@ def test_same_seed_reproduces_noisy_run():
     assert not np.array_equal(a, c)
 
 
-def test_each_cycle_owns_its_substream():
-    # Extending a run must not change the cycles already simulated.
+def test_extending_a_run_keeps_earlier_cycles():
+    # Each channel reads one stream in order, so a shorter run is a prefix.
     cfg = TankConfig(sensor_noise=NOISY)
     short = simulate(cfg, RngState(seed=7), cycles=5)
     long = simulate(cfg, RngState(seed=7), cycles=10)
     assert np.array_equal(short, long[:5])
 
 
+# ---------------------------------------------------------------------------
+# The reference: every reading tested in order, one value per reading that
+# can cross, each from a fresh generator of the channel's substream.
+
+
+class _Counted:
+    """An iterator of noise values that counts the values taken."""
+
+    def __init__(self, values):
+        self.values, self.taken = values, 0
+
+    def __next__(self):
+        self.taken += 1
+        return next(self.values)
+
+
+def _fresh_values(pdf, rng):
+    """The reference values of a channel: ``pdf._transform(gen.random())``,
+    one at a time, from ``rng.generator()``."""
+    gen = rng.generator()
+    while True:
+        yield pdf._transform(gen.random())
+
+
+_SCAN = 2**16  # readings the reference tests per array
+
+
+def _reach(pdf, upward):
+    """The most extreme value a draw of ``pdf`` can take, with the
+    support widened by ``tank._SUPPORT_MARGIN``; 0 without noise."""
+    if pdf is None:
+        return 0.0
+    lo, hi = pdf._support
+    pad = tank._SUPPORT_MARGIN * (hi - lo)
+    return hi + pad if upward else lo - pad
+
+
+def _cross_every_reading(values, pdf, start, step, target, bias, upward, cycle, what):
+    """Reference search: tests every reading of every chunk in order. A
+    reading can cross if its noiseless value moved by the pdf's widened
+    support crosses; such a reading takes the next of ``values`` and is
+    tested with it, and any other reading takes none."""
+    need = max(0.0, (target - start) / step) if step != 0.0 else 0.0
+    readings = _PHASE_RETRIES * (int(need) + 64)
+    reach = _reach(pdf, upward)
+    crossed = np.greater_equal if upward else np.less_equal
+    for t0 in range(0, readings, _SCAN):
+        true = start + step * np.arange(t0, min(t0 + _SCAN, readings), dtype=np.float64)
+        for t in np.flatnonzero(crossed(true - bias + reach, target)).tolist():
+            noise = 0.0 if pdf is None else next(values)
+            if crossed(true[t] - bias + noise, target):
+                return float(true[t])
+    raise SimulationDivergence(f"{what} never crossed its setpoint", cycle)
+
+
+def _simulate_every_reading(config, rng, cycles):
+    """Reference run: the tank cycle with the reference search, channel c
+    reading ``_fresh_values`` of ``rng.substream(c)``. Returns the table and
+    the values each channel took."""
+    pdfs = dict(zip(tank._NOISE_CHANNELS, map(config.sensor_noise.get, tank._NOISE_CHANNELS)))
+    values = {name: _Counted(_fresh_values(pdf, rng.substream(c)))
+              for c, (name, pdf) in enumerate(pdfs.items()) if pdf is not None}
+    lvl, tmp, dur, inl = map(values.get, tank._NOISE_CHANNELS)
+    dt = config.timestep
+    rows = []
+    temp, level, prev_heat, prev_run = config.temp_setpoint, config.level_high, 0.0, 0.0
+    for k in range(cycles):
+        drift = (config.heater_to_level * prev_heat * tank.LEVEL_DRIFT_PER_DEGC
+                 + config.mixer_to_level * (prev_run / tank.MIX_REF) * tank.LEVEL_DRIFT_PER_RUN)
+        low = _cross_every_reading(lvl, pdfs["level"], level, -tank.DRAIN_RATE * dt,
+                                   config.level_low, drift, False, k, "drain level")
+        achieved_level = _cross_every_reading(lvl, pdfs["level"], low, tank.FILL_RATE * dt,
+                                              config.level_high, drift, True, k, "fill level")
+        t_in = tank.INLET_TEMP
+        if inl is not None:
+            t_in += next(inl)
+        t_blend = t_in + low * (temp - t_in) / achieved_level
+        achieved_temp = t_blend
+        if t_blend < config.temp_setpoint:
+            stopped = _cross_every_reading(tmp, pdfs["temp"], t_blend, tank.HEAT_RATE * dt,
+                                           config.temp_setpoint, 0.0, True, k,
+                                           "heater temperature")
+            achieved_temp = max(t_blend, min(stopped, config.temp_setpoint))
+        run = config.mix_duration
+        if dur is not None:
+            run = max(0.0, run + next(dur))
+        rows.append((achieved_level, achieved_temp, run))
+        temp = achieved_temp + config.mixer_to_temp * tank.TURB_HEAT_RATE * run
+        level, prev_heat, prev_run = achieved_level, achieved_temp - t_blend, run
+    taken = {name: counted.taken for name, counted in values.items()}
+    return np.array(rows, dtype=np.float64), taken
+
+
+def _sha(rows):
+    return hashlib.sha256(rows.tobytes()).hexdigest()
+
+
 # sha256 of the float64 bytes of 400 coupled cycles, one table per noise
-# family on all four channels, computed with the search that draws and
-# tests every sensor reading; skipping readings must not move a bit.
+# family on all four channels. Each is the reference run's table, and the
+# simulator must give it too.
 PINNED_GAINS = dict(mixer_to_temp=0.015, heater_to_level=0.3, mixer_to_level=0.02)
 PINNED_NOISE = {
     "uniform": (
         {"level": Uniform(-0.02, 0.02), "temp": Uniform(-0.2, 0.15),
          "duration": Uniform(-0.5, 0.5), "inlet": Uniform(-0.3, 0.3)},
-        "359442a34903f5920d0deb1d554c60caf64adf36706a6efc8c66de028cfbd61b",
+        "a24c7acf76f9738dfc9ac70efb7ee359fd2f58418fd89be081b08322cfa69819",
     ),
     "normal": (
         {"level": Normal(0.001, 0.01), "temp": Normal(0.0, 0.1),
          "duration": Normal(0.0, 0.3), "inlet": Normal(-0.05, 0.15)},
-        "4d97db1606ba52681bc97a07f2ffc84235bd5b162a82dc5d48121b37597a468c",
+        "75e78b92eecba5066c853a4c325d31c6c7ff3c298f7685b30fdb7dc655d4750f",
     ),
     "triangular": (
         {"level": Triangular(-0.03, 0.0, 0.02), "temp": Triangular(-0.2, 0.05, 0.2),
          "duration": Triangular(-0.6, 0.0, 0.6), "inlet": Triangular(-0.3, -0.3, 0.4)},
-        "1c1098341103a29da29348c82ce24e3c0a7a2cbd69d099537e01356f63caae96",
+        "c351629679eca8d783d594ac4e0d1f1bd62f00d36b6094f3a9361b1ddacffc10",
     ),
 }
 
 
+def _pinned_config(family, **changes):
+    return TankConfig(sensor_noise=PINNED_NOISE[family][0], **PINNED_GAINS, **changes)
+
+
 @pytest.mark.parametrize("family", sorted(PINNED_NOISE))
 def test_coupled_noisy_tables_are_pinned(family):
-    noise, digest = PINNED_NOISE[family]
-    cfg = TankConfig(sensor_noise=noise, **PINNED_GAINS)
-    rows = simulate(cfg, RngState(seed=2024), cycles=400)
-    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+    cfg = _pinned_config(family)
+    digest = PINNED_NOISE[family][1]
+    assert _sha(simulate(cfg, RngState(seed=2024), cycles=400)) == digest
+    assert _sha(_simulate_every_reading(cfg, RngState(seed=2024), 400)[0]) == digest
 
 
 def test_small_timestep_table_is_pinned():
-    # At 1e-5 s a fill phase needs ~1.2e7 readings per search chunk, more
-    # than one slice; the table is the one the whole-chunk search gave.
-    cfg = TankConfig(sensor_noise=PINNED_NOISE["normal"][0], timestep=1e-5, **PINNED_GAINS)
-    rows = simulate(cfg, RngState(seed=2024), cycles=3)
-    assert hashlib.sha256(rows.tobytes()).hexdigest() == (
-        "2a1b18b7166020cda93a8b16d3929a0842d27795ba64a9ae11af15e5970c286d")
+    # At 1e-5 s a fill phase needs ~1.2e7 readings per search chunk, and
+    # tens of thousands of them can cross: hundreds of blocks of one channel.
+    cfg = _pinned_config("normal", timestep=1e-5)
+    digest = "2c1861419c1266e4535f33dde471147594aca29476c09a88f26e2625c4dd2194"
+    assert _sha(simulate(cfg, RngState(seed=2024), cycles=3)) == digest
+    assert _sha(_simulate_every_reading(cfg, RngState(seed=2024), 3)[0]) == digest
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+@pytest.mark.parametrize("family", sorted(PINNED_NOISE))
+def test_tables_do_not_depend_on_the_block_size(family, block):
+    with mock.patch.object(tank, "_BLOCK", block):
+        rows = simulate(_pinned_config(family), RngState(seed=2024), cycles=400)
+    assert _sha(rows) == PINNED_NOISE[family][1]
+
+
+@pytest.mark.parametrize("noise", [{}, {"temp": Normal(0.0, 0.1)}, PINNED_NOISE["normal"][0]])
+def test_a_run_builds_one_generator_per_noisy_channel_and_draws_in_blocks(noise):
+    # Each noisy channel builds one generator and draws a block at a time;
+    # no Substreams is built.
+    cfg = TankConfig(sensor_noise=noise, **PINNED_GAINS)
+    expected, taken = _simulate_every_reading(cfg, RngState(seed=2024), 400)
+    built, streams, draws = [], {}, Counter()
+    real_generator = RngState.generator
+
+    def generator(self):
+        gen = real_generator(self)
+        built.append(self.stream)
+        streams[id(gen)] = self.stream
+        return gen
+
+    def logged_draw(pdf, gen, n):
+        draws[streams[id(gen)]] += 1
+        return draw_from(pdf, gen, n)
+
+    with mock.patch.object(RngState, "generator", generator), \
+            mock.patch.object(tank, "draw_from", logged_draw), \
+            mock.patch.object(Substreams, "__init__", side_effect=AssertionError("Substreams")):
+        rows = simulate(cfg, RngState(seed=2024), cycles=400)
+    assert np.array_equal(rows, expected)
+    channels = {(c,): name for c, name in enumerate(tank._NOISE_CHANNELS) if name in noise}
+    assert sorted(built) == sorted(channels)
+    for stream, name in channels.items():
+        assert draws[stream] <= math.ceil(taken[name] / tank._BLOCK) + 1
 
 
 def test_simulate_tank_wrapper_matches_simulate():
@@ -253,43 +393,25 @@ def test_overflowing_sensor_noise_runs_without_a_warning():
 
 
 # ---------------------------------------------------------------------------
-# The crossing search skips readings that cannot cross, on a reseated
-# Substreams generator; it must return what drawing every reading from a
-# fresh generator returns and leave the stream where that leaves it.
-
-
-def _cross_every_reading(gen, pdf, start, step, target, bias, upward, cycle, what):
-    """Reference search: draws and tests every reading of every chunk."""
-    need = max(0.0, (target - start) / step) if step != 0.0 else 0.0
-    chunk = int(need) + 64
-    t0 = 0
-    for _ in range(_PHASE_RETRIES):
-        t = np.arange(t0, t0 + chunk, dtype=np.float64)
-        true = start + step * t
-        measured = true - bias
-        if pdf is not None:
-            measured = measured + draw_from(pdf, gen, chunk)
-        hits = measured >= target if upward else measured <= target
-        if hits.any():
-            return float(true[int(np.argmax(hits))])
-        t0 += chunk
-    raise SimulationDivergence(f"{what} never crossed its setpoint", cycle)
+# The crossing search finds the readings that can cross by the closed form
+# and reads its values through a channel's blocks; it must return what the
+# reference returns and take as many values.
 
 
 def _outcome(search, seed, args, k=0):
-    """Result of ``search`` on substream k of ``seed``, and the next four
-    values of the stream after it. ``_cross`` runs on a Substreams seated
-    there, the reference on a fresh generator."""
-    if search is _cross:
-        gen = Substreams(RngState(seed))
-        gen.seat(k)
-    else:
-        gen = RngState(seed).substream(k).generator()
+    """Result of ``search`` on substream k of ``seed``, and the number of
+    noise values it took: ``_cross`` reads them through ``tank._noise``,
+    the reference through ``_fresh_values``."""
+    pdf = args[0]
+    values = None
+    if pdf is not None:
+        source = tank._noise if search is _cross else _fresh_values
+        values = _Counted(source(pdf, RngState(seed).substream(k)))
     try:
-        result = search(gen, *args, 0, "phase")
+        result = search(values, *args, 0, "phase")
     except SimulationDivergence:
         result = "diverged"
-    return result, gen.random(4).tolist()
+    return result, 0 if values is None else values.taken
 
 
 finite = st.floats(-10.0, 10.0)
@@ -331,14 +453,13 @@ def test_cross_matches_drawing_every_reading(seed, k, pdf, start, step, target, 
     upward=st.booleans(),
     size=st.integers(1, 9),
 )
-def test_cross_in_small_slices_matches_drawing_every_reading(
+def test_cross_in_small_blocks_matches_drawing_every_reading(
         seed, pdf, start, step, target, bias, upward, size):
-    # Readings drawn a few at a time, with the rest of the chunk skipped
-    # after a hit, leave the result and the stream unchanged.
+    # Values drawn a few at a time leave the result and the count unchanged.
     args = (pdf, start, step, target, bias, upward)
-    with mock.patch.object(tank, "_SLICE", size):
-        sliced = _outcome(_cross, seed, args)
-    assert sliced == _outcome(_cross_every_reading, seed, args)
+    with mock.patch.object(tank, "_BLOCK", size):
+        blocked = _outcome(_cross, seed, args)
+    assert blocked == _outcome(_cross_every_reading, seed, args)
 
 
 def test_cross_search_covers_each_outcome():
@@ -368,15 +489,31 @@ def test_cross_search_covers_each_outcome():
     at=st.integers(0, 63),
 )
 def test_cross_rounds_each_reading_as_the_reference(seed, pdf, start, step, bias, at):
-    # The target is the reference's own float64 value of the most extreme
-    # of the first at + 1 readings, so the crossing sits exactly on it: a
-    # search that rounded a reading differently would stop elsewhere.
+    # Each target is the float64 value of a reading beyond every reading
+    # before it, read with the channel's values in order, so the crossing
+    # sits exactly on it: a search that rounded a reading differently would
+    # stop elsewhere. Readings that cannot cross take no value, so a target
+    # counts where reading ``first``, which takes the first value, is the
+    # first reading that can cross it.
     upward = step > 0
+    crossed = np.greater_equal if upward else np.less_equal
     noise = draw_from(pdf, RngState(seed).substream(0).generator(), at + 1)
-    measured = start + step * np.arange(at + 1.0) - bias + noise
-    target = float(measured.max() if upward else measured.min())
-    args = (pdf, start, step, target, bias, upward)
-    assert _outcome(_cross, seed, args) == _outcome(_cross_every_reading, seed, args)
+    true = start + step * np.arange(at + 1.0)
+    checked = 0
+    for first in range(at + 1):
+        measured = true[first:] - bias + noise[:at + 1 - first]
+        for i, target in enumerate(measured.tolist()):
+            if crossed(measured[:i], target).any():
+                continue
+            can = crossed(true - bias + _reach(pdf, upward), target)
+            if can[:first].any() or not can[first]:
+                continue
+            args = (pdf, start, step, target, bias, upward)
+            expected = (float(true[first + i]), i + 1)
+            assert _outcome(_cross_every_reading, seed, args) == expected
+            assert _outcome(_cross, seed, args) == expected
+            checked += 1
+    assume(checked)
 
 
 @pytest.mark.parametrize("pdf", [None, Normal(0.0, 0.01), Uniform(-0.3, 0.2)])
@@ -455,39 +592,6 @@ def test_first_stays_bounded_when_the_guess_is_wrong(lo, width, where, guess):
 
     assert _first(can, lo, hi, guess) == answer
     assert calls <= width.bit_length() + 3
-
-
-def test_simulate_assigns_the_generator_state_only_to_draw():
-    # Seats and skips are bookkeeping: each state assignment happens inside
-    # a draw, so a cycle's seat and its first skip cost one assignment.
-    log = []
-
-    class Philox(np.random.Philox):  # the state setter checks the class name
-        @property
-        def state(self):
-            return np.random.Philox.state.__get__(self)
-
-        @state.setter
-        def state(self, value):
-            log.append("assign")
-            np.random.Philox.state.__set__(self, value)
-
-    real_random = Substreams.random
-
-    def logged_random(self, n=None):
-        values = real_random(self, n)
-        log.append("draw")
-        return values
-
-    noise, digest = PINNED_NOISE["normal"]
-    cfg = TankConfig(sensor_noise=noise, **PINNED_GAINS)
-    with mock.patch.object(distributions, "Philox", Philox), \
-            mock.patch.object(Substreams, "random", logged_random):
-        rows = simulate(cfg, RngState(seed=2024), cycles=400)
-    assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
-    assigns = [i for i, event in enumerate(log) if event == "assign"]
-    assert 0 < len(assigns) <= log.count("draw")
-    assert all(log[i + 1] == "draw" for i in assigns)
 
 
 # ---------------------------------------------------------------------------
