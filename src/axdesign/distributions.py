@@ -15,7 +15,7 @@ There is one way to sample::
 
     draw_from(pdf, RngState(seed).substream(k).generator(), n)
 
-where a :class:`Substreams` seated at substream k may stand in for the
+where ``Substreams(RngState(seed)).seat(k, p)`` may stand in for the
 generator (see below).
 
 :class:`RngState` is an explicit immutable value (root seed and substream
@@ -26,14 +26,11 @@ can be reproduced from the seed alone, and substreams derived with
 consumed. Successive draws from one generator continue its stream; a caller
 that needs an independent, reproducible stream derives another substream.
 
-Every family maps one ``gen.random()`` value to one draw through its
-``_transform(u)``, the one place that family's sampling math lives.
-``_transform`` takes a float or an array (and gives the same bits either
-way), so ``draw_from(pdf, gen, n)`` is ``pdf._transform(gen.random(n))`` and
-a caller that needs a single value can write
-``pdf._transform(gen.random())`` without building an array. Because each
-draw takes exactly one value, ``n`` draws advance the stream by ``n`` values
-whatever the family.
+Every family maps an array of ``gen.random(n)`` values to ``n`` draws,
+one value each, through its ``_transform(u)``, the one place that family's
+sampling math lives: ``draw_from(pdf, gen, n)`` is
+``pdf._transform(gen.random(n))``. Because each draw takes exactly one
+value, ``n`` draws advance the stream by ``n`` values whatever the family.
 
 * Uniform scales ``u`` onto [lo, hi).
 * Normal and triangular variates are generated by the inverse-CDF method:
@@ -47,12 +44,10 @@ Many substreams read in pieces, such as the DP columns of a Monte Carlo
 run drawn chunk by chunk, are read through :class:`Substreams`: one Philox
 generator that is reseated by assigning its state rather than rebuilt.
 Philox is counter-based (Salmon et al., SC 2011), so seating it at value
-``p`` of a substream costs the same for every ``p``. A seat only records
-the position; the next draw assigns the state. After ``seat(k, p)`` it
-yields exactly the values of ``RngState(seed).substream(k).generator()``
-from value ``p`` on: the substream keys are computed by a uint32
-restatement of ``SeedSequence`` that derives the keys of many substreams
-in one pass.
+``p`` of a substream costs the same for every ``p``. ``seat(k, p)`` returns
+the generator standing at value ``p`` of substream ``k``, with the key
+numpy's ``SeedSequence`` gives that substream, so it yields exactly the
+values of ``RngState(seed).substream(k).generator()`` from value ``p`` on.
 """
 
 from __future__ import annotations
@@ -208,97 +203,21 @@ class RngState:
         return Generator(Philox(SeedSequence(self.seed, spawn_key=self.stream)))
 
 
-# numpy's SeedSequence (O'Neill's seed_seq design; the constants and steps
-# of numpy/random/bit_generator.pyx), restated on uint32 words.
-_MASK32 = 0xFFFFFFFF
-_XSHIFT = 16
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-_KEY_BLOCK = 256  # substream keys derived per pass; divides 2**32
-
-
-def _words(x: int) -> list[int]:
-    """``x`` as SeedSequence splits it: little-endian uint32 words, 0 as [0]."""
-    words = [x & _MASK32]
-    while x := x >> 32:
-        words.append(x & _MASK32)
-    return words
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's hashmix, with its running hash constant."""
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> _XSHIFT
-
-    return hashmix
-
-
-def _mix(x, y):
-    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
-    return result ^ result >> _XSHIFT
-
-
-def _substream_keys(seed: int, stream: tuple[int, ...], ks: np.ndarray) -> np.ndarray:
-    """Philox keys, shape (len(ks), 2) uint64, of the substreams
-    ``SeedSequence(seed, spawn_key=stream + (k,))`` for the uint32 ``ks``.
-
-    The entropy words are the seed's (zero-padded to the pool size, as
-    SeedSequence does when there is a spawn key), the stream's, then k's
-    single word. Every word before k's is mixed into the pool once, as a
-    Python integer; only the last word, k, is mixed as an array, which
-    wraps on uint32 overflow without a warning.
-    """
-    entropy = _words(seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    for key in stream:
-        entropy += _words(key)
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        pool = [_mix(mixed, hashmix(word)) for mixed in pool]
-    pool = [_mix(mixed, hashmix(ks)) for mixed in pool]
-
-    # generate_state(2, uint64): one output word per pool word, read in
-    # pairs as little-endian uint64.
-    output = _hasher(_INIT_B, _MULT_B)
-    state = np.stack([output(mixed) for mixed in pool], axis=1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
 class Substreams:
     """The substreams of an :class:`RngState` on one reused Philox generator.
 
-    After :meth:`seat` ``(k, p)``, :meth:`random` returns exactly what
-    ``rng.substream(k).generator().random`` returns from value ``p`` on.
-    Pass the object to :func:`draw_from` in place of a Generator. Substream
-    keys must be below 2**32.
-
-    ``seat`` is bookkeeping: it records the position, and the next
-    :meth:`random` assigns the generator state once, however many seats
-    came before it.
+    :meth:`seat` ``(k, p)`` returns that generator standing at value ``p``
+    of substream ``k``: from there it yields exactly what
+    ``rng.substream(k).generator()`` yields from value ``p`` on. Each
+    substream's Philox key is numpy's ``SeedSequence`` key for it, derived
+    on the first seat in that substream and kept.
     """
 
     def __init__(self, rng: RngState):
         self._rng = rng
+        self._keys: dict[int, list[int]] = {}
         self._bitgen = Philox(0)
         self._gen = Generator(self._bitgen)
-        self._block = -1
-        self._keys: list[list[int]] = []
-        self._k = 0
-        self._pos = 0
-        self._placed = False  # whether the generator stands at (_k, _pos)
         self._state = {
             "bit_generator": "Philox",
             "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
@@ -308,50 +227,30 @@ class Substreams:
             "uinteger": 0,
         }
 
-    def seat(self, k: int, p: int = 0) -> None:
-        """Put the stream at value ``p`` of substream ``k``."""
-        if not 0 <= k <= _MASK32:
-            raise ValueError("substream key must be in [0, 2**32)")
-        self._k = k
-        self._pos = p
-        self._placed = False
-
-    def random(self, n: int) -> np.ndarray:
-        """As ``Generator.random(n)``: an array of the next ``n`` values."""
-        if not self._placed:
-            self._place()
-        self._pos += n
-        return self._gen.random(n)
-
-    def _place(self) -> None:
-        """Assign the generator state for value ``_pos`` of substream ``_k``."""
-        block, i = divmod(self._k, _KEY_BLOCK)
-        if block != self._block:
-            start = block * _KEY_BLOCK
-            ks = np.arange(start, start + _KEY_BLOCK, dtype=np.uint32)
-            self._keys = _substream_keys(self._rng.seed, self._rng.stream, ks).tolist()
-            self._block = block
+    def seat(self, k: int, p: int = 0) -> Generator:
+        """The generator, put at value ``p`` of substream ``k``."""
+        key = self._keys.get(k)
+        if key is None:
+            seq = SeedSequence(self._rng.seed, spawn_key=self._rng.stream + (k,))
+            key = self._keys[k] = seq.generate_state(2, np.uint64).tolist()
         # Philox gives 4 values per counter step and steps the counter
         # before each block, so value p is word p % 4 of the block at
         # counter p // 4 + 1: set the counter to p // 4 with an empty
         # buffer, then draw p % 4 values.
-        p = self._pos
         state = self._state
-        state["state"]["key"] = self._keys[i]
+        state["state"]["key"] = key
         state["state"]["counter"][0] = p >> 2
         self._bitgen.state = state
         if p & 3:
             self._bitgen.random_raw(p & 3)
-        self._placed = True
+        return self._gen
 
 
-def _open(u):
-    """The inverse-CDF input of ``u = k / 2**53``: (k + 0.5) / 2**53, kept
-    strictly inside (0, 1). An array ``u`` is overwritten."""
-    if isinstance(u, np.ndarray):
-        u += _U_LO
-        return np.minimum(u, _U_HI, out=u)
-    return min(u + _U_LO, _U_HI)
+def _open(u: np.ndarray) -> np.ndarray:
+    """The inverse-CDF inputs of ``u = k / 2**53``: (k + 0.5) / 2**53, kept
+    strictly inside (0, 1), in place in ``u``."""
+    u += _U_LO
+    return np.minimum(u, _U_HI, out=u)
 
 
 class Pdf:
@@ -366,18 +265,18 @@ class Pdf:
             raise ValueError(f"interval lower bound {lo} exceeds upper bound {hi}")
         return self.cdf(hi) - self.cdf(lo)
 
-    def _transform(self, u):
-        """The draw for ``u = gen.random()``, a float or an array of them.
+    def _transform(self, u: np.ndarray) -> np.ndarray:
+        """The draws for the array ``u = gen.random(n)``, one per value.
 
-        Non-decreasing in ``u``; an array ``u`` may be overwritten.
+        Non-decreasing in each value; ``u`` may be overwritten.
         """
         raise NotImplementedError
 
     @cached_property
     def _support(self) -> tuple[float, float]:
-        """(lo, hi) holding every value a draw can take: ``_transform`` at
+        """(lo, hi) holding every value a draw can take: ``_transform`` of
         the extreme ``gen.random()`` values, as it is non-decreasing."""
-        return float(self._transform(0.0)), float(self._transform(_U_HI))
+        return tuple(self._transform(np.array([0.0, _U_HI])).tolist())
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -414,7 +313,7 @@ class Uniform(Pdf):
         return max(min(hi, self.hi) * s - max(lo, self.lo) * s, 0.0) / width
 
     def _transform(self, u):
-        # lo + u * (hi - lo) on the scaled bounds, in place on an array.
+        # lo + u * (hi - lo) on the scaled bounds, in place.
         s, lo, width = self._scaled
         u *= width
         u += lo
@@ -564,7 +463,7 @@ class Triangular(Pdf):
         x = np.where(u < (mode - lo) / width, left, right)
         if s != 1.0:
             x /= s
-        return x[()]
+        return x
 
     def describe(self):
         return f"triangular({self.lo:g}, {self.mode:g}, {self.hi:g})"
@@ -599,12 +498,11 @@ class Empirical(Pdf):
         return int(np.searchsorted(self._sorted, x, side="right")) / len(self._sorted)
 
     def _transform(self, u):
-        # Observation floor(u * n), clipped to the last; an array u receives
-        # the draws, so the indices are the only other array made.
+        # Observation floor(u * n), clipped to the last; u receives the
+        # draws, so the indices are the only other array made.
         arr = self._sorted
         u *= len(arr)
-        out = u if isinstance(u, np.ndarray) else None
-        return arr.take(np.intp(u), mode="clip", out=out)
+        return arr.take(np.intp(u), mode="clip", out=u)
 
     def describe(self):
         return f"empirical(n={len(self.samples)})"
@@ -622,11 +520,10 @@ def from_samples(values) -> Empirical:
 
 
 def draw_from(pdf: Pdf, gen: Generator, n: int) -> np.ndarray:
-    """Draw ``n`` values of ``pdf`` from ``gen``, advancing its stream.
+    """Draw ``n`` values of ``pdf`` from ``gen``, advancing its stream by
+    ``n`` values.
 
-    Take ``gen`` from :meth:`RngState.generator`, or pass a seated
-    :class:`Substreams`, so the draws can be reproduced from the seed. One
-    value without an array is ``pdf._transform(gen.random())``, the same
-    float as ``draw_from(pdf, gen, 1)[0]``.
+    Take ``gen`` from :meth:`RngState.generator` or :meth:`Substreams.seat`,
+    so the draws can be reproduced from the seed.
     """
     return pdf._transform(gen.random(n))

@@ -36,8 +36,9 @@ or a :class:`~axdesign.propagation.ScenarioModel`, through the
 ``chunk_rows`` and ``sample_frs`` the two share. A linear model
 (``chunk_rows`` 8192) is sampled that many rows at a time, as
 ``sample_frs(stream, rows, start)`` on one
-:class:`~axdesign.distributions.Substreams` of the run's seed, and each
-chunk is scored before the next is drawn. A chunk holds the rows
+:class:`~axdesign.distributions.Substreams` of the run's seed, whose
+``seat(k, start)`` gives its one generator at row ``start`` of substream
+``k``; each chunk is scored before the next is drawn. A chunk holds the rows
 ``start … start+rows-1`` of the one-call table, so the counts, and the
 reports, do not depend on the chunking, and the memory of a linear-model
 run does not grow with the sample count. The tank model, whose rows are
@@ -50,8 +51,9 @@ process may use: its chunks are split into contiguous parts, one per CPU
 one thread fewer than the CPU count, made on first use, scores the rest,
 each part drawing its own chunks from its own
 :class:`~axdesign.distributions.Substreams`, since a Philox generator must
-not be shared between threads. Substream values are addressed by
-position, so a part draws exactly the rows a serial run draws for those
+not be shared between threads. A seat puts the generator at any value of
+any substream, at the same cost, so a part starts at its first chunk with
+no draw before it and draws exactly the rows a serial run draws for those
 chunks. Each part returns integer counts, and integer sums
 do not depend on the order they are added in, so the summed counts, and
 the reports, are those of a serial run on any number of CPUs. When parts

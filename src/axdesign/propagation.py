@@ -24,14 +24,15 @@ Rows in chunks: :class:`LinearModel` sets ``chunk_rows``, the rows the
 Monte Carlo routes sample at a time. ``LinearModel.sample_frs(rng, n, start)``
 returns rows ``start … start+n-1`` of the table that one call for all rows
 gives, bit for bit: each draw takes one uniform, so row r of DP column j
-is value r of substream j, which a :class:`~axdesign.distributions.Substreams`
-seated at ``(j, start)`` reads directly. Passing one ``Substreams`` of the
-run's ``RngState`` as ``rng`` reuses one generator for every chunk, so
-sampling memory is set by the chunk, not by the sample count. The info
-routes split a multi-chunk run into parts scored on several threads, each
-with its own ``Substreams``, so a chunked model's ``sample_frs`` is called
-concurrently and out of row order; ``LinearModel`` holds no per-call state
-and its rows depend only on their position.
+is value r of substream j, and ``Substreams.seat(j, start)`` returns a
+generator standing there (see :class:`~axdesign.distributions.Substreams`).
+Passing one ``Substreams`` of the run's ``RngState`` as ``rng`` reuses one
+generator for every chunk, so sampling memory is set by the chunk, not by
+the sample count. The info routes split a multi-chunk run into parts
+scored on several threads, each with its own ``Substreams``, so a chunked
+model's ``sample_frs`` is called concurrently and out of row order;
+``LinearModel`` holds no per-call state and its rows depend only on their
+position.
 :class:`ScenarioModel` rows are consecutive cycles of one Markov run, so it
 has ``chunk_rows = None`` and its table is sampled in one call.
 """
@@ -160,7 +161,8 @@ class LinearModel:
 
         DP column j is read from substream j and noise row i from substream
         ``n_dps + i``, both from value ``start`` on. ``rng`` is an RngState
-        or a :class:`Substreams` of one, which is reseated, not rebuilt.
+        or a :class:`Substreams` of one, whose one generator is reseated,
+        not rebuilt, for each column and row.
         Values that overflow float64 come back as inf or nan, without a
         warning, for the caller to reject.
         """
@@ -169,13 +171,11 @@ class LinearModel:
         dps = np.empty((n_dps, n))
         with np.errstate(over="ignore", invalid="ignore"):
             for j, pdf in enumerate(self.dp_pdfs):
-                stream.seat(j, start)
-                dps[j] = draw_from(pdf, stream, n)
+                dps[j] = draw_from(pdf, stream.seat(j, start), n)
             frs = _product(self.matrix, dps, start)
             for i, pdf in enumerate(self.noise_pdfs or ()):
                 if pdf is not None:
-                    stream.seat(n_dps + i, start)
-                    frs[i] += draw_from(pdf, stream, n)
+                    frs[i] += draw_from(pdf, stream.seat(n_dps + i, start), n)
         return frs.T
 
 

@@ -446,15 +446,20 @@ def test_simulate_writes_csv_and_report(capsys, tmp_path):
     assert doc["info"]["mc"]["n_samples"] == 40
 
 
-def test_simulate_csv_bytes_are_pinned(capsys, tmp_path):
+@pytest.mark.parametrize("spec, digest", [
+    (TURBULENT, "715f15c4a69a6f5f1c709a1237b9831bc8890c563290f15a5542ef03e97f4953"),
+    # Every tank.json cycle is in band, so its pinned reports hold only
+    # counts that no noise value moves; its CSV holds the values.
+    (TANK, "40813aed72b875e23c39465ee7b7bc1a4e0f8bf071365b72a057d1229443b888"),
+], ids=["tank_turbulent", "tank"])
+def test_simulate_csv_bytes_are_pinned(capsys, tmp_path, spec, digest):
     # sha256 of the CSV an earlier build wrote: a change to the simulator,
     # the draws or the CSV writer that moves any byte fails here.
     csv_path = tmp_path / "cycles.csv"
-    code, _, _ = run(capsys, "simulate", TURBULENT, "--cycles", "40",
+    code, _, _ = run(capsys, "simulate", spec, "--cycles", "40",
                      "--seed", "9", "--out", str(csv_path))
     assert code == 0
-    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
-        "715f15c4a69a6f5f1c709a1237b9831bc8890c563290f15a5542ef03e97f4953"
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
 
 
 def test_simulate_without_scenario_exits_one(capsys):

@@ -125,11 +125,11 @@ class _Counted:
 
 
 def _fresh_values(pdf, rng):
-    """The reference values of a channel: ``pdf._transform(gen.random())``,
-    one at a time, from ``rng.generator()``."""
+    """The reference values of a channel: ``draw_from(pdf, gen, 1)[0]``,
+    one at a time, from ``gen = rng.generator()``."""
     gen = rng.generator()
     while True:
-        yield pdf._transform(gen.random())
+        yield draw_from(pdf, gen, 1)[0]
 
 
 _SCAN = 2**16  # readings the reference tests per array
