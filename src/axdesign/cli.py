@@ -34,8 +34,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .coupling import Coupled, Decoupled, Degenerate, Uncoupled, classify
-from .distributions import RngState, from_samples, is_real
+from .coupling import (Coupled, Decoupled, Degenerate, Uncoupled, checked_epsilon,
+                       classify)
+from .distributions import RngState, from_samples
 from .errors import NonFiniteSamples, SimulationDivergence, SpecFormatError
 from .info import (McConfig, conditional_chain_information, fr_information,
                    system_information_from_samples,
@@ -155,9 +156,10 @@ def _require(condition: bool, message: str) -> None:
 def _epsilon(args, spec: DesignSpec) -> float:
     if args.epsilon is None:
         return spec.epsilon
-    _require(is_real(args.epsilon) and args.epsilon >= 0,
-             "--epsilon must be a finite number >= 0")
-    return float(args.epsilon)
+    try:
+        return checked_epsilon(args.epsilon)
+    except ValueError:
+        raise SpecFormatError("--epsilon must be a finite number >= 0") from None
 
 
 def _emit(doc: dict, args, to_out_file: bool) -> None:

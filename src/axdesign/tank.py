@@ -42,6 +42,7 @@ chosen so that the noiseless, uncoupled cycle reproduces exactly
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -67,10 +68,10 @@ LEVEL_DRIFT_PER_RUN = 1.0  # m of transmitter drift per reference runtime, per u
 MAX_CYCLES = 10**7
 
 _NOISE_CHANNELS = ("level", "temp", "duration", "inlet")
-_PHASE_RETRIES = 4  # chunks of sensor readings searched before divergence
-# Most readings a search chunk may hold: the phase's whole budget then has
-# indices below 2**53, which float64 times hold exactly.
-_MAX_CHUNK = 2**51
+_PHASE_RETRIES = 4  # a phase's budget, in the readings it needs plus 64
+# Most readings a phase may need: its whole budget then has indices below
+# 2**53, which float64 times hold exactly.
+_MAX_NEED = 2**51
 _BLOCK = 2**8  # noise values per draw_from call of one channel
 # Relative widening of a noise pdf's support when ruling readings out, so
 # that rounding in the support's endpoints cannot rule out a crossing.
@@ -147,9 +148,11 @@ def _first(can, lo: int, hi: int, guess: float) -> int:
 
 
 def _noise(pdf, rng: RngState):
-    """The values of one noise channel, in order: the stream of
-    ``rng.generator()``, built at the first value and drawn ``_BLOCK``
-    values per :func:`draw_from` call."""
+    """The values of one noise channel, in order: zeros, and no generator,
+    for a ``pdf`` of None; else the stream of ``rng.generator()``, built at
+    the first value and drawn ``_BLOCK`` values per :func:`draw_from` call."""
+    if pdf is None:
+        yield from itertools.repeat(0.0)
     gen = rng.generator()
     while True:
         yield from draw_from(pdf, gen, _BLOCK).tolist()
@@ -161,64 +164,52 @@ def _cross(noise, pdf, start, step, target, bias, upward, cycle, what):
     Readings happen at t = 0, 1, 2, ...; the true value follows
     ``start + step * t`` (computed in closed form so a noiseless trajectory
     has no accumulation error) and the transmitter reports
-    ``true + noise - bias``.
+    ``true + noise - bias``. The trajectory approaches the target, or
+    stands still where ``step`` underflows to 0.
 
-    Readings are searched in chunks. A reading can cross only if its
-    noiseless value, moved by the most extreme value ``pdf`` can return,
+    A reading can cross only if its noiseless value, moved by the most
+    extreme value ``pdf`` can return (0 for a noiseless ``pdf`` of None),
     crosses; each reading that can cross takes the next value of the
     ``noise`` iterator, and a reading that cannot takes none. That test is
-    monotone in t, so the readings of a chunk that can cross form one run:
-    from :func:`_first` of them to the chunk's end while the trajectory
-    approaches the target, where the closed form
-    ``(target + bias - reach - start) / step`` puts the first within
-    rounding, and from the chunk's start up to the first that cannot
-    otherwise.
+    monotone in t, so the readings of the phase's budget that can cross run
+    from the first, which one :func:`_first` search finds from the closed
+    form ``(target + bias - reach - start) / step`` (from 0 for a zero
+    step), to the budget's end.
 
     That run is tested one reading at a time, on Python floats, up to its
-    first crossing, which usually comes within a few readings; a window of
-    thousands of readings that crosses far in (a cold inlet, a fine
-    timestep) costs a few float operations per reading. The scan
-    computes ``start + step * t - bias + noise`` in that order, each
-    operation rounded to float64, and compares with ``float(target)``, so
-    it stops at the reading the per-reading reference does. A phase
-    needing more than ``_MAX_CHUNK`` readings per chunk raises
+    first crossing, which usually comes within a few readings (at once
+    without noise); a window of thousands of readings that crosses far in
+    (a cold inlet, a fine timestep) costs a few float operations per
+    reading. The scan computes ``start + step * t - bias + noise`` in that
+    order, each operation rounded to float64, and compares with
+    ``float(target)``, so it stops at the reading the per-reading reference
+    does. A phase needing more than ``_MAX_NEED`` readings raises
     :class:`SimulationDivergence` as a size limit.
     """
-    if step != 0.0:
-        need = max(0.0, (target - start) / step)
-    else:
-        need = 0.0
-    if need + 64 > _MAX_CHUNK:  # also catches an infinite need
-        raise SimulationDivergence(
-            f"{what} needs more than 2**51 sensor readings per search chunk "
-            "(size limit; use a larger timestep)", cycle)
-    chunk = int(need) + 64
     reach = 0.0
     if pdf is not None:
         lo, hi = pdf._support
         pad = _SUPPORT_MARGIN * (hi - lo)
         reach = hi + pad if upward else lo - pad
+    need, guess = 0.0, -math.inf  # for a zero step, where ``can`` is constant
+    if step != 0.0:
+        need = max(0.0, (target - start) / step)
+        guess = (target + bias - reach - start) / step
+    if need + 64 > _MAX_NEED:  # also catches an infinite need
+        raise SimulationDivergence(
+            f"{what} needs more than 2**51 sensor readings "
+            "(size limit; use a larger timestep)", cycle)
+    budget = _PHASE_RETRIES * (int(need) + 64)
     crossed = operator.ge if upward else operator.le
 
     # ``step * t`` for an int t below 2**53 is ``step * float(t)``.
     def can(t):
         return crossed(start + step * t - bias + reach, target)
 
-    approaching = step > 0.0 if upward else step < 0.0
     goal = float(target)  # as the reference casts it to compare an array
-    for t0 in range(0, _PHASE_RETRIES * chunk, chunk):
-        end = t0 + chunk
-        if approaching:
-            first = _first(can, t0, end, (target + bias - reach - start) / step)
-        else:  # ``can`` is non-increasing or constant
-            first, end = t0, _first(lambda t: not can(t), t0, end, -math.inf)
-        if pdf is None:  # with no noise the first reading that can cross does
-            if first < end:
-                return float(start + step * first)
-            continue
-        for t in range(first, end):
-            if crossed(start + step * t - bias + next(noise), goal):
-                return float(start + step * t)
+    for t in range(_first(can, 0, budget, guess), budget):
+        if crossed(start + step * t - bias + next(noise), goal):
+            return float(start + step * t)
     raise SimulationDivergence(f"{what} never crossed its setpoint", cycle)
 
 
@@ -230,13 +221,14 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
 
     Columns: level at close of fill (m), temperature at mix start (degC),
     mixing duration (s). Noise channel c of ``_NOISE_CHANNELS`` reads the
-    values of ``rng.substream(c).generator()`` in order, through one
-    :func:`_noise` iterator per noisy channel, so a given seed gives one
-    table and a shorter run is a prefix of a longer one. Each sensor
-    reading that can cross its setpoint takes one value of its channel
-    (see :func:`_cross`), and the inlet and duration channels take one
-    value per cycle. A run builds at most one generator per noisy channel
-    and holds at most ``_BLOCK`` drawn values per channel.
+    values of ``rng.substream(c).generator()`` in order, and a noiseless
+    channel reads zeros, through one :func:`_noise` iterator per channel,
+    so a given seed gives one table and a shorter run is a prefix of a
+    longer one. Each controlled phase is one :func:`_cross` search, in
+    which each sensor reading that can cross its setpoint takes one value
+    of its channel, and the inlet and duration channels take one value per
+    cycle. A run builds at most one generator per noisy channel, none for
+    a noiseless one, and holds at most ``_BLOCK`` drawn values per channel.
 
     Raises ``ValueError``, before allocating the table, for a cycle count
     that is not an int in [1, ``MAX_CYCLES``] (a bool is not), and
@@ -251,8 +243,7 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
     dt = config.timestep
     pdfs = [config.sensor_noise.get(name) for name in _NOISE_CHANNELS]
     lvl_pdf, tmp_pdf = pdfs[:2]
-    lvl, tmp, dur, inl = (None if pdf is None else _noise(pdf, rng.substream(c))
-                          for c, pdf in enumerate(pdfs))
+    lvl, tmp, dur, inl = (_noise(pdf, rng.substream(c)) for c, pdf in enumerate(pdfs))
 
     out = np.empty((n, 3), dtype=np.float64)
     temp = config.temp_setpoint
@@ -275,9 +266,7 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
         # telescoped form of per-step Euler blending).
         achieved_level = _cross(lvl, lvl_pdf, low, FILL_RATE * dt,
                                 config.level_high, drift, True, k, "fill level")
-        t_in = INLET_TEMP
-        if inl is not None:
-            t_in += next(inl)
+        t_in = INLET_TEMP + next(inl)
         t_blend = t_in + low * (temp - t_in) / achieved_level
 
         # Heat to the setpoint. The thermostat cuts at the setpoint exactly
@@ -292,9 +281,7 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
         heat_added = achieved_temp - t_blend
 
         # Timed mix; agitation heat stays in the batch for the next cycle.
-        run = config.mix_duration
-        if dur is not None:
-            run = max(0.0, run + next(dur))
+        run = max(0.0, config.mix_duration + next(dur))
 
         # A runaway run stops before an inf or nan reaches the next cycle.
         if not (-_FLOAT_MAX <= achieved_level <= _FLOAT_MAX

@@ -367,6 +367,22 @@ def test_divergence_in_the_drain_phase():
     assert "drain level" in str(err.value)
 
 
+def test_a_phase_whose_step_underflows_to_zero():
+    # At a timestep of 5e-324 every phase step underflows to 0, so each
+    # phase reads one true value over and over: a noiseless drain never
+    # leaves the high level, and with noise the first reading the noise
+    # takes across the setpoint stops each phase where it started.
+    with pytest.raises(SimulationDivergence) as err:
+        simulate(TankConfig(timestep=5e-324), RngState(seed=4), cycles=3)
+    assert err.value.cycle == 0
+    assert "drain level never crossed its setpoint" in str(err.value)
+    cfg = TankConfig(timestep=5e-324,
+                     sensor_noise={"level": Uniform(-7, 7), "temp": Uniform(-1, 1)})
+    rows = simulate(cfg, RngState(seed=4), cycles=3)
+    assert np.array_equal(rows, _simulate_every_reading(cfg, RngState(seed=4), 3)[0])
+    assert rows.tolist() == [[7.0, 65.0, 120.0]] * 3
+
+
 @pytest.mark.parametrize("config,message", [
     # Agitation heat overflows the temperature carried into cycle 1.
     (TankConfig(mixer_to_temp=1e308), "cycle 1: recorded level, temperature and "
@@ -401,17 +417,16 @@ def test_overflowing_sensor_noise_runs_without_a_warning():
 def _outcome(search, seed, args, k=0):
     """Result of ``search`` on substream k of ``seed``, and the number of
     noise values it took: ``_cross`` reads them through ``tank._noise``,
-    the reference through ``_fresh_values``."""
+    the reference through ``_fresh_values``. A noiseless channel's values
+    are zeros, which count as none taken."""
     pdf = args[0]
-    values = None
-    if pdf is not None:
-        source = tank._noise if search is _cross else _fresh_values
-        values = _Counted(source(pdf, RngState(seed).substream(k)))
+    source = tank._noise if search is _cross else _fresh_values
+    values = _Counted(source(pdf, RngState(seed).substream(k)))
     try:
         result = search(values, *args, 0, "phase")
     except SimulationDivergence:
         result = "diverged"
-    return result, 0 if values is None else values.taken
+    return result, 0 if pdf is None else values.taken
 
 
 finite = st.floats(-10.0, 10.0)
@@ -432,12 +447,14 @@ noise_pdfs = st.one_of(
     k=st.integers(0, 2**32 - 1),
     pdf=noise_pdfs,
     start=finite,
-    step=st.one_of(st.just(0.0), st.floats(0.01, 1.0), st.floats(-1.0, -0.01)),
+    step=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.01, 1.0), st.floats(-1.0, -0.01)),
     target=finite,
     bias=st.floats(-1.0, 1.0),
-    upward=st.booleans(),
 )
-def test_cross_matches_drawing_every_reading(seed, k, pdf, start, step, target, bias, upward):
+def test_cross_matches_drawing_every_reading(seed, k, pdf, start, step, target, bias):
+    # A phase approaches its target, or stands still when its step
+    # underflows to +-0 (the drain step to -0.0, fill and heat to 0.0).
+    upward = math.copysign(1.0, step) > 0
     args = (pdf, start, step, target, bias, upward)
     assert _outcome(_cross, seed, args, k) == _outcome(_cross_every_reading, seed, args, k)
 
@@ -450,32 +467,33 @@ def test_cross_matches_drawing_every_reading(seed, k, pdf, start, step, target, 
     step=st.one_of(st.floats(0.01, 1.0), st.floats(-1.0, -0.01)),
     target=finite,
     bias=st.floats(-1.0, 1.0),
-    upward=st.booleans(),
     size=st.integers(1, 9),
 )
 def test_cross_in_small_blocks_matches_drawing_every_reading(
-        seed, pdf, start, step, target, bias, upward, size):
+        seed, pdf, start, step, target, bias, size):
     # Values drawn a few at a time leave the result and the count unchanged.
-    args = (pdf, start, step, target, bias, upward)
+    args = (pdf, start, step, target, bias, step > 0)
     with mock.patch.object(tank, "_BLOCK", size):
         blocked = _outcome(_cross, seed, args)
     assert blocked == _outcome(_cross_every_reading, seed, args)
 
 
 def test_cross_search_covers_each_outcome():
-    # The property above must see crossings in the first chunk, in a later
-    # chunk, and divergence; pin one case of each.
+    # The property above must see crossings within the readings a phase
+    # needs plus 64, beyond them, and divergence; pin one case of each.
     def run(pdf, start, step, target, bias, upward):
         args = (pdf, start, step, target, bias, upward)
         return _outcome(_cross, 3, args), _outcome(_cross_every_reading, 3, args)
 
     first, ref = run(Normal(0.0, 0.01), 7.0, -0.01, 1.0, 0.0, False)
     assert first == ref and first[0] == pytest.approx(1.0, abs=0.1)
-    # A transmitter reading 1 low: no reading of the first 164-reading chunk
-    # can cross, and the crossing sits in the second chunk at true ~ 2.
+    # A transmitter reading 1 low: none of the first 164 readings (100
+    # needed, plus 64) can cross, and the crossing sits beyond them at
+    # true ~ 2.
     late, ref = run(Normal(0.0, 0.01), 0.0, 0.01, 1.0, 1.0, True)
     assert late == ref and late[0] == pytest.approx(2.0, abs=0.1)
-    never, ref = run(Uniform(0.0, 1.0), 0.0, -0.01, 4.0, 0.0, True)
+    # A transmitter reading a million low never crosses in the budget.
+    never, ref = run(Uniform(0.0, 1.0), 0.0, 0.01, 4.0, 1e6, True)
     assert never == ref and never[0] == "diverged"
 
 
