@@ -91,15 +91,15 @@ class SampleSet:
         return self.values.shape[0]
 
     def to_csv(self, path) -> None:
-        """Write to ``path`` as CSV with the column names as header."""
+        """Write to ``path`` as CSV, under a header of the column names that
+        ``csv.writer`` quotes as needed. A value is its float's ``repr``, which
+        never needs quoting: one format per row, one write per block."""
+        line = ",".join(["{!r}"] * len(self.columns)) + "\n"
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(self.columns)
-            # tolist gives Python floats, whose repr round-trips exactly; a
-            # block at a time keeps those boxed floats to a few hundred KB.
+            csv.writer(handle, lineterminator="\n").writerow(self.columns)
             for i in range(0, self.n, _CSV_ROWS):
                 block = self.values[i:i + _CSV_ROWS].tolist()
-                writer.writerows(map(repr, row) for row in block)
+                handle.write("".join(line.format(*row) for row in block))
 
 
 # Rows per chunk: a (rows, FRs) chunk and its temporaries stay in L2.

@@ -44,7 +44,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,78 +119,59 @@ class TankConfig:
                 raise ValueError(f"sensor noise channel {name!r} must be a Pdf")
 
 
-def _first(can, lo: int, hi: int, guess: float) -> int:
-    """The first ``t`` in [lo, hi) with ``can(t)``, or ``hi`` if none; ``can``
-    must be non-decreasing in ``t``.
-
-    Two probes settle ``t = ceil(guess)``, clipped into [lo, hi] with a NaN
-    guess counting as ``lo``: it is the answer if ``can(t)`` and not
-    ``can(t - 1)``. Otherwise ``bisect`` searches the side of ``t`` the
-    probes leave, in at most ``(hi - lo).bit_length()`` more calls, so the
-    search is exact for every guess. A non-increasing ``can`` is found
-    exactly too when the guess is at most ``lo``: ``lo`` if ``can(lo)``,
-    else ``hi``.
-    """
-    if guess >= hi:
-        t = hi
-    elif guess > lo:  # finite
-        t = math.ceil(guess)
-    else:
-        t = lo
-    if t < hi and not can(t):
-        lo = t + 1
-    elif t > lo and can(t - 1):
-        hi = t - 1
-    else:
-        return t
-    return lo + bisect.bisect_left(range(lo, hi), True, key=can)
+def _reach(pdf, upward: bool) -> float:
+    """The end of ``pdf``'s support toward an ``upward`` or downward crossing,
+    moved out by ``_SUPPORT_MARGIN`` of its width; 0.0 for a ``pdf`` of None."""
+    if pdf is None:
+        return 0.0
+    lo, hi = pdf._support
+    pad = _SUPPORT_MARGIN * (hi - lo)
+    return hi + pad if upward else lo - pad
 
 
 def _noise(pdf, rng: RngState):
-    """The values of one noise channel, in order: zeros, and no generator,
-    for a ``pdf`` of None; else the stream of ``rng.generator()``, built at
-    the first value and drawn ``_BLOCK`` values per :func:`draw_from` call."""
+    """The values of one noise channel, in order, from an iterator run in C:
+    ``itertools.repeat(0.0)`` for a ``pdf`` of None; else a chain of the
+    lists of ``_BLOCK`` values that :func:`draw_from` draws from
+    ``rng.generator()``, which is built at the first value."""
     if pdf is None:
-        yield from itertools.repeat(0.0)
-    gen = rng.generator()
-    while True:
-        yield from draw_from(pdf, gen, _BLOCK).tolist()
+        return itertools.repeat(0.0)
+
+    def blocks():
+        gen = rng.generator()
+        while True:
+            yield draw_from(pdf, gen, _BLOCK).tolist()
+
+    return itertools.chain.from_iterable(blocks())
 
 
-def _cross(noise, pdf, start, step, target, bias, upward, cycle, what):
+def _cross(noise, reach, start, step, target, bias, upward, cycle, what):
     """True value at the first noisy reading across ``target``.
 
     Readings happen at t = 0, 1, 2, ...; the true value follows
-    ``start + step * t`` (computed in closed form so a noiseless trajectory
-    has no accumulation error) and the transmitter reports
-    ``true + noise - bias``. The trajectory approaches the target, or
-    stands still where ``step`` underflows to 0.
+    ``start + step * t`` (in closed form, so a noiseless trajectory has no
+    accumulation error), approaching the target or standing still where
+    ``step`` underflows to 0, and the transmitter reports
+    ``true + noise - bias``, crossing at ``>= target`` if ``upward``, at
+    ``<= target`` if not. Only a reading whose noiseless value moved by
+    ``reach`` (the channel's :func:`_reach`) crosses can cross; it takes
+    the next value of ``noise``, and any other reading takes none.
 
-    A reading can cross only if its noiseless value, moved by the most
-    extreme value ``pdf`` can return (0 for a noiseless ``pdf`` of None),
-    crosses; each reading that can cross takes the next value of the
-    ``noise`` iterator, and a reading that cannot takes none. That test is
-    monotone in t, so the readings of the phase's budget that can cross run
-    from the first, which one :func:`_first` search finds from the closed
-    form ``(target + bias - reach - start) / step`` (from 0 for a zero
-    step), to the budget's end.
+    That test is monotone in t, so the readings of the phase's budget that
+    can cross run from the first to the budget's end. Two probes with no
+    call settle the first: ``t = ceil((target + bias - reach - start) /
+    step)``, clipped into [0, budget] (0 for a NaN guess or a zero step),
+    is the first if reading t can cross and t - 1 cannot. Else ``bisect``
+    searches the side they leave in at most ``budget.bit_length()`` tests,
+    so the first is exact for any guess.
 
-    That run is tested one reading at a time, on Python floats, up to its
-    first crossing, which usually comes within a few readings (at once
-    without noise); a window of thousands of readings that crosses far in
-    (a cold inlet, a fine timestep) costs a few float operations per
-    reading. The scan computes ``start + step * t - bias + noise`` in that
-    order, each operation rounded to float64, and compares with
-    ``float(target)``, so it stops at the reading the per-reading reference
-    does. A phase needing more than ``_MAX_NEED`` readings raises
+    From there the scan tests one reading at a time, usually a few, on
+    Python floats: ``start + step * t - bias + noise`` in that order against
+    ``float(target)``, so it stops where the per-reading reference does. A
+    phase needing more than ``_MAX_NEED`` readings raises
     :class:`SimulationDivergence` as a size limit.
     """
-    reach = 0.0
-    if pdf is not None:
-        lo, hi = pdf._support
-        pad = _SUPPORT_MARGIN * (hi - lo)
-        reach = hi + pad if upward else lo - pad
-    need, guess = 0.0, -math.inf  # for a zero step, where ``can`` is constant
+    need, guess = 0.0, -math.inf  # for a zero step, where the test is constant
     if step != 0.0:
         need = max(0.0, (target - start) / step)
         guess = (target + bias - reach - start) / step
@@ -200,16 +180,33 @@ def _cross(noise, pdf, start, step, target, bias, upward, cycle, what):
             f"{what} needs more than 2**51 sensor readings "
             "(size limit; use a larger timestep)", cycle)
     budget = _PHASE_RETRIES * (int(need) + 64)
-    crossed = operator.ge if upward else operator.le
 
     # ``step * t`` for an int t below 2**53 is ``step * float(t)``.
-    def can(t):
-        return crossed(start + step * t - bias + reach, target)
+    t = budget if guess >= budget else math.ceil(guess) if guess > 0 else 0
+    lo, hi = 0, budget
+    if t < hi:
+        x = start + step * t - bias + reach
+        if not (x >= target if upward else x <= target):
+            lo = t + 1
+    if lo < t:
+        x = start + step * (t - 1) - bias + reach
+        if x >= target if upward else x <= target:
+            hi = t - 1
+    if not lo <= t <= hi:
+        def can(i):
+            x = start + step * i - bias + reach
+            return x >= target if upward else x <= target
+        t = lo + bisect.bisect_left(range(lo, hi), True, key=can)
 
     goal = float(target)  # as the reference casts it to compare an array
-    for t in range(_first(can, 0, budget, guess), budget):
-        if crossed(start + step * t - bias + next(noise), goal):
-            return float(start + step * t)
+    if upward:
+        for t in range(t, budget):
+            if start + step * t - bias + next(noise) >= goal:
+                return float(start + step * t)
+    else:
+        for t in range(t, budget):
+            if start + step * t - bias + next(noise) <= goal:
+                return float(start + step * t)
     raise SimulationDivergence(f"{what} never crossed its setpoint", cycle)
 
 
@@ -224,11 +221,12 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
     values of ``rng.substream(c).generator()`` in order, and a noiseless
     channel reads zeros, through one :func:`_noise` iterator per channel,
     so a given seed gives one table and a shorter run is a prefix of a
-    longer one. Each controlled phase is one :func:`_cross` search, in
-    which each sensor reading that can cross its setpoint takes one value
-    of its channel, and the inlet and duration channels take one value per
-    cycle. A run builds at most one generator per noisy channel, none for
-    a noiseless one, and holds at most ``_BLOCK`` drawn values per channel.
+    longer one. The phase steps and reaches (level pdf low side to drain,
+    high side to fill, temperature pdf high side to heat) are computed once
+    per run. Each controlled phase is one :func:`_cross` search, in which
+    each reading that can cross takes one value of its channel; the inlet
+    and duration channels take one value per cycle. A run builds at most
+    one generator per noisy channel and holds ``_BLOCK`` values of each.
 
     Raises ``ValueError``, before allocating the table, for a cycle count
     that is not an int in [1, ``MAX_CYCLES``] (a bool is not), and
@@ -242,8 +240,10 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
         raise ValueError(f"cycle count must be in [1, {MAX_CYCLES}]")
     dt = config.timestep
     pdfs = [config.sensor_noise.get(name) for name in _NOISE_CHANNELS]
-    lvl_pdf, tmp_pdf = pdfs[:2]
     lvl, tmp, dur, inl = (_noise(pdf, rng.substream(c)) for c, pdf in enumerate(pdfs))
+    drain_step, fill_step, heat_step = -DRAIN_RATE * dt, FILL_RATE * dt, HEAT_RATE * dt
+    drain_reach, fill_reach = _reach(pdfs[0], False), _reach(pdfs[0], True)
+    heat_reach = _reach(pdfs[1], True)
 
     out = np.empty((n, 3), dtype=np.float64)
     temp = config.temp_setpoint
@@ -258,13 +258,13 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
         )
 
         # Drain until the transmitter reads the low setpoint.
-        low = _cross(lvl, lvl_pdf, level, -DRAIN_RATE * dt, config.level_low,
+        low = _cross(lvl, drain_reach, level, drain_step, config.level_low,
                      drift, False, k, "drain level")
 
         # Fill until the transmitter reads the high setpoint; the inlet
         # stream blends with the residue (exact mass-weighted mixing, the
         # telescoped form of per-step Euler blending).
-        achieved_level = _cross(lvl, lvl_pdf, low, FILL_RATE * dt,
+        achieved_level = _cross(lvl, fill_reach, low, fill_step,
                                 config.level_high, drift, True, k, "fill level")
         t_in = INLET_TEMP + next(inl)
         t_blend = t_in + low * (temp - t_in) / achieved_level
@@ -275,7 +275,7 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
         if t_blend >= config.temp_setpoint:
             achieved_temp = t_blend
         else:
-            stopped = _cross(tmp, tmp_pdf, t_blend, HEAT_RATE * dt,
+            stopped = _cross(tmp, heat_reach, t_blend, heat_step,
                              config.temp_setpoint, 0.0, True, k, "heater temperature")
             achieved_temp = max(t_blend, min(stopped, config.temp_setpoint))
         heat_added = achieved_temp - t_blend

@@ -3,7 +3,12 @@ finite-difference sensitivity estimation."""
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+import string
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -108,6 +113,33 @@ def test_sample_set_csv_text_is_pinned(tmp_path, rows):
     with mock.patch.object(propagation, "_CSV_ROWS", rows):
         SampleSet(columns=("a", "b", "c"), values=values).to_csv(path)
     assert path.read_bytes() == b"a,b,c\n0.3333333333333333,1e-17,-0.0\n7.0,5e-324,1e+300\n"
+
+
+csv_values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([-0.0, 5e-324, 1e308, -1e308]))
+csv_names = st.one_of(st.sampled_from(["lev,el", 'say "hi"', "two\nlines"]),
+                      st.text(string.printable, min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), ncols=st.integers(1, 4), rows=st.sampled_from([1, 2, 3]))
+def test_sample_set_csv_equals_csv_writer(data, ncols, rows):
+    # The reference writes the header and then every value's repr through
+    # csv.writer, so names with a comma, a quote or a newline are quoted;
+    # the blocks of _CSV_ROWS rows, here 1 to 3, must not show.
+    names = data.draw(st.lists(csv_names, min_size=ncols, max_size=ncols, unique=True))
+    table = data.draw(st.lists(st.lists(csv_values, min_size=ncols, max_size=ncols),
+                               max_size=8))
+    values = np.array(table, dtype=np.float64).reshape(-1, ncols)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(names)
+    writer.writerows(map(repr, row) for row in values.tolist())
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(propagation, "_CSV_ROWS", rows):
+        path = Path(tmp) / "samples.csv"
+        SampleSet(columns=tuple(names), values=values).to_csv(path)
+        assert path.read_bytes() == expected.getvalue().encode()
 
 
 # ---------------------------------------------------------------------------

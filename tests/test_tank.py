@@ -4,6 +4,7 @@ divergence reporting, and the cross-channel carryover effects."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import warnings
 from collections import Counter
@@ -27,7 +28,7 @@ from axdesign import (
 )
 from axdesign import tank
 from axdesign.distributions import Substreams, draw_from
-from axdesign.tank import _PHASE_RETRIES, _cross, _first, simulate
+from axdesign.tank import _PHASE_RETRIES, _cross, simulate
 
 NOISY = {
     "level": Normal(0.0, 0.01),
@@ -383,6 +384,45 @@ def test_a_phase_whose_step_underflows_to_zero():
     assert rows.tolist() == [[7.0, 65.0, 120.0]] * 3
 
 
+def _channel_pdfs(scale):
+    """No noise, or one of the four pdf families with values within a few
+    ``scale`` of 0."""
+    at, width = st.floats(-scale, scale), st.floats(scale / 100, 2 * scale)
+    return st.one_of(
+        st.none(),
+        st.builds(lambda lo, w: Uniform(lo, lo + w), at, width),
+        st.builds(Normal, at, width),
+        st.builds(lambda lo, f, w: Triangular(lo, lo + f * w, lo + w),
+                  at, st.floats(0.0, 1.0), width),
+        st.builds(lambda xs: Empirical(tuple(xs)), st.lists(at, min_size=1, max_size=8)),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    pdfs=st.tuples(_channel_pdfs(0.02), _channel_pdfs(0.2), _channel_pdfs(0.5),
+                   _channel_pdfs(0.3)),
+    gains=st.tuples(*[st.floats(0.0, 0.3)] * 3),
+    timestep=st.sampled_from([0.1, 0.05, 0.02]),
+)
+def test_simulate_matches_the_reference_on_random_configs(seed, pdfs, gains, timestep):
+    # Any mix of noiseless and noisy channels, gains and timesteps: the
+    # simulator's table is the per-reading reference's, byte for byte.
+    noise = {name: pdf for name, pdf in zip(tank._NOISE_CHANNELS, pdfs) if pdf is not None}
+    cfg = TankConfig(sensor_noise=noise, timestep=timestep,
+                     **dict(zip(("mixer_to_temp", "heater_to_level", "mixer_to_level"), gains)))
+
+    def outcome(run):
+        try:
+            return run().tobytes()
+        except SimulationDivergence as err:
+            return str(err)
+
+    assert outcome(lambda: simulate(cfg, RngState(seed), cycles=20)) == \
+        outcome(lambda: _simulate_every_reading(cfg, RngState(seed), 20)[0])
+
+
 @pytest.mark.parametrize("config,message", [
     # Agitation heat overflows the temperature carried into cycle 1.
     (TankConfig(mixer_to_temp=1e308), "cycle 1: recorded level, temperature and "
@@ -417,11 +457,14 @@ def test_overflowing_sensor_noise_runs_without_a_warning():
 def _outcome(search, seed, args, k=0):
     """Result of ``search`` on substream k of ``seed``, and the number of
     noise values it took: ``_cross`` reads them through ``tank._noise``,
-    the reference through ``_fresh_values``. A noiseless channel's values
-    are zeros, which count as none taken."""
+    and takes the pdf's reach in place of the pdf, the reference through
+    ``_fresh_values``. A noiseless channel's values are zeros, which count
+    as none taken."""
     pdf = args[0]
     source = tank._noise if search is _cross else _fresh_values
     values = _Counted(source(pdf, RngState(seed).substream(k)))
+    if search is _cross:
+        args = (_reach(pdf, args[5]), *args[1:])
     try:
         result = search(values, *args, 0, "phase")
     except SimulationDivergence:
@@ -554,62 +597,90 @@ def test_cross_from_a_far_off_guess_matches_drawing_every_reading(pdf, step, tar
     assert _outcome(_cross, 5, args) == _outcome(_cross_every_reading, 5, args)
 
 
+def _search(need, threshold, guess, upward):
+    """Where ``_cross``'s search puts the first reading that can cross, and
+    the readings it tested, for a budget of ``_PHASE_RETRIES * (need + 64)``
+    readings of which reading t can cross iff ``t >= threshold``, and the
+    closed-form first reading ``guess``.
+
+    With ``start`` 0, ``step`` +-1, no bias and no noise, reading t has the
+    value +-t. The target is a float subclass, so Python asks it first in
+    every comparison with a float: it counts the search's tests and answers
+    them with ``threshold``, and its ``-`` and ``+`` make the search's need
+    ``need`` and its guess ``guess``. The scan compares with
+    ``float(target)``, which crosses from ``threshold`` on, and reads one
+    zero per reading, so a search that stopped at the first reading that
+    can cross leaves the scan one reading to take (none if no reading of
+    the budget can cross, and ``_cross`` diverges).
+    """
+    sign = 1.0 if upward else -1.0
+    tested = []
+
+    class Target(float):
+        def __sub__(self, start):
+            return sign * need
+
+        def __add__(self, bias):
+            return sign * guess
+
+        def __le__(self, value):  # ``value >= target``, the upward test
+            tested.append(int(sign * value))
+            return tested[-1] >= threshold
+
+        __ge__ = __le__  # ``value <= target``, the downward test
+
+    zeros = _Counted(itertools.repeat(0.0))
+    try:
+        found = sign * _cross(zeros, 0.0, 0.0, sign, Target(sign * threshold), 0.0,
+                              upward, 0, "phase")
+    except SimulationDivergence:
+        found = _PHASE_RETRIES * (need + 64)
+        assert zeros.taken == 0
+    else:
+        assert zeros.taken == 1
+    return found, tested
+
+
 @settings(max_examples=500, deadline=None)
 @given(
-    lo=st.integers(-100, 100),
-    width=st.integers(0, 300),
-    threshold=st.integers(-110, 410),
+    need=st.integers(0, 300),
+    threshold=st.integers(-10, 1500),
     guess=st.one_of(
         st.sampled_from(["exact", "inside", "below", "above"]),
         st.floats(-1e6, 1e6),
         st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300]),
     ),
+    upward=st.booleans(),
 )
-def test_first_equals_a_linear_scan_from_any_guess(lo, width, threshold, guess):
-    hi = lo + width
-    answer = next((t for t in range(lo, hi) if t >= threshold), hi)
+def test_first_equals_a_linear_scan_from_any_guess(need, threshold, guess, upward):
+    budget = _PHASE_RETRIES * (need + 64)
+    answer = next((t for t in range(budget) if t >= threshold), budget)
     if isinstance(guess, str):  # relative to the answer
         guess = answer + {"exact": 0.0, "inside": -0.5, "below": -1.0, "above": 1.0}[guess]
-    calls = []
-
-    def can(t):
-        assert lo <= t < hi
-        calls.append(t)
-        return t >= threshold
-
-    assert _first(can, lo, hi, guess) == answer
+    found, tested = _search(need, threshold, guess, upward)
+    assert found == answer
+    assert all(0 <= t < budget for t in tested)
     if math.isfinite(guess) and math.ceil(guess) == answer:
-        assert len(calls) <= 2
-    # A non-increasing predicate is found exactly from a guess at or below lo.
-    if not guess > lo:
-        expected = lo if lo < min(hi, threshold) else hi
-        assert _first(lambda t: t < threshold, lo, hi, guess) == expected
+        assert len(tested) <= 2
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    lo=st.integers(-2**53, 2**53),
-    width=st.integers(0, 2**53),
+    need=st.integers(0, tank._MAX_NEED - 64),
     where=st.floats(0.0, 1.0),
     guess=st.one_of(st.floats(), st.integers(-2**60, 2**60)),
+    upward=st.booleans(),
 )
-def test_first_stays_bounded_when_the_guess_is_wrong(lo, width, where, guess):
+def test_first_stays_bounded_when_the_guess_is_wrong(need, where, guess, upward):
     # Rounding-coarse trajectories put the closed-form guess far from the
     # first reading that can cross; the search must still end quickly.
-    hi = lo + width
-    answer = lo + int(where * width)
+    budget = _PHASE_RETRIES * (need + 64)
+    answer = int(where * budget)
     if isinstance(guess, int):  # an offset from the answer
         guess = float(answer + guess)
-    calls = 0
-
-    def can(t):
-        nonlocal calls
-        assert lo <= t < hi
-        calls += 1
-        return t >= answer
-
-    assert _first(can, lo, hi, guess) == answer
-    assert calls <= width.bit_length() + 3
+    found, tested = _search(need, answer, guess, upward)
+    assert found == answer
+    assert len(tested) <= budget.bit_length() + 2
 
 
 # ---------------------------------------------------------------------------
