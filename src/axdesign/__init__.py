@@ -5,18 +5,16 @@ its requirements (in bits), and propagate design-parameter uncertainty
 forward through linear or simulated process models.
 """
 
-from .coupling import (Classification, Coupled, Decoupled, Degenerate,
-                       DegenerateReason, Uncoupled, affected_frs, binarize,
-                       classify, sequence)
+from .coupling import (Coupled, Decoupled, Degenerate, Uncoupled, affected_frs,
+                       binarize, classify, sequence)
 from .distributions import (Empirical, Normal, Pdf, RngState, Triangular,
-                            Uniform, draw_from, from_samples)
+                            Uniform, from_samples)
 from .errors import SimulationDivergence, SpecFormatError
-from .info import (InfoResult, McConfig, McStats, SystemInfoReport,
-                   bits_from_probability, conditional_chain_information,
-                   fr_information, system_information_from_samples,
+from .info import (McConfig, SystemInfoReport, bits_from_probability,
+                   conditional_chain_information, fr_information,
+                   system_information_from_samples,
                    system_information_independent, system_information_joint)
-from .model import (DesignParameter, DesignRange, DesignSpec,
-                    FunctionalRequirement, parse_spec, range_bounds,
+from .model import (DesignParameter, DesignRange, DesignSpec, parse_spec,
                     validate_spec)
 from .propagation import (LinearModel, SampleSet, ScenarioModel,
                           estimate_design_matrix, simulate_tank)
@@ -30,16 +28,15 @@ __all__ = [
     "__version__",
     # distributions
     "Pdf", "Uniform", "Normal", "Triangular", "Empirical", "RngState",
-    "from_samples", "draw_from",
+    "from_samples",
     # spec model
-    "DesignRange", "FunctionalRequirement", "DesignParameter", "DesignSpec",
-    "parse_spec", "validate_spec", "range_bounds",
+    "DesignRange", "DesignParameter", "DesignSpec", "parse_spec",
+    "validate_spec",
     # coupling
-    "Classification", "Uncoupled", "Decoupled", "Coupled", "Degenerate",
-    "DegenerateReason", "classify", "binarize", "sequence", "affected_frs",
+    "Uncoupled", "Decoupled", "Coupled", "Degenerate", "classify", "binarize",
+    "sequence", "affected_frs",
     # information content
-    "InfoResult", "McConfig", "McStats", "SystemInfoReport",
-    "bits_from_probability", "fr_information",
+    "McConfig", "SystemInfoReport", "bits_from_probability", "fr_information",
     "system_information_independent", "system_information_joint",
     "system_information_from_samples", "conditional_chain_information",
     # propagation

@@ -2,21 +2,20 @@
 
 Four distribution families are supported: uniform, normal, triangular and
 empirical (resampling from stored observations). Every family exposes an
-exact CDF of one float, ``cdf(x)``, and interval probabilities computed as
-CDF differences, so masses are additive and total mass is 1 to within
-floating point. Uniform and triangular pdfs integrate masses below 2**-10
-directly, where a CDF difference would cancel, and work on parameters
-scaled by a power of two when their width squared overflows, so any finite
-parameters give finite CDFs, draws and masses.
+exact CDF of one float, ``cdf(x)``, and the mass of a closed range: a CDF
+difference for the three continuous families, so their masses are additive,
+and the exact fraction of observations in the range for an empirical pdf.
+Total mass is 1 to within floating point. Uniform and triangular pdfs
+integrate masses below 2**-10 directly, where a CDF difference would
+cancel, and work on parameters scaled by a power of two when their width
+squared overflows, so any finite parameters give finite CDFs, draws and
+masses.
 
 Random number generation
 ------------------------
 There is one way to sample::
 
-    draw_from(pdf, RngState(seed).substream(k).generator(), n)
-
-where ``Substreams(RngState(seed)).seat(k, p)`` may stand in for the
-generator (see below).
+    draw_from(pdf, RngState(seed).substream(k).generator(start), n)
 
 :class:`RngState` is an explicit immutable value (root seed and substream
 path). Its generator is the counter-based Philox 4x64 algorithm keyed by
@@ -25,6 +24,10 @@ can be reproduced from the seed alone, and substreams derived with
 :meth:`RngState.substream` are independent of the order in which they are
 consumed. Successive draws from one generator continue its stream; a caller
 that needs an independent, reproducible stream derives another substream.
+Philox is counter-based (Salmon et al., SC 2011), so ``generator(start)``
+opens the stream at value ``start`` at the same cost for every ``start``:
+a caller that reads rows ``start`` on of a stream, such as one part of a
+Monte Carlo run, opens it there and reads on in order.
 
 Every family maps an array of ``gen.random(n)`` values to ``n`` draws,
 one value each, through its ``_transform(u)``, the one place that family's
@@ -39,15 +42,6 @@ value, ``n`` draws advance the stream by ``n`` values whatever the family.
   fixed for the package, so a given seed always yields the same samples.
 * Empirical picks observation ``floor(u * n_obs)`` of the sorted
   observations.
-
-Many substreams read in pieces, such as the DP columns of a Monte Carlo
-run drawn chunk by chunk, are read through :class:`Substreams`: one Philox
-generator that is reseated by assigning its state rather than rebuilt.
-Philox is counter-based (Salmon et al., SC 2011), so seating it at value
-``p`` of a substream costs the same for every ``p``. ``seat(k, p)`` returns
-the generator standing at value ``p`` of substream ``k``, with the key
-numpy's ``SeedSequence`` gives that substream, so it yields exactly the
-values of ``RngState(seed).substream(k).generator()`` from value ``p`` on.
 """
 
 from __future__ import annotations
@@ -198,52 +192,19 @@ class RngState:
             raise ValueError("substream key must be a non-negative integer")
         return RngState(self.seed, self.stream + (key,))
 
-    def generator(self) -> Generator:
-        """Fresh numpy Generator at the start of this substream."""
-        return Generator(Philox(SeedSequence(self.seed, spawn_key=self.stream)))
-
-
-class Substreams:
-    """The substreams of an :class:`RngState` on one reused Philox generator.
-
-    :meth:`seat` ``(k, p)`` returns that generator standing at value ``p``
-    of substream ``k``: from there it yields exactly what
-    ``rng.substream(k).generator()`` yields from value ``p`` on. Each
-    substream's Philox key is numpy's ``SeedSequence`` key for it, derived
-    on the first seat in that substream and kept.
-    """
-
-    def __init__(self, rng: RngState):
-        self._rng = rng
-        self._keys: dict[int, list[int]] = {}
-        self._bitgen = Philox(0)
-        self._gen = Generator(self._bitgen)
-        self._state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-    def seat(self, k: int, p: int = 0) -> Generator:
-        """The generator, put at value ``p`` of substream ``k``."""
-        key = self._keys.get(k)
-        if key is None:
-            seq = SeedSequence(self._rng.seed, spawn_key=self._rng.stream + (k,))
-            key = self._keys[k] = seq.generate_state(2, np.uint64).tolist()
-        # Philox gives 4 values per counter step and steps the counter
-        # before each block, so value p is word p % 4 of the block at
-        # counter p // 4 + 1: set the counter to p // 4 with an empty
-        # buffer, then draw p % 4 values.
-        state = self._state
-        state["state"]["key"] = key
-        state["state"]["counter"][0] = p >> 2
-        self._bitgen.state = state
-        if p & 3:
-            self._bitgen.random_raw(p & 3)
-        return self._gen
+    def generator(self, start: int = 0) -> Generator:
+        """Fresh numpy Generator standing at value ``start`` of this
+        substream: it yields what a generator opened at value 0 yields
+        after ``start`` values."""
+        if not isinstance(start, int) or isinstance(start, bool) or start < 0:
+            raise ValueError("generator start must be a non-negative integer")
+        bitgen = Philox(SeedSequence(self.seed, spawn_key=self.stream))
+        if start:
+            # Philox gives 4 values per counter step, so value start is
+            # word start % 4 of the block start // 4 steps on.
+            bitgen.advance(start >> 2)
+            bitgen.random_raw(start & 3)
+        return Generator(bitgen)
 
 
 def _open(u: np.ndarray) -> np.ndarray:
@@ -473,10 +434,11 @@ class Triangular(Pdf):
 class Empirical(Pdf):
     """Distribution defined by stored observations.
 
-    The CDF counts samples exactly (fraction of observations <= x), so
-    interval probabilities are exact sample fractions. Sampling draws
-    uniformly from the stored observations, one ``gen.random()`` value per
-    draw indexing their sorted copy.
+    The CDF and interval masses count samples exactly: ``cdf(x)`` is the
+    fraction of observations <= x, and the mass on [lo, hi] the fraction of
+    observations in it, ends included. Sampling draws uniformly from the
+    stored observations, one ``gen.random()`` value per draw indexing their
+    sorted copy.
     """
 
     samples: tuple[float, ...]
@@ -496,6 +458,15 @@ class Empirical(Pdf):
 
     def cdf(self, x: float) -> float:
         return int(np.searchsorted(self._sorted, x, side="right")) / len(self._sorted)
+
+    def interval_probability(self, lo: float, hi: float) -> float:
+        """Fraction of observations in [lo, hi], one count over the sample
+        count: a CDF difference would leave out observations at ``lo``."""
+        if lo > hi:
+            raise ValueError(f"interval lower bound {lo} exceeds upper bound {hi}")
+        arr = self._sorted
+        inside = np.searchsorted(arr, hi, side="right") - np.searchsorted(arr, lo, side="left")
+        return int(inside) / len(arr)
 
     def _transform(self, u):
         # Observation floor(u * n), clipped to the last; u receives the
@@ -523,7 +494,7 @@ def draw_from(pdf: Pdf, gen: Generator, n: int) -> np.ndarray:
     """Draw ``n`` values of ``pdf`` from ``gen``, advancing its stream by
     ``n`` values.
 
-    Take ``gen`` from :meth:`RngState.generator` or :meth:`Substreams.seat`,
-    so the draws can be reproduced from the seed.
+    Take ``gen`` from :meth:`RngState.generator`, so the draws can be
+    reproduced from the seed.
     """
     return pdf._transform(gen.random(n))

@@ -35,35 +35,33 @@ The Monte Carlo routes sample a :class:`~axdesign.propagation.LinearModel`
 or a :class:`~axdesign.propagation.ScenarioModel`, through the
 ``chunk_rows`` and ``sample_frs`` the two share. A linear model
 (``chunk_rows`` 8192) is sampled that many rows at a time, as
-``sample_frs(stream, rows, start)`` on one
-:class:`~axdesign.distributions.Substreams` of the run's seed, whose
-``seat(k, start)`` gives its one generator at row ``start`` of substream
-``k``; each chunk is scored before the next is drawn. A chunk holds the rows
-``start … start+rows-1`` of the one-call table, so the counts, and the
-reports, do not depend on the chunking, and the memory of a linear-model
-run does not grow with the sample count. The tank model, whose rows are
-consecutive cycles of one run, has ``chunk_rows = None``: it is sampled in
-one call, ``sample_frs(rng, n)``, and that one table is scored.
+``sample_frs(stream, rows, start)``, where ``stream(k)`` is substream k
+of the run's seed; each chunk is scored before the next is drawn. A chunk
+holds the rows ``start … start+rows-1`` of the one-call table, so the
+counts, and the reports, do not depend on the chunking, and the memory of
+a linear-model run does not grow with the sample count. The tank model,
+whose rows are consecutive cycles of one run, has ``chunk_rows = None``:
+it is sampled in one call, ``sample_frs(rng, n)``, and that one table is
+scored.
 
 A linear-model run of more than one chunk is scored on every CPU the
 process may use: its chunks are split into contiguous parts, one per CPU
 (at most one per chunk). The calling thread scores part 0 and a pool of
-one thread fewer than the CPU count, made on first use, scores the rest,
-each part drawing its own chunks from its own
-:class:`~axdesign.distributions.Substreams`, since a Philox generator must
-not be shared between threads. A seat puts the generator at any value of
-any substream, at the same cost, so a part starts at its first chunk with
-no draw before it and draws exactly the rows a serial run draws for those
-chunks. Each part returns integer counts, and integer sums
-do not depend on the order they are added in, so the summed counts, and
-the reports, are those of a serial run on any number of CPUs. When parts
-fail, the failure of the earliest rows is raised, after every part has
-stopped. One-chunk runs, one-CPU hosts and the tank model stay on the
-calling thread and start no thread. Any model with ``chunk_rows`` set is
-split so, not only :class:`~axdesign.propagation.LinearModel`: its
-``sample_frs(stream, rows, start)`` is called from several threads at once
-and not in row order, so it must be safe to call that way, and the rows it
-returns must depend only on ``start`` and ``rows``.
+one thread fewer than the CPU count, made on first use, scores the rest.
+Each part opens each substream it reads once, at the part's first row,
+with ``RngState.generator(start)``, which costs the same at any row, and
+reads it on in order through its chunks; no generator is shared between
+threads. So a part draws exactly the rows a serial run draws for its
+chunks. Each part returns integer counts, and integer sums do not depend
+on the order they are added in, so the summed counts, and the reports,
+are those of a serial run on any number of CPUs. When parts fail, the
+failure of the earliest rows is raised, after every part has stopped.
+One-chunk runs, one-CPU hosts and the tank model stay on the calling
+thread and start no thread. Any model with ``chunk_rows`` set is split
+so, not only :class:`~axdesign.propagation.LinearModel`: its
+``sample_frs(stream, rows, start)`` is called from several threads at
+once, and within a part in row order, so it must be safe to call that
+way, and must read ``rows`` values from each stream it reads.
 
 Every route scores samples with one streaming tally: per-FR hits, and for
 each link of an FR order the rows inside every range so far (the joint
@@ -85,8 +83,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import (Pdf, RngState, Substreams, float64_array,
-                            is_count, is_real)
+from .distributions import Pdf, RngState, float64_array, is_count, is_real
 from .errors import NonFiniteSamples
 from .model import DesignRange, range_bounds
 
@@ -277,20 +274,20 @@ def _tally(tables, ranges, order, labels=None) -> tuple[int, list[int], list[int
 
 
 def _tables(model, mc: McConfig, chunks: range | None = None):
-    """The model's sample table for ``mc``: ``chunk_rows`` rows at a time
-    from one reseated :class:`Substreams`, or in one call when
-    ``chunk_rows`` is None. ``chunks`` picks chunk indices of a chunked
-    table (all of them by default)."""
+    """The model's sample table for ``mc``: ``chunk_rows`` rows at a time,
+    or in one call when ``chunk_rows`` is None. ``chunks`` picks chunk
+    indices of a chunked table (all of them by default); each substream
+    read is opened once, at the first chunk's row."""
     rng = RngState(seed=mc.seed)
     n = mc.n_samples
     rows = model.chunk_rows
     if rows is None:
         yield model.sample_frs(rng, n)
         return
-    stream = Substreams(rng)
     starts = range(0, n, rows)
     if chunks is not None:
         starts = starts[chunks.start:chunks.stop]
+    stream = functools.cache(lambda k: rng.substream(k).generator(starts[0]))
     for start in starts:
         yield model.sample_frs(stream, min(rows, n - start), start)
 

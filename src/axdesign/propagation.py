@@ -1,8 +1,7 @@
 """Forward uncertainty propagation from design parameters to requirements.
 
 Two model flavours, the ones the Monte Carlo routes of :mod:`axdesign.info`
-sample, share one sampling protocol
-(``sample_frs(rng, n) -> (n, n_frs) ndarray``) and one point map
+sample, share ``sample_frs(..., n) -> (n, n_frs) ndarray`` and one point map
 (``evaluate(dp_values) -> FR values``):
 
 * :class:`LinearModel` — FR = A @ DP + noise, with a pdf per DP and an
@@ -21,33 +20,33 @@ from its own derived substream of the caller's ``RngState``, so results
 are reproducible for a given seed and independent across columns.
 
 Rows in chunks: :class:`LinearModel` sets ``chunk_rows``, the rows the
-Monte Carlo routes sample at a time. ``LinearModel.sample_frs(rng, n, start)``
-returns rows ``start … start+n-1`` of the table that one call for all rows
-gives, bit for bit: each draw takes one uniform, so row r of DP column j
-is value r of substream j, and ``Substreams.seat(j, start)`` returns a
-generator standing there (see :class:`~axdesign.distributions.Substreams`).
-Passing one ``Substreams`` of the run's ``RngState`` as ``rng`` reuses one
-generator for every chunk, so sampling memory is set by the chunk, not by
-the sample count. The info routes split a multi-chunk run into parts
-scored on several threads, each with its own ``Substreams``, so a chunked
-model's ``sample_frs`` is called concurrently and out of row order;
-``LinearModel`` holds no per-call state and its rows depend only on their
-position.
+Monte Carlo routes sample at a time. ``LinearModel.sample_frs(stream, n,
+start)`` reads ``n`` values from ``stream(k)``, substream k's generator,
+for each substream k it reads. Each draw takes one value, so row r of DP
+column j is value r of substream j: with every stream standing at value
+``start``, the call returns rows ``start … start+n-1`` of the one-call
+table, bit for bit, and leaves every stream at the next chunk's first
+row. A caller opens each stream once, with ``RngState.generator(start)``,
+and reads consecutive chunks from it, so sampling memory is set by the
+chunk, not by the sample count. The info routes score the parts of a
+multi-chunk run on several threads, each part with generators of its own,
+so ``sample_frs`` is called concurrently; ``LinearModel`` holds no
+per-call state.
 :class:`ScenarioModel` rows are consecutive cycles of one Markov run, so it
-has ``chunk_rows = None`` and its table is sampled in one call.
+has ``chunk_rows = None`` and its table is sampled in one call,
+``sample_frs(rng, n)`` on the run's ``RngState``.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .coupling import _float64, frozen_matrix
-from .distributions import (Pdf, RngState, Substreams, draw_from,
-                            float64_array, is_real)
+from .distributions import Pdf, RngState, draw_from, float64_array, is_real
 from .tank import TankConfig, simulate, tank_response
 
 __all__ = [
@@ -156,26 +155,27 @@ class LinearModel:
         dps = np.asarray(dp_values, dtype=np.float64)
         return dps @ self.matrix.T
 
-    def sample_frs(self, rng: RngState | Substreams, n: int, start: int = 0) -> np.ndarray:
+    def sample_frs(self, stream: Callable[[int], np.random.Generator], n: int,
+                   start: int = 0) -> np.ndarray:
         """Rows ``start … start+n-1`` of the FR sample table, shape (n, n_frs).
 
-        DP column j is read from substream j and noise row i from substream
-        ``n_dps + i``, both from value ``start`` on. ``rng`` is an RngState
-        or a :class:`Substreams` of one, whose one generator is reseated,
-        not rebuilt, for each column and row.
+        ``stream(k)`` is substream k's generator, standing at value
+        ``start``: DP column j is read from ``stream(j)`` and noise row i
+        from ``stream(n_dps + i)``, ``n`` values each, and a noiseless row
+        reads none. ``start`` places a lone row in the one-call table's
+        rounding (see :func:`_product`).
         Values that overflow float64 come back as inf or nan, without a
         warning, for the caller to reject.
         """
-        stream = rng if isinstance(rng, Substreams) else Substreams(rng)
         n_dps = self.matrix.shape[1]
         dps = np.empty((n_dps, n))
         with np.errstate(over="ignore", invalid="ignore"):
             for j, pdf in enumerate(self.dp_pdfs):
-                dps[j] = draw_from(pdf, stream.seat(j, start), n)
+                dps[j] = draw_from(pdf, stream(j), n)
             frs = _product(self.matrix, dps, start)
             for i, pdf in enumerate(self.noise_pdfs or ()):
                 if pdf is not None:
-                    frs[i] += draw_from(pdf, stream.seat(n_dps + i, start), n)
+                    frs[i] += draw_from(pdf, stream(n_dps + i), n)
         return frs.T
 
 

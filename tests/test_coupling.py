@@ -22,11 +22,9 @@ from axdesign import (
     Coupled,
     Decoupled,
     Degenerate,
-    DegenerateReason,
     DesignParameter,
     DesignRange,
     DesignSpec,
-    FunctionalRequirement,
     LinearModel,
     Uncoupled,
     Uniform,
@@ -36,6 +34,8 @@ from axdesign import (
     sequence,
 )
 from axdesign import coupling
+from axdesign.coupling import DegenerateReason
+from axdesign.model import FunctionalRequirement
 
 from conftest import load_spec
 

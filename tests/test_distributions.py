@@ -29,12 +29,11 @@ from axdesign import (
     TankConfig,
     Triangular,
     Uniform,
-    draw_from,
     estimate_design_matrix,
     from_samples,
 )
 from axdesign.coupling import checked_epsilon
-from axdesign.distributions import Substreams, is_real
+from axdesign.distributions import draw_from, is_real
 
 # Any warning fails the tests so marked, bar one: a failing property's report
 # imports libcst, whose use of mypy_extensions.TypedDict warns, and as an
@@ -107,6 +106,28 @@ def test_empirical_single_atom():
     assert pdf.cdf(4.1) == 0.0
     assert pdf.cdf(4.2) == 1.0
     assert pdf.interval_probability(4.0, 5.0) == 1.0
+
+
+def test_empirical_mass_on_a_closed_range_is_the_sample_fraction():
+    # Observations at either end of the range are inside it, and the mass
+    # is one count over the sample count.
+    assert from_samples([1, 2, 3]).interval_probability(1.0, 3.0) == 1.0
+    assert from_samples([1, 2, 3]).interval_probability(2.0, 2.0) == 1 / 3
+    assert Empirical(tuple(range(10))).interval_probability(0.5, 2.5) == 0.2
+
+
+_OBSERVATIONS = st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3)),
+                         min_size=1, max_size=30)
+
+
+@given(samples=_OBSERVATIONS, data=st.data())
+def test_empirical_mass_counts_the_observations_in_the_range(samples, data):
+    # Range ends drawn from the observations themselves, or anywhere.
+    end = st.one_of(st.sampled_from(samples), st.floats(-2e3, 2e3))
+    lo, hi = sorted([data.draw(end), data.draw(end)])
+    x = np.array(samples)
+    assert Empirical(tuple(samples)).interval_probability(lo, hi) \
+        == ((x >= lo) & (x <= hi)).sum() / len(x)
 
 
 ALL_FAMILIES = [
@@ -419,6 +440,9 @@ def test_rng_state_validation():
         RngState(seed=0).substream(True)
     with pytest.raises(ValueError):
         draw_from(Uniform(0.0, 1.0), RngState(seed=0).generator(), -1)
+    for start in (-1, True, False, 1.0, None):
+        with pytest.raises(ValueError, match="^generator start must be a non-negative integer$"):
+            RngState(seed=0).generator(start)
 
 
 def test_uniform_draws_stay_in_half_open_support():
@@ -525,52 +549,47 @@ def test_extreme_uniforms_give_finite_draws_inside_the_support(pdf: Pdf):
     assert values.min() == lo and values.max() == hi
 
 
-# ---------------------------------------------------------------------------
-# Substreams against fresh generators, which numpy's own SeedSequence keys
+# Generators opened at a value against fresh generators, which numpy's own
+# SeedSequence keys, read from value 0 with the first values discarded
 
 
 @WARNINGS_ARE_ERRORS
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3])
 @pytest.mark.parametrize("stream", [(), (3,), (2**33,)])
 @pytest.mark.parametrize("k", [0, 5, 256, 2**32 - 1, 2**32, 2**64])
-def test_seated_substreams_equal_fresh_generators(seed, stream, k):
-    rng = RngState(seed=seed, stream=stream)
-    fresh = rng.substream(k).generator().random(1001 + 600)
-    substreams = Substreams(rng)
-    for p in (0, 1, 2, 3, 4, 7, 1001):
-        gen = substreams.seat(k, p)
-        assert np.array_equal(gen.random(5), fresh[p:p + 5])
-        pos = p + 5
+def test_generators_opened_at_a_value_equal_fresh_generators(seed, stream, k):
+    rng = RngState(seed=seed, stream=stream).substream(k)
+    for p in (0, 1, 2, 3, 4, 7, 1001, 2**16 + 3):
+        gen = rng.generator(p)
+        fresh = rng.generator()
+        fresh.random(p)
         # Draws of every length mod 4, short and long, continue the substream.
-        for m in (0, 1, 2, 3, 4, 5, 63, 64, 257, 3):
-            assert np.array_equal(gen.random(m), fresh[pos:pos + m])
-            pos += m
-    # Reseating after use starts the substream over.
-    assert np.array_equal(substreams.seat(k).random(9), fresh[:9])
+        for m in (5, 0, 1, 2, 3, 4, 5, 63, 64, 257, 3):
+            assert np.array_equal(gen.random(m), fresh.random(m))
 
 
 _KEYS = st.one_of(st.sampled_from([0, 1, 255, 256, 2**32 - 1, 2**32, 2**64]),
                   st.integers(0, 2**70))
 _STREAM_OPS = st.lists(st.one_of(
-    st.tuples(st.just("seat"), _KEYS, st.integers(0, 40)),
-    st.tuples(st.just("random"), st.integers(0, 9)),
+    st.tuples(st.just("open"), _KEYS, st.integers(0, 40)),
+    st.tuples(st.just("random"), st.integers(0, 9), st.integers(0, 9)),
 ), max_size=40)
 
 
 @WARNINGS_ARE_ERRORS
 @settings(max_examples=300, deadline=None)
 @given(seed=st.integers(0, 2**70), k=_KEYS, p=st.integers(0, 40), ops=_STREAM_OPS)
-def test_seats_and_draws_read_like_fresh_generators(seed, k, p, ops):
-    # Seats may follow one another with no draw between them, and may
-    # return to a substream seated before; every draw must still read the
-    # values of a fresh generator of the current substream, from the
-    # current position.
+def test_generators_opened_at_random_values_read_like_fresh_generators(seed, k, p, ops):
+    # Generators of one substream or of several may be open at once and
+    # read in any interleaving; every draw must read the values of a fresh
+    # generator of its substream, from its current position.
     rng = RngState(seed=seed)
-    substreams = Substreams(rng)
-    for op, *args in [("seat", k, p)] + ops:
-        if op == "seat":
-            gen = substreams.seat(*args)
-            fresh = rng.substream(args[0]).generator()
-            fresh.random(args[1])
+    opened = []
+    for op, a, b in [("open", k, p)] + ops:
+        if op == "open":
+            fresh = rng.substream(a).generator()
+            fresh.random(b)
+            opened.append((rng.substream(a).generator(b), fresh))
         else:
-            assert gen.random(args[0]).tobytes() == fresh.random(args[0]).tobytes()
+            gen, fresh = opened[a % len(opened)]
+            assert gen.random(b).tobytes() == fresh.random(b).tobytes()

@@ -20,7 +20,6 @@ import pytest
 
 from axdesign import (
     DesignRange,
-    InfoResult,
     LinearModel,
     McConfig,
     Normal,
@@ -35,6 +34,7 @@ from axdesign import (
 )
 
 from axdesign.errors import NonFiniteSamples
+from axdesign.info import InfoResult
 from axdesign.propagation import _CHUNK_ROWS as C
 
 from conftest import load_spec

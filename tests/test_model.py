@@ -14,15 +14,14 @@ from axdesign import (
     DesignParameter,
     DesignRange,
     DesignSpec,
-    FunctionalRequirement,
     Normal,
     SpecFormatError,
     TankConfig,
     Uniform,
     parse_spec,
-    range_bounds,
     validate_spec,
 )
+from axdesign.model import FunctionalRequirement, range_bounds
 
 from conftest import FIXTURES, fixture_path, load_spec
 

