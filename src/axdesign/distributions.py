@@ -66,30 +66,6 @@ __all__ = [
 ]
 
 
-# scipy.special takes about half the package's import time and only Normal
-# uses it, so it loads on the first Normal cdf or draw. The first call of
-# any stand-in below rebinds all three names to scipy's ufuncs, so later
-# calls go straight to them.
-def _load_special() -> None:
-    global erfcx, ndtr, ndtri
-    from scipy.special import erfcx, ndtr, ndtri
-
-
-def erfcx(x):
-    _load_special()
-    return erfcx(x)
-
-
-def ndtr(x):
-    _load_special()
-    return ndtr(x)
-
-
-def ndtri(p):
-    _load_special()
-    return ndtri(p)
-
-
 # Below this mass, cdf(hi) - cdf(lo) may have lost more than 2**-42 of its
 # value to the rounding of two CDF values near 1 (up to 2**-52 between them),
 # so uniform and triangular pdfs integrate their density over the interval
@@ -286,6 +262,7 @@ class Uniform(Pdf):
         return f"uniform[{self.lo:g}, {self.hi:g}]"
 
 
+# Normal imports scipy.special at the call: it is half the package's import time.
 @dataclass(frozen=True)
 class Normal(Pdf):
     """Normal distribution with mean mu and standard deviation sigma."""
@@ -308,11 +285,19 @@ class Normal(Pdf):
         return d / self.sigma
 
     def cdf(self, x: float) -> float:
+        from scipy.special import ndtr
         return float(ndtr(self._z(x)))
 
     def interval_probability(self, lo: float, hi: float) -> float:
+        from scipy.special import erfcx, ndtr
         p = super().interval_probability(lo, hi)
         a, b = self._z(lo), self._z(hi)
+        # A range wholly 40 or more sigmas out on one side holds less than
+        # ndtr(-40), which rounds to 0. Returning that here keeps far
+        # z-values (infinite at a subnormal sigma), whose squares and
+        # products overflow into nan, from the formulas below.
+        if a >= 40.0 or b <= -40.0:
+            return 0.0
         # Rounding costs the CDF difference up to 2**-52 of cdf(hi), so it
         # keeps 2**-42 of the mass, as for the other families, while p is at
         # least 2**-10 of cdf(hi): always for masses of 2**-10 and above.
@@ -331,11 +316,6 @@ class Normal(Pdf):
             z2, w2 = z * z, width * width
             curve = w2 * ((z2 - 1.0) / 24.0 + w2 * ((z2 - 6.0) * z2 + 3.0) / 1920.0)
             return width * math.exp(-0.5 * z2) / _SQRT_2PI * (1.0 + curve)
-        # A range wholly beyond infinitely many sigmas on one side (a
-        # subnormal sigma makes every z infinite) holds no mass; the mirror
-        # below would divide by erfcx(inf) = 0.
-        if a == math.inf or b == -math.inf:
-            return 0.0
         # Otherwise mirror the range onto the lower side and take
         # ndtr(b) * (1 - r) for r = ndtr(a) / ndtr(b). Through the scaled
         # complementary error function, r = exp((b - a)(b + a) / 2)
@@ -350,6 +330,7 @@ class Normal(Pdf):
 
     def _transform(self, u):
         # Inverse-CDF method: mu + sigma * ndtri(open u), scaled in place.
+        from scipy.special import ndtri
         x = ndtri(_open(u))
         x *= self.sigma
         x += self.mu

@@ -232,8 +232,9 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
     that is not an int in [1, ``MAX_CYCLES``] (a bool is not), and
     :class:`SimulationDivergence` (with the cycle index) when a controlled
     phase fails to cross its setpoint within a generous budget of sensor
-    readings, or at the first cycle whose recorded level, temperature or
-    duration is not finite.
+    readings, at a fill that ends with an empty tank (a level of exactly 0,
+    where the blend has no mass), or at the first cycle whose recorded
+    level, temperature or duration is not finite.
     """
     n = config.cycles if cycles is None else cycles
     if not is_count(n, MAX_CYCLES):
@@ -266,6 +267,8 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
         # telescoped form of per-step Euler blending).
         achieved_level = _cross(lvl, fill_reach, low, fill_step,
                                 config.level_high, drift, True, k, "fill level")
+        if achieved_level == 0.0:
+            raise SimulationDivergence("fill ended with an empty tank", k)
         t_in = INLET_TEMP + next(inl)
         t_blend = t_in + low * (temp - t_in) / achieved_level
 

@@ -6,17 +6,22 @@ in the acceptance suite.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 import threading
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import axdesign
 from axdesign.cli import main
@@ -734,19 +739,32 @@ def test_wide_pdfs_give_the_exact_analytic_bits(capsys, tmp_path, pdf, bits):
     assert json.loads(out)["info"]["system_bits"] == pytest.approx(bits, rel=1e-12)
 
 
-def test_a_subnormal_sigma_off_its_range_costs_infinite_bits(tmp_path):
-    # Both z-values of [1, 2] overflow to +inf at sigma 1e-311: the range
-    # holds no mass, which the report gives as probability 0 and "inf" bits.
-    spec = dict(HUGE_SPEC,
-                frs=[{"id": "f", "nominal": 1.5, "tol_minus": 0.5, "tol_plus": 0.5}],
-                system_pdfs={"f": {"kind": "normal", "mu": 0, "sigma": 1e-311}})
-    path = tmp_path / "subnormal.json"
-    path.write_text(json.dumps(spec))
+def _normal_band_spec(nominal, tol, mu, sigma):
+    """A one-FR spec: the band nominal +- tol under the system pdf
+    normal(mu, sigma)."""
+    return dict(HUGE_SPEC,
+                frs=[{"id": "f", "nominal": nominal, "tol_minus": tol, "tol_plus": tol}],
+                system_pdfs={"f": {"kind": "normal", "mu": mu, "sigma": sigma}})
+
+
+# Each band lies far beyond 40 sigmas on one side of the mean: at sigma
+# 1e-311 both z-values of [1, 2] overflow to +inf, z = 1e200 squares to inf,
+# and z = +-1e308 sums to inf.
+FAR_TAIL_BANDS = [(1.5, 0.5, 0, 1e-311), (1e200, 0, 0, 1), (0, 1, -1e308, 1)]
+
+
+@pytest.mark.parametrize("nominal,tol,mu,sigma", FAR_TAIL_BANDS,
+                         ids=["subnormal-sigma", "band-at-1e200", "mean-at-minus-1e308"])
+def test_a_subnormal_sigma_off_its_range_costs_infinite_bits(tmp_path, nominal, tol, mu, sigma):
+    # No such band holds any mass, which the report gives as probability 0
+    # and "inf" bits.
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(_normal_band_spec(nominal, tol, mu, sigma)))
     src = str(Path(axdesign.__file__).resolve().parent.parent)
     result = subprocess.run(
         [sys.executable, "-m", "axdesign", "info", str(path)], capture_output=True,
         text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
-    assert "Traceback" not in result.stderr
+    assert result.stderr == ""
     assert result.returncode == 0
     info = json.loads(result.stdout)["info"]
     assert info["per_fr"][0]["probability"] == 0.0
@@ -847,3 +865,121 @@ def test_classify_and_validate_never_import_scipy():
     assert all(loaded == [] for loaded in seen.values()), seen
     # A Normal pdf loads scipy.special on first use, with the pinned bytes.
     assert info == [*PINNED[("machining_cascade.json", "info")], True]
+
+
+# ---------------------------------------------------------------------------
+# Property: specs valid by construction, with extreme values inside the
+# documented limits, reach the sampling and tank paths, and every
+# subcommand ends there in a documented exit code.
+
+# Near 0, or anywhere in float64's finite range.
+_REALS = st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False))
+_SPREADS = st.one_of(st.floats(1e-3, 10.0), st.floats(min_value=5e-324, allow_infinity=False))
+_TOLERANCES = st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(0.0, allow_infinity=False))
+
+
+def _pdf_objs(reals, spreads):
+    """JSON pdf objects of all four kinds, with parameters from ``reals``
+    and a normal sigma from ``spreads``."""
+    ends = st.lists(reals, min_size=2, max_size=2, unique=True).map(sorted)
+    return st.one_of(
+        ends.map(lambda v: {"kind": "uniform", "lo": v[0], "hi": v[1]}),
+        st.builds(lambda mu, sigma: {"kind": "normal", "mu": mu, "sigma": sigma},
+                  reals, spreads),
+        st.lists(reals, min_size=3, max_size=3).map(sorted).filter(lambda v: v[0] < v[2])
+        .map(lambda v: {"kind": "triangular", "lo": v[0], "mode": v[1], "hi": v[2]}),
+        st.lists(reals, min_size=1, max_size=5).map(
+            lambda v: {"kind": "empirical", "samples": v}),
+    )
+
+
+_PDFS = _pdf_objs(_REALS, _SPREADS)
+# Every level or temperature reading within the noise's reach of the
+# setpoint takes a value, so noise that is wide against a phase's step, and
+# narrow against its distance, reads about sigma / step values before a
+# crossing grows likely. These stay within 1 of 0, so that a run is fast.
+_READING_NOISE = _pdf_objs(st.floats(-1.0, 1.0), st.floats(1e-3, 1.0))
+_GAINS = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([1e6, -1e6, 1e308]))
+
+
+@st.composite
+def _specs(draw):
+    tank = draw(st.booleans())
+    n_frs = 3 if tank else draw(st.integers(1, 4))
+    n_dps = draw(st.integers(1, 4))
+    ids = [f"f{i}" for i in range(n_frs)]
+    spec = {
+        "frs": [{"id": fr, "nominal": draw(_REALS), "tol_minus": draw(_TOLERANCES),
+                 "tol_plus": draw(_TOLERANCES)} for fr in ids],
+        "dps": [{"id": f"d{j}", "nominal": draw(_REALS)} for j in range(n_dps)],
+    }
+    for dp in spec["dps"]:
+        if draw(st.booleans()):
+            dp["uncertainty"] = draw(_PDFS)
+    # Mostly with a matrix, and a system pdf for every FR, so that most
+    # specs get past the route choice.
+    if draw(st.sampled_from([True, True, True, False])):
+        entries = st.one_of(st.just(0.0), _REALS)
+        spec["matrix"] = [[draw(entries) for _ in range(n_dps)] for _ in ids]
+    for key in ("system_pdfs", "noise_pdfs"):
+        if draw(st.booleans()):
+            frs = draw(st.one_of(st.just(ids), st.lists(st.sampled_from(ids), unique=True)))
+            spec[key] = {fr: draw(_PDFS) for fr in frs}
+    if draw(st.booleans()):
+        spec["epsilon"] = draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, allow_infinity=False)))
+    if tank:
+        low = draw(st.floats(-5.0, 5.0))
+        channels = {"level": _READING_NOISE, "temp": _READING_NOISE,
+                    "duration": _PDFS, "inlet": _PDFS}
+        spec["scenario"] = {
+            "level_low": low, "level_high": low + draw(st.floats(0.5, 10.0)),
+            "temp_setpoint": draw(st.floats(50.0, 80.0)),
+            "mix_duration": draw(st.floats(1.0, 300.0)),
+            "timestep": draw(st.sampled_from([0.1, 1.0])),
+            "cycles": draw(st.integers(1, 30)),
+            "sensor_noise": {ch: draw(channels[ch])
+                             for ch in draw(st.sets(st.sampled_from(sorted(channels))))},
+            "coupling_gains": {key: draw(_GAINS) for key in draw(st.sets(st.sampled_from(
+                ["mixer_to_temp", "heater_to_level", "mixer_to_level"])))},
+        }
+    return spec
+
+
+def _empty_fill_spec():
+    spec = json.loads(Path(TANK).read_text())
+    spec["scenario"]["sensor_noise"]["level"] = {"kind": "uniform", "lo": 0, "hi": 9}
+    spec["scenario"]["timestep"] = 1.0
+    return spec
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=_specs(), seed=st.integers(0, 2**32 - 1))
+@example(spec=_normal_band_spec(*FAR_TAIL_BANDS[1]), seed=0)
+@example(spec=_normal_band_spec(*FAR_TAIL_BANDS[2]), seed=0)
+@example(spec=_empty_fill_spec(), seed=14)
+def test_valid_specs_end_every_subcommand_in_a_documented_exit_code(spec, seed):
+    # Exit 0-5 only, no warning, and nothing raised out of main. A failure
+    # (exit 1, 4 or 5) prints one "error:" line and nothing else, except
+    # validate, whose exit 1 lists the spec's issues in its report.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(spec, handle)
+        runs = [["classify", path], ["validate", path],
+                ["simulate", path, "--cycles", "20", "--seed", str(seed)]]
+        runs += [["info", path, "--method", method, "--format", fmt,
+                  "--samples", "20", "--seed", str(seed)]
+                 for method in ("auto", "analytic", "chain", "joint") for fmt in ("json", "text")]
+        for argv in runs:
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(argv)
+            assert [str(w.message) for w in caught] == [], argv
+            assert code in range(6), argv
+            if code in (1, 4, 5) and argv[0] != "validate":
+                assert err.getvalue().startswith("error: "), argv
+                assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv
+            else:
+                assert err.getvalue() == "", argv

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -274,11 +275,42 @@ def test_narrow_normal_ranges_integrate_the_density(a, b, exact):
 
 
 @WARNINGS_ARE_ERRORS
-@pytest.mark.parametrize("a, b, mass", [(1.0, 2.0, 0.0), (-2.0, -1.0, 0.0), (-1.0, 1.0, 1.0)])
-def test_a_subnormal_sigma_puts_every_range_at_infinite_z(a, b, mass):
+@pytest.mark.parametrize("pdf, a, b, mass", [
+    (Normal(0.0, 1e-311), 1.0, 2.0, 0.0),
+    (Normal(0.0, 1e-311), -2.0, -1.0, 0.0),
+    (Normal(0.0, 1e-311), -1.0, 1.0, 1.0),
+    (Normal(0.0, 1.0), 1e200, 1e200, 0.0),
+    (Normal(0.0, 1.0), 1e160, 2e160, 0.0),
+    (Normal(-1e308, 1.0), -1.0, 1.0, 0.0),
+], ids=lambda v: v.describe() if isinstance(v, Pdf) else repr(v))
+def test_a_subnormal_sigma_puts_every_range_at_infinite_z(pdf, a, b, mass):
     # At sigma 1e-311 every z-value off the mean overflows to +-inf: a range
     # on one side holds nothing, a range about the mean holds everything.
-    assert Normal(0.0, 1e-311).interval_probability(a, b) == mass
+    # A range far out at a normal sigma holds nothing too, where its z-values
+    # are finite but their squares or sums overflow.
+    assert pdf.interval_probability(a, b) == mass
+
+
+def _exact_z(x, mu, sigma):
+    """(x - mu) / sigma in exact rational arithmetic."""
+    return (Fraction(x) - Fraction(mu)) / Fraction(sigma)
+
+
+@WARNINGS_ARE_ERRORS
+@settings(max_examples=500, deadline=None)
+@given(mu=st.floats(allow_nan=False, allow_infinity=False),
+       sigma=st.floats(min_value=5e-324, allow_infinity=False),
+       ends=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                     min_size=2, max_size=2))
+def test_normal_masses_are_probabilities_for_any_finite_parameters(mu, sigma, ends):
+    # Across float64's range, subnormal sigmas included, a mass is never nan
+    # nor outside [0, 1], and a range 40 or more sigmas out on one side of
+    # the mean holds 0.0: its exact mass is below ndtr(-40), under 1e-349.
+    lo, hi = sorted(ends)
+    p = Normal(mu, sigma).interval_probability(lo, hi)
+    assert 0.0 <= p <= 1.0
+    if _exact_z(lo, mu, sigma) >= 40 or _exact_z(hi, mu, sigma) <= -40:
+        assert p == 0.0
 
 
 @WARNINGS_ARE_ERRORS

@@ -182,6 +182,8 @@ def _simulate_every_reading(config, rng, cycles):
                                    config.level_low, drift, False, k, "drain level")
         achieved_level = _cross_every_reading(lvl, pdfs["level"], low, tank.FILL_RATE * dt,
                                               config.level_high, drift, True, k, "fill level")
+        if achieved_level == 0.0:
+            raise SimulationDivergence("fill ended with an empty tank", k)
         t_in = tank.INLET_TEMP
         if inl is not None:
             t_in += next(inl)
@@ -364,6 +366,18 @@ def test_divergence_in_the_drain_phase():
     with pytest.raises(SimulationDivergence) as err:
         simulate(cfg, RngState(seed=0), cycles=2)
     assert "drain level" in str(err.value)
+
+
+def test_a_fill_that_ends_with_an_empty_tank_diverges():
+    # Level noise up to 9 m at 1 s steps: in cycle 1 the drain runs the
+    # tank down to exactly 0.0 m, and the fill's first reading already reads
+    # the high setpoint, so the blend has no mass to weigh.
+    cfg = TankConfig(sensor_noise={"level": Uniform(0.0, 9.0)}, timestep=1.0)
+    for run in (simulate, _simulate_every_reading):
+        with pytest.raises(SimulationDivergence) as err:
+            run(cfg, RngState(seed=14), 20)
+        assert err.value.cycle == 1
+        assert str(err.value) == "cycle 1: fill ended with an empty tank"
 
 
 def test_a_phase_whose_step_underflows_to_zero():
