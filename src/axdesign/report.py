@@ -1,8 +1,9 @@
 """Deterministic report rendering.
 
-Reports are plain dict documents with a fixed key order. JSON output is
-the stdlib encoder's (``indent=2``), so a float is written as Python's
-shortest round-trip ``repr``. Infinities are written as the JSON strings
+Reports are plain dict documents with a fixed key order. The JSON bytes
+are those of the stdlib's ``json.dumps(doc, indent=2)``, written in one
+walk of the document, so a float is written as Python's shortest
+round-trip ``repr``. Infinities are written as the JSON strings
 ``"inf"`` / ``"-inf"``, because infinite bits are a legitimate result,
 not an error, and NaN is refused, so the output is strict JSON. Identical
 inputs therefore produce byte-identical output. The text format is a
@@ -11,8 +12,8 @@ human-oriented view of the same document and is never parsed back.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 
 from .coupling import (Classification, Coupled, Decoupled, Degenerate,
                        Uncoupled)
@@ -28,24 +29,64 @@ __all__ = [
 ]
 
 
-def _strict(value):
-    """``value`` with every infinity as the string ``"inf"`` / ``"-inf"``;
-    NaN raises."""
-    if isinstance(value, float):
-        if math.isnan(value):
-            raise ValueError("reports must not contain NaN")
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
-    if isinstance(value, dict):
-        return {key: _strict(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_strict(item) for item in value]
-    return value
-
-
 def render_json(doc: dict) -> str:
-    return json.dumps(_strict(doc), indent=2) + "\n"
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append ``value``'s JSON text to ``out``; ``newline`` breaks a line and
+    indents it to ``value``'s own depth.
+
+    Types are tested in ``json``'s order, so a subclass is written as the
+    stdlib writes it. NaN raises ``ValueError``, and any other type, or a
+    key that is not a string, ``TypeError``.
+    """
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            raise ValueError("reports must not contain NaN")
+        if value == math.inf:
+            out.append('"inf"')
+        elif value == -math.inf:
+            out.append('"-inf"')
+        else:
+            out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep + _quote(key) + ": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"{type(value).__name__} cannot be written to a report")
 
 
 def spec_echo(spec: DesignSpec) -> dict:

@@ -232,9 +232,10 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
     that is not an int in [1, ``MAX_CYCLES``] (a bool is not), and
     :class:`SimulationDivergence` (with the cycle index) when a controlled
     phase fails to cross its setpoint within a generous budget of sensor
-    readings, at a fill that ends with an empty tank (a level of exactly 0,
-    where the blend has no mass), or at the first cycle whose recorded
-    level, temperature or duration is not finite.
+    readings, at a drain that ends below 0 m (the tank cannot hold a
+    negative level), at a fill that ends with an empty tank (a level of
+    exactly 0, where the blend has no mass), or at the first cycle whose
+    recorded level, temperature or duration is not finite.
     """
     n = config.cycles if cycles is None else cycles
     if not is_count(n, MAX_CYCLES):
@@ -261,6 +262,8 @@ def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np
         # Drain until the transmitter reads the low setpoint.
         low = _cross(lvl, drain_reach, level, drain_step, config.level_low,
                      drift, False, k, "drain level")
+        if low < 0.0:
+            raise SimulationDivergence("drain ran the tank below empty", k)
 
         # Fill until the transmitter reads the high setpoint; the inlet
         # stream blends with the residue (exact mass-weighted mixing, the

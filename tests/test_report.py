@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axdesign import (
     McConfig,
@@ -58,6 +60,8 @@ def test_booleans_are_not_integers():
 def test_unrenderable_types_are_refused():
     with pytest.raises(TypeError):
         render_json({"x": {1, 2}})
+    with pytest.raises(TypeError):
+        render_json({"x": {1: 2}})
 
 
 def test_rendering_is_deterministic_and_order_preserving():
@@ -71,6 +75,80 @@ def test_rendering_is_deterministic_and_order_preserving():
 
 def test_output_ends_with_a_newline():
     assert render_json({}).endswith("\n")
+
+
+def _strict(value):
+    """Reference: ``value`` with every infinity as the string ``"inf"`` /
+    ``"-inf"``; NaN raises. ``json.dumps(_strict(doc), indent=2) + "\\n"``
+    is the report text that ``render_json`` must write."""
+    if isinstance(value, float):
+        if math.isnan(value):
+            raise ValueError("reports must not contain NaN")
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return value
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.225073858507201e-308, 1e308, -1.7976931348623157e308,
+                math.inf, -math.inf]
+_SCALARS = st.one_of(
+    st.text(),  # any code point: non-ASCII, control characters, quotes, backslashes
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(2**63 - 2, 2**80) | st.integers(-(2**80), -(2**63) + 2),
+    st.floats(allow_nan=False),
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats(allow_nan=False).map(np.float64),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=24)
+
+
+def _holding(leaf):
+    """Documents with ``leaf`` at some depth, among other values."""
+    around = st.lists(_VALUES, max_size=2)
+    return st.recursive(
+        leaf,
+        lambda inner: st.one_of(
+            st.builds(lambda before, item, after: [*before, item, *after],
+                      around, inner, around),
+            st.builds(lambda key, item, rest: {**rest, key: item},
+                      st.text(), inner, st.dictionaries(st.text(), _VALUES, max_size=2))),
+        max_leaves=6).map(lambda value: {"doc": value})
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.dictionaries(st.text(), _VALUES))
+def test_render_json_writes_the_stdlib_indented_text(doc):
+    assert render_json(doc) == json.dumps(_strict(doc), indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_holding(st.sampled_from([math.nan, -math.nan, np.float64("nan")])))
+def test_a_nan_at_any_depth_is_refused(doc):
+    with pytest.raises(ValueError, match="reports must not contain NaN"):
+        _strict(doc)
+    with pytest.raises(ValueError, match="reports must not contain NaN"):
+        render_json(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_holding(st.sets(st.integers(), max_size=2)))
+def test_a_set_at_any_depth_is_refused(doc):
+    with pytest.raises(TypeError):
+        json.dumps(_strict(doc), indent=2)
+    with pytest.raises(TypeError):
+        render_json(doc)
 
 
 # ---------------------------------------------------------------------------

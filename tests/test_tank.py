@@ -180,6 +180,8 @@ def _simulate_every_reading(config, rng, cycles):
                  + config.mixer_to_level * (prev_run / tank.MIX_REF) * tank.LEVEL_DRIFT_PER_RUN)
         low = _cross_every_reading(lvl, pdfs["level"], level, -tank.DRAIN_RATE * dt,
                                    config.level_low, drift, False, k, "drain level")
+        if low < 0.0:
+            raise SimulationDivergence("drain ran the tank below empty", k)
         achieved_level = _cross_every_reading(lvl, pdfs["level"], low, tank.FILL_RATE * dt,
                                               config.level_high, drift, True, k, "fill level")
         if achieved_level == 0.0:
@@ -378,6 +380,17 @@ def test_a_fill_that_ends_with_an_empty_tank_diverges():
             run(cfg, RngState(seed=14), 20)
         assert err.value.cycle == 1
         assert str(err.value) == "cycle 1: fill ended with an empty tank"
+
+
+def test_a_drain_that_ends_below_empty_diverges():
+    # The same noise at seed 0: the drain's last reading comes 0.3 m below
+    # empty, which the tank cannot hold.
+    cfg = TankConfig(sensor_noise={"level": Uniform(0.0, 9.0)}, timestep=1.0)
+    for run in (simulate, _simulate_every_reading):
+        with pytest.raises(SimulationDivergence) as err:
+            run(cfg, RngState(seed=0), 20)
+        assert err.value.cycle == 0
+        assert str(err.value) == "cycle 0: drain ran the tank below empty"
 
 
 def test_a_phase_whose_step_underflows_to_zero():
