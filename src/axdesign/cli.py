@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .coupling import (Coupled, Decoupled, Degenerate, Uncoupled, checked_epsilon,
                        classify)
@@ -316,13 +317,13 @@ def _cmd_simulate(args) -> int:
     if spec.scenario is None:
         raise SpecFormatError("no scenario block in spec; nothing to simulate")
     _require(args.seed >= 0, "--seed must be a non-negative integer")
+    config = spec.scenario
     if args.cycles is not None:
         _require(1 <= args.cycles <= MAX_CYCLES,
                  f"--cycles must be an integer in [1, {MAX_CYCLES}]")
+        config = replace(config, cycles=args.cycles)
 
-    cycles = args.cycles if args.cycles is not None else spec.scenario.cycles
-    samples = simulate_tank(spec.scenario, RngState(seed=args.seed),
-                            cycles=cycles, columns=spec.fr_ids())
+    samples = simulate_tank(config, RngState(seed=args.seed), columns=spec.fr_ids())
     if args.out:
         samples.to_csv(args.out)
     report = system_information_from_samples(
@@ -331,7 +332,7 @@ def _cmd_simulate(args) -> int:
     doc = {
         "command": "simulate",
         "spec": spec_echo(spec),
-        "cycles": cycles,
+        "cycles": config.cycles,
         "seed": args.seed,
         "csv": args.out if args.out else None,
         "info": info_doc(report, spec, {}),

@@ -33,16 +33,15 @@ estimate has infinite bits-scale error, a certain one has zero.
 
 The Monte Carlo routes sample a :class:`~axdesign.propagation.LinearModel`
 or a :class:`~axdesign.propagation.ScenarioModel`, through the
-``chunk_rows`` and ``sample_frs`` the two share. A linear model
-(``chunk_rows`` 8192) is sampled that many rows at a time, as
-``sample_frs(stream, rows, start)``, where ``stream(k)`` is substream k
-of the run's seed; each chunk is scored before the next is drawn. A chunk
-holds the rows ``start … start+rows-1`` of the one-call table, so the
-counts, and the reports, do not depend on the chunking, and the memory of
-a linear-model run does not grow with the sample count. The tank model,
-whose rows are consecutive cycles of one run, has ``chunk_rows = None``:
-it is sampled in one call, ``sample_frs(rng, n)``, and that one table is
-scored.
+``chunk_rows`` and ``sample_frs`` the two share: the model is sampled
+``chunk_rows`` rows at a time, as ``sample_frs(stream, rows, start)``,
+where ``stream(k)`` is substream k of the run's seed; each chunk is
+scored before the next is drawn. A chunk holds the rows ``start …
+start+rows-1`` of the one-call table, so the counts, and the reports, do
+not depend on the chunking, and the memory of a linear-model run (8192
+rows a chunk) does not grow with the sample count. The tank model, whose
+rows are consecutive cycles of one run, has ``chunk_rows = None``: its
+whole run is one chunk.
 
 A linear-model run of more than one chunk is scored on every CPU the
 process may use: its chunks are split into contiguous parts, one per CPU
@@ -56,11 +55,11 @@ chunks. Each part returns integer counts, and integer sums do not depend
 on the order they are added in, so the summed counts, and the reports,
 are those of a serial run on any number of CPUs. When parts fail, the
 failure of the earliest rows is raised, after every part has stopped.
-One-chunk runs, one-CPU hosts and the tank model stay on the calling
-thread and start no thread. Any model with ``chunk_rows`` set is split
-so, not only :class:`~axdesign.propagation.LinearModel`: its
-``sample_frs(stream, rows, start)`` is called from several threads at
-once, and within a part in row order, so it must be safe to call that
+One-chunk runs, every tank-model run among them, and one-CPU hosts stay
+on the calling thread and start no thread. Any model with ``chunk_rows``
+set is split so, not only :class:`~axdesign.propagation.LinearModel`:
+its ``sample_frs(stream, rows, start)`` is called from several threads
+at once, and within a part in row order, so it must be safe to call that
 way, and must read ``rows`` values from each stream it reads.
 
 Every route scores samples with one streaming tally: per-FR hits, and for
@@ -194,6 +193,14 @@ def fr_information(pdf: Pdf, design_range) -> InfoResult:
     return InfoResult(probability=p, bits=bits_from_probability(p))
 
 
+def _labels(fr_ids: Sequence[str] | None, m: int) -> tuple[str, ...] | None:
+    """``fr_ids`` as a tuple of one id per FR, ``m`` of them, or None."""
+    labels = None if fr_ids is None else tuple(fr_ids)
+    if labels is not None and len(labels) != m:
+        raise ValueError(f"fr_ids has {len(labels)} ids for {m} FRs")
+    return labels
+
+
 def system_information_independent(
     results: Sequence[InfoResult],
     fr_ids: Sequence[str] | None = None,
@@ -207,6 +214,7 @@ def system_information_independent(
     results = tuple(results)
     if not results:
         raise ValueError("at least one per-FR result is required")
+    labels = _labels(fr_ids, len(results))
     total_p = 1.0
     total_bits = 0.0
     for res in results:
@@ -214,8 +222,7 @@ def system_information_independent(
         total_bits += res.bits
     return SystemInfoReport(
         method="analytic", per_fr=results,
-        system_probability=total_p, system_bits=total_bits,
-        fr_ids=tuple(fr_ids) if fr_ids is not None else None)
+        system_probability=total_p, system_bits=total_bits, fr_ids=labels)
 
 
 def _mc_result(hits: int, n: int) -> InfoResult:
@@ -275,21 +282,17 @@ def _tally(tables, ranges, order, labels=None) -> tuple[int, list[int], list[int
 
 def _tables(model, mc: McConfig, chunks: range | None = None):
     """The model's sample table for ``mc``: ``chunk_rows`` rows at a time,
-    or in one call when ``chunk_rows`` is None. ``chunks`` picks chunk
-    indices of a chunked table (all of them by default); each substream
-    read is opened once, at the first chunk's row."""
+    or all in one chunk when ``chunk_rows`` is None. ``chunks`` picks chunk
+    indices (all of them by default); each substream read is opened once,
+    at the first chunk's row."""
     rng = RngState(seed=mc.seed)
     n = mc.n_samples
-    rows = model.chunk_rows
-    if rows is None:
-        yield model.sample_frs(rng, n)
-        return
-    starts = range(0, n, rows)
+    starts = range(0, n, model.chunk_rows or n)
     if chunks is not None:
         starts = starts[chunks.start:chunks.stop]
     stream = functools.cache(lambda k: rng.substream(k).generator(starts[0]))
     for start in starts:
-        yield model.sample_frs(stream, min(rows, n - start), start)
+        yield model.sample_frs(stream, min(starts.step, n - start), start)
 
 
 def _cpu_count() -> int:
@@ -311,8 +314,7 @@ def _executor(pid: int, threads: int):
 
 
 def _draw_tally(model, ranges, order, mc: McConfig, labels):
-    rows = model.chunk_rows
-    n_chunks = 1 if rows is None else -(-mc.n_samples // rows)
+    n_chunks = -(-mc.n_samples // (model.chunk_rows or mc.n_samples))
     parts = min(_CPUS, n_chunks)
     cuts = [n_chunks * i // parts for i in range(parts + 1)]
 
@@ -337,7 +339,7 @@ def _draw_tally(model, ranges, order, mc: McConfig, labels):
 
 
 def _joint_report(n: int, hits, joint_hits: int, seed: int | None,
-                  fr_ids: Sequence[str] | None) -> SystemInfoReport:
+                  labels: tuple[str, ...] | None) -> SystemInfoReport:
     per = tuple(_mc_result(h, n) for h in hits)
     system = _mc_result(joint_hits, n)
     warnings = []
@@ -349,8 +351,7 @@ def _joint_report(n: int, hits, joint_hits: int, seed: int | None,
         method="joint", per_fr=per,
         system_probability=system.probability, system_bits=system.bits,
         mc=McStats(seed=seed, n_samples=n, std_error=system.std_error),
-        fr_ids=tuple(fr_ids) if fr_ids is not None else None,
-        warnings=tuple(warnings))
+        fr_ids=labels, warnings=tuple(warnings))
 
 
 def system_information_joint(
@@ -367,8 +368,9 @@ def system_information_joint(
     ``chunk_rows`` set is sampled from several threads at once, out of row
     order (see the module docstring)."""
     ranges = tuple(ranges)
-    hits, links = _draw_tally(model, ranges, range(len(ranges)), mc, fr_ids)
-    return _joint_report(mc.n_samples, hits, links[-1], mc.seed, fr_ids)
+    labels = _labels(fr_ids, len(ranges))
+    hits, links = _draw_tally(model, ranges, range(len(ranges)), mc, labels)
+    return _joint_report(mc.n_samples, hits, links[-1], mc.seed, labels)
 
 
 def system_information_from_samples(
@@ -381,8 +383,9 @@ def system_information_from_samples(
     (for example the output of a simulation run). ``seed`` is recorded for
     provenance when known."""
     ranges = tuple(ranges)
-    n, hits, links = _tally([samples], ranges, range(len(ranges)), fr_ids)
-    return _joint_report(n, hits, links[-1], seed, fr_ids)
+    labels = _labels(fr_ids, len(ranges))
+    n, hits, links = _tally([samples], ranges, range(len(ranges)), labels)
+    return _joint_report(n, hits, links[-1], seed, labels)
 
 
 def conditional_chain_information(
@@ -406,7 +409,7 @@ def conditional_chain_information(
     samples it.
     """
     ranges = tuple(ranges)
-    labels = tuple(fr_ids) if fr_ids is not None else None
+    labels = _labels(fr_ids, len(ranges))
     idx_order = _resolve_order(order, len(ranges))
     _, links = _draw_tally(model, ranges, idx_order, mc, labels)
     n = mc.n_samples

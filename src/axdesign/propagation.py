@@ -1,8 +1,8 @@
 """Forward uncertainty propagation from design parameters to requirements.
 
 Two model flavours, the ones the Monte Carlo routes of :mod:`axdesign.info`
-sample, share ``sample_frs(..., n) -> (n, n_frs) ndarray`` and one point map
-(``evaluate(dp_values) -> FR values``):
+sample, share ``sample_frs(stream, n, start) -> (n, n_frs) ndarray`` and
+one point map (``evaluate(dp_values) -> FR values``):
 
 * :class:`LinearModel` — FR = A @ DP + noise, with a pdf per DP and an
   optional additive noise pdf per FR row.
@@ -19,28 +19,27 @@ Determinism: every DP column, noise row, and tank noise channel draws
 from its own derived substream of the caller's ``RngState``, so results
 are reproducible for a given seed and independent across columns.
 
-Rows in chunks: :class:`LinearModel` sets ``chunk_rows``, the rows the
-Monte Carlo routes sample at a time. ``LinearModel.sample_frs(stream, n,
-start)`` reads ``n`` values from ``stream(k)``, substream k's generator,
-for each substream k it reads. Each draw takes one value, so row r of DP
-column j is value r of substream j: with every stream standing at value
-``start``, the call returns rows ``start … start+n-1`` of the one-call
-table, bit for bit, and leaves every stream at the next chunk's first
-row. A caller opens each stream once, with ``RngState.generator(start)``,
-and reads consecutive chunks from it, so sampling memory is set by the
-chunk, not by the sample count. The info routes score the parts of a
-multi-chunk run on several threads, each part with generators of its own,
-so ``sample_frs`` is called concurrently; ``LinearModel`` holds no
-per-call state.
-:class:`ScenarioModel` rows are consecutive cycles of one Markov run, so it
-has ``chunk_rows = None`` and its table is sampled in one call,
-``sample_frs(rng, n)`` on the run's ``RngState``.
+Rows in chunks: both models are sampled by one call form,
+``sample_frs(stream, rows, start)``, where ``stream(k)`` is substream k's
+generator standing at value ``start``, and ``chunk_rows`` is the rows the
+Monte Carlo routes sample at a time. ``LinearModel`` reads ``rows``
+values from each substream it reads. Each draw takes one value, so row r
+of DP column j is value r of substream j: the call returns rows ``start …
+start+rows-1`` of the one-call table, bit for bit, and leaves every
+stream at the next chunk's first row. A caller opens each stream once,
+with ``RngState.generator(start)``, and reads consecutive chunks from it,
+so sampling memory is set by the chunk, not by the sample count. The info
+routes score the parts of a multi-chunk run on several threads, each part
+with generators of its own, so ``sample_frs`` is called concurrently;
+``LinearModel`` holds no per-call state.
+:class:`ScenarioModel` rows are consecutive cycles of one Markov run, so
+its ``chunk_rows`` is None: the whole run is one chunk, and ``start`` is 0.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -184,8 +183,8 @@ class ScenarioModel:
     and ``evaluate`` is the noise-free two-cycle setpoint response map
     (suitable for finite-difference influence estimation)."""
 
-    # Each cycle starts from the state the previous one left, so the table
-    # is sampled in one call.
+    # Each cycle starts where the last one left off: the run is one chunk,
+    # at start 0. Not MAX_CYCLES, so a longer run fails at once in TankConfig.
     chunk_rows = None
 
     def __init__(self, config: TankConfig):
@@ -196,8 +195,8 @@ class ScenarioModel:
     def evaluate(self, dp_values) -> np.ndarray:
         return tank_response(self.config, dp_values)
 
-    def sample_frs(self, rng: RngState, n: int) -> np.ndarray:
-        return simulate(self.config, rng, cycles=n)
+    def sample_frs(self, stream, n: int, start: int = 0) -> np.ndarray:
+        return simulate(replace(self.config, cycles=n), stream)
 
 
 def estimate_design_matrix(model, dp_nominals, step: float) -> np.ndarray:
@@ -227,11 +226,10 @@ def estimate_design_matrix(model, dp_nominals, step: float) -> np.ndarray:
 
 
 def simulate_tank(config: TankConfig, rng: RngState,
-                  cycles: int | None = None,
                   columns: Sequence[str] | None = None) -> SampleSet:
-    """Run the tank simulator and return the per-cycle achieved FR values
-    (fill level, temperature at mix start, mix duration) as a
-    :class:`SampleSet`. ``cycles`` overrides ``config.cycles``."""
-    values = simulate(config, rng, cycles=cycles)
+    """The ``config.cycles`` cycles of the tank simulator, noise channel c
+    reading substream c of ``rng``, as a :class:`SampleSet` of achieved FR
+    values (fill level, temperature at mix start, mix duration)."""
+    values = simulate(config, lambda c: rng.substream(c).generator())
     return SampleSet(columns=tuple(columns) if columns else TANK_COLUMNS,
                      values=values)

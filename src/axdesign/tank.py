@@ -45,11 +45,11 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .distributions import (_FLOAT_MAX, Pdf, RngState, draw_from, float64_array,
-                            is_count, is_real)
+from .distributions import _FLOAT_MAX, Pdf, draw_from, float64_array, is_count, is_real
 from .errors import SimulationDivergence
 
 __all__ = ["TankConfig", "tank_response"]
@@ -83,6 +83,8 @@ class TankConfig:
 
     ``sensor_noise`` maps channel names (``level``, ``temp``, ``duration``,
     ``inlet``) to error distributions; missing channels are noiseless.
+    ``cycles``, a run's length, is an int in [1, ``MAX_CYCLES``] (not a
+    bool), so a run past the cap fails here, before any table is allocated.
     """
 
     level_low: float = 1.0
@@ -129,16 +131,16 @@ def _reach(pdf, upward: bool) -> float:
     return hi + pad if upward else lo - pad
 
 
-def _noise(pdf, rng: RngState):
-    """The values of one noise channel, in order, from an iterator run in C:
-    ``itertools.repeat(0.0)`` for a ``pdf`` of None; else a chain of the
-    lists of ``_BLOCK`` values that :func:`draw_from` draws from
-    ``rng.generator()``, which is built at the first value."""
+def _noise(pdf, stream, c: int):
+    """The values of noise channel ``c``, in order, from an iterator run in
+    C: ``itertools.repeat(0.0)`` for a ``pdf`` of None, which opens no
+    generator; else a chain of the lists of ``_BLOCK`` values that
+    :func:`draw_from` draws from ``stream(c)``, opened at the first value."""
     if pdf is None:
         return itertools.repeat(0.0)
 
     def blocks():
-        gen = rng.generator()
+        gen = stream(c)
         while True:
             yield draw_from(pdf, gen, _BLOCK).tolist()
 
@@ -213,47 +215,42 @@ def _cross(noise, reach, start, step, target, bias, upward, cycle, what):
 # Once per call: draws of a noise pdf scaled near float64's limit overflow to
 # inf without a warning, and a recorded value that is not finite is rejected.
 @np.errstate(over="ignore", invalid="ignore")
-def simulate(config: TankConfig, rng: RngState, cycles: int | None = None) -> np.ndarray:
-    """Run the cycle simulation; returns an (n, 3) array of achieved values.
+def simulate(config: TankConfig, stream: Callable[[int], np.random.Generator]) -> np.ndarray:
+    """Run ``config.cycles`` cycles; returns an (n, 3) array of achieved values.
 
     Columns: level at close of fill (m), temperature at mix start (degC),
     mixing duration (s). Noise channel c of ``_NOISE_CHANNELS`` reads the
-    values of ``rng.substream(c).generator()`` in order, and a noiseless
-    channel reads zeros, through one :func:`_noise` iterator per channel,
-    so a given seed gives one table and a shorter run is a prefix of a
-    longer one. The phase steps and reaches (level pdf low side to drain,
-    high side to fill, temperature pdf high side to heat) are computed once
-    per run. Each controlled phase is one :func:`_cross` search, in which
-    each reading that can cross takes one value of its channel; the inlet
-    and duration channels take one value per cycle. A run builds at most
-    one generator per noisy channel and holds ``_BLOCK`` values of each.
+    values of its generator ``stream(c)`` in order, and a noiseless channel
+    reads zeros, through one :func:`_noise` iterator per channel, so given
+    streams give one table and a shorter run is a prefix of a longer one.
+    The phase steps and reaches (level pdf low side to drain, high side to
+    fill, temperature pdf high side to heat) are computed once per run.
+    Each controlled phase is one :func:`_cross` search, in which each
+    reading that can cross takes one value of its channel; the inlet and
+    duration channels take one value per cycle. A run opens at most one
+    generator per noisy channel and holds ``_BLOCK`` values of each.
 
-    Raises ``ValueError``, before allocating the table, for a cycle count
-    that is not an int in [1, ``MAX_CYCLES``] (a bool is not), and
-    :class:`SimulationDivergence` (with the cycle index) when a controlled
-    phase fails to cross its setpoint within a generous budget of sensor
-    readings, at a drain that ends below 0 m (the tank cannot hold a
-    negative level), at a fill that ends with an empty tank (a level of
-    exactly 0, where the blend has no mass), or at the first cycle whose
+    Raises :class:`SimulationDivergence` (with the cycle index) when a
+    controlled phase fails to cross its setpoint within a generous budget
+    of sensor readings, at a drain that ends below 0 m (the tank cannot
+    hold a negative level), at a fill that ends with an empty tank (a level
+    of exactly 0, where the blend has no mass), or at the first cycle whose
     recorded level, temperature or duration is not finite.
     """
-    n = config.cycles if cycles is None else cycles
-    if not is_count(n, MAX_CYCLES):
-        raise ValueError(f"cycle count must be in [1, {MAX_CYCLES}]")
     dt = config.timestep
     pdfs = [config.sensor_noise.get(name) for name in _NOISE_CHANNELS]
-    lvl, tmp, dur, inl = (_noise(pdf, rng.substream(c)) for c, pdf in enumerate(pdfs))
+    lvl, tmp, dur, inl = (_noise(pdf, stream, c) for c, pdf in enumerate(pdfs))
     drain_step, fill_step, heat_step = -DRAIN_RATE * dt, FILL_RATE * dt, HEAT_RATE * dt
     drain_reach, fill_reach = _reach(pdfs[0], False), _reach(pdfs[0], True)
     heat_reach = _reach(pdfs[1], True)
 
-    out = np.empty((n, 3), dtype=np.float64)
+    out = np.empty((config.cycles, 3), dtype=np.float64)
     temp = config.temp_setpoint
     level = config.level_high
     prev_heat = 0.0  # degC added by the heater in the previous cycle
     prev_run = 0.0  # mixer runtime in the previous cycle, s
 
-    for k in range(n):
+    for k in range(config.cycles):
         drift = (
             config.heater_to_level * prev_heat * LEVEL_DRIFT_PER_DEGC
             + config.mixer_to_level * (prev_run / MIX_REF) * LEVEL_DRIFT_PER_RUN

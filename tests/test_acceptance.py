@@ -35,11 +35,11 @@ from axdesign import (
     fr_information,
     from_samples,
     estimate_design_matrix,
+    simulate_tank,
     system_information_from_samples,
     system_information_independent,
     system_information_joint,
 )
-from axdesign.tank import simulate
 
 from conftest import fixture_path, load_spec
 from test_coupling import brute_force_kind
@@ -276,8 +276,8 @@ def test_criterion_09_tank_pipeline_bits_grow_with_coupling_gain():
     ranges = [fr.design_range for fr in spec.frs]
     bits = []
     for gain in (0.0, 0.05, 0.1, 0.2):
-        cfg = replace(spec.scenario, mixer_to_temp=gain)
-        rows = simulate(cfg, RngState(seed=11), cycles=10_000)
+        cfg = replace(spec.scenario, mixer_to_temp=gain, cycles=10_000)
+        rows = simulate_tank(cfg, RngState(seed=11)).values
         report = system_information_from_samples(rows, ranges,
                                                  fr_ids=spec.fr_ids())
         bits.append(report.system_bits)

@@ -467,6 +467,29 @@ def test_simulate_csv_bytes_are_pinned(capsys, tmp_path, spec, digest):
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
 
 
+def test_simulate_runs_the_scenario_cycles_without_the_flag(capsys, tmp_path):
+    spec = json.loads(fixture_path("tank_turbulent.json").read_text())
+    spec["scenario"]["cycles"] = 25
+    path, csv_path = tmp_path / "short.json", tmp_path / "short.csv"
+    path.write_text(json.dumps(spec))
+    code, doc = run_json(capsys, "simulate", str(path), "--seed", "3", "--out", str(csv_path))
+    assert code == 0
+    assert doc["cycles"] == 25
+    assert doc["info"]["mc"]["n_samples"] == 25
+    assert len(csv_path.read_text().splitlines()) == 26
+
+
+def test_info_on_a_scenario_scores_the_table_simulate_writes(capsys):
+    # Both sample the run of 50 cycles at seed 3, so both report it alike.
+    code, info = run_json(capsys, "info", TURBULENT, "--method", "joint",
+                          "--samples", "50", "--seed", "3")
+    assert code == 0
+    code, sim = run_json(capsys, "simulate", TURBULENT, "--cycles", "50", "--seed", "3")
+    assert code == 0
+    assert info["info"] == sim["info"]
+    assert 0.0 < info["info"]["system_probability"] < 1.0
+
+
 def test_simulate_without_scenario_exits_one(capsys):
     code, _, err = run(capsys, "simulate", SCHEDULING)
     assert code == 1

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from axdesign import (
     LinearModel,
     McConfig,
     Normal,
+    ScenarioModel,
+    TankConfig,
     Uniform,
     bits_from_probability,
     conditional_chain_information,
@@ -33,9 +36,11 @@ from axdesign import (
     system_information_joint,
 )
 
+from axdesign import propagation
 from axdesign.errors import NonFiniteSamples
 from axdesign.info import InfoResult
 from axdesign.propagation import _CHUNK_ROWS as C
+from axdesign.tank import MAX_CYCLES
 
 from conftest import load_spec
 
@@ -471,6 +476,48 @@ def test_every_route_rejects_a_bad_range_pair(route, pair):
     with pytest.raises(ValueError,
                        match="^design range bounds must be finite numbers with lo <= hi$"):
         _ROUTES[route](pair)
+
+
+def _label_routes():
+    """Each route on two FRs, taking ``fr_ids`` as its one argument."""
+    model, ranges = _one_sigma_pair()
+    mc = McConfig(n_samples=10)
+    results = [fr_information(Uniform(-1.0, 1.0), r) for r in ranges]
+    return {
+        "analytic": lambda ids: system_information_independent(results, fr_ids=ids),
+        "joint": lambda ids: system_information_joint(model, ranges, mc, fr_ids=ids),
+        "chain": lambda ids: conditional_chain_information(model, [1, 0], ranges, mc,
+                                                           fr_ids=ids),
+        "samples": lambda ids: system_information_from_samples(np.zeros((4, 2)), ranges,
+                                                               fr_ids=ids),
+    }
+
+
+@pytest.mark.parametrize("ids", [("a",), ("a", "b", "c")], ids=["too_few", "too_many"])
+@pytest.mark.parametrize("route", sorted(_label_routes()))
+def test_every_route_wants_one_fr_id_per_fr(route, ids):
+    run = _label_routes()[route]
+    with pytest.raises(ValueError, match=f"^fr_ids has {len(ids)} ids for 2 FRs$"):
+        run(ids)
+    assert run(["a", "b"]).fr_ids in {("a", "b"), ("b", "a")}
+    assert run(None).fr_ids is None
+
+
+@pytest.mark.parametrize("route", ["joint", "chain"])
+def test_a_scenario_run_past_the_cycle_cap_fails_at_once(route):
+    # The tank run is one chunk, so the cap is checked before any cycle is
+    # simulated: a chunk of MAX_CYCLES rows would first simulate 10**7
+    # cycles, about two minutes.
+    model = ScenarioModel(TankConfig())
+    ranges = [(0.0, 10.0), (60.0, 70.0), (100.0, 140.0)]
+    mc = McConfig(n_samples=MAX_CYCLES + 1)
+    run = {"joint": lambda: system_information_joint(model, ranges, mc),
+           "chain": lambda: conditional_chain_information(model, [0, 1, 2], ranges, mc)}
+    began = time.perf_counter()
+    with mock.patch.object(propagation, "simulate", side_effect=AssertionError("simulated")), \
+            pytest.raises(ValueError, match=f"^cycles must be an integer in \\[1, {MAX_CYCLES}\\]$"):
+        run[route]()
+    assert time.perf_counter() - began < 0.5
 
 
 def test_sample_table_validation():

@@ -4,6 +4,7 @@ finite-difference sensitivity estimation."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 import string
@@ -33,6 +34,7 @@ from axdesign import (
     classify,
     estimate_design_matrix,
     from_samples,
+    simulate_tank,
     system_information_from_samples,
     tank_response,
 )
@@ -41,6 +43,8 @@ from axdesign.distributions import draw_from
 from axdesign.errors import NonFiniteSamples
 from axdesign.info import _tables, _tally
 from axdesign.propagation import _CHUNK_ROWS
+
+from conftest import load_spec
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +151,8 @@ def test_sample_set_csv_equals_csv_writer(data, ncols, rows):
 
 
 def _streams(seed):
-    """``stream`` for ``LinearModel.sample_frs``: substream k of ``seed``,
-    opened at value 0."""
+    """``stream`` for ``sample_frs``: substream k of ``seed``, opened at
+    value 0."""
     return lambda k: RngState(seed).substream(k).generator()
 
 
@@ -374,3 +378,15 @@ def test_probing_a_simulator_recovers_its_coupling_structure():
     tangled = ScenarioModel(TankConfig(mixer_to_temp=0.1, heater_to_level=0.05))
     est2 = estimate_design_matrix(tangled, [7.0, 65.0, 120.0], step=1e-3)
     assert isinstance(classify(est2, epsilon=1e-9), Coupled)
+
+
+def test_a_scenario_is_sampled_as_simulate_tank_runs_it():
+    # The one sampling call: noise channel c reads stream(c), and the info
+    # routes read the whole run as one chunk at row 0.
+    cfg = load_spec("tank_turbulent.json").scenario
+    seed, n = 17, 300
+    table = simulate_tank(dataclasses.replace(cfg, cycles=n), RngState(seed)).values
+    model = ScenarioModel(cfg)
+    assert np.array_equal(model.sample_frs(_streams(seed), n, 0), table)
+    chunks = list(_tables(model, McConfig(seed=seed, n_samples=n)))
+    assert len(chunks) == 1 and np.array_equal(chunks[0], table)

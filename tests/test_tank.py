@@ -3,6 +3,7 @@ divergence reporting, and the cross-channel carryover effects."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -38,6 +39,17 @@ NOISY = {
 }
 
 
+def _stream(rng):
+    """``stream`` for ``simulate``: substream c of ``rng``, opened at value 0."""
+    return lambda c: rng.substream(c).generator()
+
+
+def _sim(config, rng, cycles):
+    """``cycles`` cycles of ``config``, noise channel c reading substream c of
+    ``rng``, as ``_simulate_every_reading(config, rng, cycles)`` runs them."""
+    return simulate(dataclasses.replace(config, cycles=cycles), _stream(rng))
+
+
 # ---------------------------------------------------------------------------
 # Configuration validation
 
@@ -61,8 +73,6 @@ def test_tank_config_validation():
         TankConfig(cycles=True)
     with pytest.raises(ValueError):
         TankConfig(timestep=True)
-    with pytest.raises(ValueError, match="cycle count"):
-        simulate(TankConfig(), RngState(seed=0), cycles=True)
 
 
 # ---------------------------------------------------------------------------
@@ -70,22 +80,15 @@ def test_tank_config_validation():
 
 
 def test_noiseless_cycles_hit_setpoints_exactly():
-    rows = simulate(TankConfig(), RngState(seed=0), cycles=5)
+    rows = _sim(TankConfig(), RngState(seed=0), 5)
     assert rows.shape == (5, 3)
     assert np.array_equal(rows, np.tile([7.0, 65.0, 120.0], (5, 1)))
 
 
 def test_noiseless_cycles_ignore_the_seed():
-    a = simulate(TankConfig(), RngState(seed=1), cycles=3)
-    b = simulate(TankConfig(), RngState(seed=999), cycles=3)
+    a = _sim(TankConfig(), RngState(seed=1), 3)
+    b = _sim(TankConfig(), RngState(seed=999), 3)
     assert np.array_equal(a, b)
-
-
-def test_cycle_count_must_be_positive():
-    with pytest.raises(ValueError):
-        simulate(TankConfig(), RngState(seed=0), cycles=0)
-    with pytest.raises(ValueError):  # before allocating a 24 TB table
-        simulate(TankConfig(), RngState(seed=0), cycles=10**12)
 
 
 # ---------------------------------------------------------------------------
@@ -94,18 +97,18 @@ def test_cycle_count_must_be_positive():
 
 def test_same_seed_reproduces_noisy_run():
     cfg = TankConfig(sensor_noise=NOISY)
-    a = simulate(cfg, RngState(seed=42), cycles=50)
-    b = simulate(cfg, RngState(seed=42), cycles=50)
+    a = _sim(cfg, RngState(seed=42), 50)
+    b = _sim(cfg, RngState(seed=42), 50)
     assert np.array_equal(a, b)
-    c = simulate(cfg, RngState(seed=43), cycles=50)
+    c = _sim(cfg, RngState(seed=43), 50)
     assert not np.array_equal(a, c)
 
 
 def test_extending_a_run_keeps_earlier_cycles():
     # Each channel reads one stream in order, so a shorter run is a prefix.
     cfg = TankConfig(sensor_noise=NOISY)
-    short = simulate(cfg, RngState(seed=7), cycles=5)
-    long = simulate(cfg, RngState(seed=7), cycles=10)
+    short = _sim(cfg, RngState(seed=7), 5)
+    long = _sim(cfg, RngState(seed=7), 10)
     assert np.array_equal(short, long[:5])
 
 
@@ -241,7 +244,7 @@ def _pinned_config(family, **changes):
 def test_coupled_noisy_tables_are_pinned(family):
     cfg = _pinned_config(family)
     digest = PINNED_NOISE[family][1]
-    assert _sha(simulate(cfg, RngState(seed=2024), cycles=400)) == digest
+    assert _sha(_sim(cfg, RngState(seed=2024), 400)) == digest
     assert _sha(_simulate_every_reading(cfg, RngState(seed=2024), 400)[0]) == digest
 
 
@@ -250,7 +253,7 @@ def test_small_timestep_table_is_pinned():
     # tens of thousands of them can cross: hundreds of blocks of one channel.
     cfg = _pinned_config("normal", timestep=1e-5)
     digest = "2c1861419c1266e4535f33dde471147594aca29476c09a88f26e2625c4dd2194"
-    assert _sha(simulate(cfg, RngState(seed=2024), cycles=3)) == digest
+    assert _sha(_sim(cfg, RngState(seed=2024), 3)) == digest
     assert _sha(_simulate_every_reading(cfg, RngState(seed=2024), 3)[0]) == digest
 
 
@@ -258,7 +261,7 @@ def test_small_timestep_table_is_pinned():
 @pytest.mark.parametrize("family", sorted(PINNED_NOISE))
 def test_tables_do_not_depend_on_the_block_size(family, block):
     with mock.patch.object(tank, "_BLOCK", block):
-        rows = simulate(_pinned_config(family), RngState(seed=2024), cycles=400)
+        rows = _sim(_pinned_config(family), RngState(seed=2024), 400)
     assert _sha(rows) == PINNED_NOISE[family][1]
 
 
@@ -282,7 +285,7 @@ def test_a_run_builds_one_generator_per_noisy_channel_and_draws_in_blocks(noise)
 
     with mock.patch.object(RngState, "generator", generator), \
             mock.patch.object(tank, "draw_from", logged_draw):
-        rows = simulate(cfg, RngState(seed=2024), cycles=400)
+        rows = _sim(cfg, RngState(seed=2024), 400)
     assert np.array_equal(rows, expected)
     channels = {(c,): name for c, name in enumerate(tank._NOISE_CHANNELS) if name in noise}
     assert sorted(built) == sorted(channels)
@@ -292,7 +295,7 @@ def test_a_run_builds_one_generator_per_noisy_channel_and_draws_in_blocks(noise)
 
 def test_simulate_tank_wrapper_matches_simulate():
     cfg = TankConfig(sensor_noise=NOISY, cycles=4)
-    direct = simulate(cfg, RngState(seed=3))
+    direct = simulate(cfg, _stream(RngState(seed=3)))
     table = simulate_tank(cfg, RngState(seed=3))
     assert table.columns == ("level", "temperature", "mix_duration")
     assert np.array_equal(table.values, direct)
@@ -304,7 +307,7 @@ def test_simulate_tank_wrapper_matches_simulate():
 
 def test_sensor_noise_spreads_the_outputs():
     cfg = TankConfig(sensor_noise=NOISY)
-    rows = simulate(cfg, RngState(seed=5), cycles=500)
+    rows = _sim(cfg, RngState(seed=5), 500)
     for col in range(3):
         assert float(rows[:, col].std()) > 0.0
     # Values still cluster near the setpoints.
@@ -315,7 +318,7 @@ def test_sensor_noise_spreads_the_outputs():
 
 def test_outputs_are_uncorrelated_without_cross_gains():
     cfg = TankConfig(sensor_noise=NOISY)
-    rows = simulate(cfg, RngState(seed=11), cycles=10_000)
+    rows = _sim(cfg, RngState(seed=11), 10_000)
     for a, b in ((0, 1), (0, 2), (1, 2)):
         r = float(np.corrcoef(rows[:, a], rows[:, b])[0, 1])
         assert abs(r) < 0.05, (a, b, r)
@@ -330,7 +333,7 @@ def test_mixer_heat_carryover_raises_steady_temperature():
     # batch, and one part in seven of the residue survives the refill, so
     # the steady temperature solves T = 64.8 + (T + 6 - 64.8)/7 = 65.8.
     cfg = TankConfig(mixer_to_temp=0.1)
-    rows = simulate(cfg, RngState(seed=0), cycles=30)
+    rows = _sim(cfg, RngState(seed=0), 30)
     assert rows[0, 1] == 65.0  # cold-ish start: first cycle heats normally
     assert rows[-1, 1] == pytest.approx(65.8, abs=1e-6)
     # Level and runtime stay on their setpoints; only temperature moves.
@@ -344,7 +347,7 @@ def test_mixer_heat_carryover_raises_steady_temperature():
 
 def test_heater_level_drift_moves_the_level_channel():
     cfg = TankConfig(heater_to_level=0.5)
-    rows = simulate(cfg, RngState(seed=0), cycles=10)
+    rows = _sim(cfg, RngState(seed=0), 10)
     # The first cycle has no history, so its level is exact; later cycles
     # inherit a drift proportional to the previous heater effort.
     assert rows[0, 0] == 7.0
@@ -356,7 +359,7 @@ def test_divergence_reports_phase_and_cycle():
     # A transmitter stuck a million degrees low never reads the setpoint.
     cfg = TankConfig(sensor_noise={"temp": Normal(-1e6, 1.0)})
     with pytest.raises(SimulationDivergence) as err:
-        simulate(cfg, RngState(seed=0), cycles=3)
+        _sim(cfg, RngState(seed=0), 3)
     assert err.value.cycle == 0
     assert "cycle 0" in str(err.value)
     assert "heater temperature" in str(err.value)
@@ -366,7 +369,7 @@ def test_divergence_in_the_drain_phase():
     # A level transmitter stuck high never reads the drain target.
     cfg = TankConfig(sensor_noise={"level": Normal(1e6, 1.0)})
     with pytest.raises(SimulationDivergence) as err:
-        simulate(cfg, RngState(seed=0), cycles=2)
+        _sim(cfg, RngState(seed=0), 2)
     assert "drain level" in str(err.value)
 
 
@@ -375,7 +378,7 @@ def test_a_fill_that_ends_with_an_empty_tank_diverges():
     # tank down to exactly 0.0 m, and the fill's first reading already reads
     # the high setpoint, so the blend has no mass to weigh.
     cfg = TankConfig(sensor_noise={"level": Uniform(0.0, 9.0)}, timestep=1.0)
-    for run in (simulate, _simulate_every_reading):
+    for run in (_sim, _simulate_every_reading):
         with pytest.raises(SimulationDivergence) as err:
             run(cfg, RngState(seed=14), 20)
         assert err.value.cycle == 1
@@ -386,7 +389,7 @@ def test_a_drain_that_ends_below_empty_diverges():
     # The same noise at seed 0: the drain's last reading comes 0.3 m below
     # empty, which the tank cannot hold.
     cfg = TankConfig(sensor_noise={"level": Uniform(0.0, 9.0)}, timestep=1.0)
-    for run in (simulate, _simulate_every_reading):
+    for run in (_sim, _simulate_every_reading):
         with pytest.raises(SimulationDivergence) as err:
             run(cfg, RngState(seed=0), 20)
         assert err.value.cycle == 0
@@ -399,12 +402,12 @@ def test_a_phase_whose_step_underflows_to_zero():
     # leaves the high level, and with noise the first reading the noise
     # takes across the setpoint stops each phase where it started.
     with pytest.raises(SimulationDivergence) as err:
-        simulate(TankConfig(timestep=5e-324), RngState(seed=4), cycles=3)
+        _sim(TankConfig(timestep=5e-324), RngState(seed=4), 3)
     assert err.value.cycle == 0
     assert "drain level never crossed its setpoint" in str(err.value)
     cfg = TankConfig(timestep=5e-324,
                      sensor_noise={"level": Uniform(-7, 7), "temp": Uniform(-1, 1)})
-    rows = simulate(cfg, RngState(seed=4), cycles=3)
+    rows = _sim(cfg, RngState(seed=4), 3)
     assert np.array_equal(rows, _simulate_every_reading(cfg, RngState(seed=4), 3)[0])
     assert rows.tolist() == [[7.0, 65.0, 120.0]] * 3
 
@@ -444,7 +447,7 @@ def test_simulate_matches_the_reference_on_random_configs(seed, pdfs, gains, tim
         except SimulationDivergence as err:
             return str(err)
 
-    assert outcome(lambda: simulate(cfg, RngState(seed), cycles=20)) == \
+    assert outcome(lambda: _sim(cfg, RngState(seed), 20)) == \
         outcome(lambda: _simulate_every_reading(cfg, RngState(seed), 20)[0])
 
 
@@ -458,7 +461,7 @@ def test_simulate_matches_the_reference_on_random_configs(seed, pdfs, gains, tim
 ])
 def test_a_runaway_run_diverges_at_its_first_non_finite_cycle(config, message):
     with pytest.raises(SimulationDivergence) as err:
-        simulate(config, RngState(seed=0), cycles=5)
+        _sim(config, RngState(seed=0), 5)
     assert str(err.value) == message
 
 
@@ -468,7 +471,7 @@ def test_overflowing_sensor_noise_runs_without_a_warning():
     cfg = TankConfig(sensor_noise={"level": Normal(0.0, 1e308)})
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        rows = simulate(cfg, RngState(seed=0), cycles=5)
+        rows = _sim(cfg, RngState(seed=0), 5)
     assert np.isfinite(rows).all()
     assert rows[:, 1:].tolist() == [[65.0, 120.0]] * 5
 
@@ -486,10 +489,11 @@ def _outcome(search, seed, args, k=0):
     ``_fresh_values``. A noiseless channel's values are zeros, which count
     as none taken."""
     pdf = args[0]
-    source = tank._noise if search is _cross else _fresh_values
-    values = _Counted(source(pdf, RngState(seed).substream(k)))
     if search is _cross:
+        values = _Counted(tank._noise(pdf, _stream(RngState(seed)), k))
         args = (_reach(pdf, args[5]), *args[1:])
+    else:
+        values = _Counted(_fresh_values(pdf, RngState(seed).substream(k)))
     try:
         result = search(values, *args, 0, "phase")
     except SimulationDivergence:
