@@ -7,8 +7,7 @@ forward through linear or simulated process models.
 
 from .coupling import (Coupled, Decoupled, Degenerate, Uncoupled, affected_frs,
                        binarize, classify, sequence)
-from .distributions import (Empirical, Normal, Pdf, RngState, Triangular,
-                            Uniform, from_samples)
+from .distributions import Empirical, Normal, Pdf, RngState, Triangular, Uniform
 from .errors import SimulationDivergence, SpecFormatError
 from .info import (McConfig, SystemInfoReport, bits_from_probability,
                    conditional_chain_information, fr_information,
@@ -28,7 +27,6 @@ __all__ = [
     "__version__",
     # distributions
     "Pdf", "Uniform", "Normal", "Triangular", "Empirical", "RngState",
-    "from_samples",
     # spec model
     "DesignRange", "DesignParameter", "DesignSpec", "parse_spec",
     "validate_spec",

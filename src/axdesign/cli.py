@@ -37,7 +37,7 @@ from dataclasses import replace
 
 from .coupling import (Coupled, Decoupled, Degenerate, Uncoupled, checked_epsilon,
                        classify)
-from .distributions import RngState, from_samples
+from .distributions import RngState
 from .errors import NonFiniteSamples, SimulationDivergence, SpecFormatError
 from .info import (McConfig, conditional_chain_information, fr_information,
                    system_information_from_samples,
@@ -208,8 +208,8 @@ def _build_model(spec: DesignSpec):
     if spec.scenario is not None:
         return ScenarioModel(spec.scenario)
     if spec.matrix is not None:
-        dp_pdfs = [dp.uncertainty if dp.uncertainty is not None
-                   else from_samples([dp.nominal]) for dp in spec.dps]
+        dp_pdfs = [dp.nominal if dp.uncertainty is None else dp.uncertainty
+                   for dp in spec.dps]
         noise = None
         if spec.noise_pdfs:
             noise = [spec.noise_pdfs.get(fr.id) for fr in spec.frs]

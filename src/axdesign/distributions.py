@@ -61,7 +61,6 @@ __all__ = [
     "Normal",
     "Triangular",
     "Empirical",
-    "from_samples",
     "draw_from",
 ]
 
@@ -458,17 +457,6 @@ class Empirical(Pdf):
 
     def describe(self):
         return f"empirical(n={len(self.samples)})"
-
-
-def from_samples(values) -> Empirical:
-    """Build an :class:`Empirical` distribution from observed values, a
-    sequence or an array of any shape.
-
-    Raises ``ValueError`` when ``values`` is empty or holds an entry that
-    is not a finite number (see :func:`is_real`). The entries are checked
-    as given: an array's are read as Python numbers, not cast to float64.
-    """
-    return Empirical(tuple(np.asarray(values, dtype=object).ravel().tolist()))
 
 
 def draw_from(pdf: Pdf, gen: Generator, n: int) -> np.ndarray:

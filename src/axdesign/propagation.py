@@ -4,8 +4,8 @@ Two model flavours, the ones the Monte Carlo routes of :mod:`axdesign.info`
 sample, share ``sample_frs(stream, n, start) -> (n, n_frs) ndarray`` and
 one point map (``evaluate(dp_values) -> FR values``):
 
-* :class:`LinearModel` — FR = A @ DP + noise, with a pdf per DP and an
-  optional additive noise pdf per FR row.
+* :class:`LinearModel` — FR = A @ DP + noise, with a pdf or a fixed value
+  per DP and an optional additive noise pdf per FR row.
 * :class:`ScenarioModel` — the batch-process tank simulator
   (:mod:`axdesign.tank`); each sample row is one simulated cycle.
 
@@ -15,7 +15,7 @@ one point map (``evaluate(dp_values) -> FR values``):
 model exposing ``evaluate`` by central finite differences — exact for
 linear maps at any step size.
 
-Determinism: every DP column, noise row, and tank noise channel draws
+Determinism: every DP pdf, noise row, and tank noise channel draws
 from its own derived substream of the caller's ``RngState``, so results
 are reproducible for a given seed and independent across columns.
 
@@ -23,8 +23,9 @@ Rows in chunks: both models are sampled by one call form,
 ``sample_frs(stream, rows, start)``, where ``stream(k)`` is substream k's
 generator standing at value ``start``, and ``chunk_rows`` is the rows the
 Monte Carlo routes sample at a time. ``LinearModel`` reads ``rows``
-values from each substream it reads. Each draw takes one value, so row r
-of DP column j is value r of substream j: the call returns rows ``start …
+values from each substream it reads, and never opens those of a fixed DP
+or a noiseless row. Each draw takes one value, so row r of DP column j
+is value r of substream j: the call returns rows ``start …
 start+rows-1`` of the one-call table, bit for bit, and leaves every
 stream at the next chunk's first row. A caller opens each stream once,
 with ``RngState.generator(start)``, and reads consecutive chunks from it,
@@ -89,11 +90,11 @@ class SampleSet:
         return self.values.shape[0]
 
     def to_csv(self, path) -> None:
-        """Write to ``path`` as CSV, under a header of the column names that
-        ``csv.writer`` quotes as needed. A value is its float's ``repr``, which
-        never needs quoting: one format per row, one write per block."""
+        """Write to ``path`` as UTF-8 CSV, under a header of the column names
+        that ``csv.writer`` quotes as needed. A value is its float's ``repr``,
+        which never needs quoting: one format per row, one write per block."""
         line = ",".join(["{!r}"] * len(self.columns)) + "\n"
-        with open(path, "w", newline="") as handle:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
             csv.writer(handle, lineterminator="\n").writerow(self.columns)
             for i in range(0, self.n, _CSV_ROWS):
                 block = self.values[i:i + _CSV_ROWS].tolist()
@@ -125,13 +126,15 @@ class LinearModel:
     """FR = matrix @ DP + noise with independent per-DP pdfs. ``matrix``
     is kept as a read-only float64 copy.
 
-    ``noise_pdfs``, when given, adds one independent draw per FR row;
-    entries may be ``None`` for noiseless rows.
+    A ``dp_pdfs`` entry may be a finite number (see :func:`is_real`)
+    instead of a pdf: that DP is held at the value, and its column is
+    filled with it. ``noise_pdfs``, when given, adds one independent draw
+    per FR row; entries may be ``None`` for noiseless rows.
     """
 
     chunk_rows = _CHUNK_ROWS
 
-    def __init__(self, matrix, dp_pdfs: Sequence[Pdf],
+    def __init__(self, matrix, dp_pdfs: Sequence[Pdf | float],
                  noise_pdfs: Sequence[Pdf | None] | None = None):
         self.matrix = frozen_matrix(matrix)
         n_frs, n_dps = self.matrix.shape
@@ -139,8 +142,8 @@ class LinearModel:
         if len(self.dp_pdfs) != n_dps:
             raise ValueError(f"{n_dps} DP columns but {len(self.dp_pdfs)} DP pdfs")
         for j, pdf in enumerate(self.dp_pdfs):
-            if not isinstance(pdf, Pdf):
-                raise ValueError(f"dp_pdfs[{j}] is not a Pdf")
+            if not (isinstance(pdf, Pdf) or is_real(pdf)):
+                raise ValueError(f"dp_pdfs[{j}] is neither a Pdf nor a finite number")
         self.noise_pdfs = None
         if noise_pdfs is not None:
             self.noise_pdfs = tuple(noise_pdfs)
@@ -160,8 +163,9 @@ class LinearModel:
 
         ``stream(k)`` is substream k's generator, standing at value
         ``start``: DP column j is read from ``stream(j)`` and noise row i
-        from ``stream(n_dps + i)``, ``n`` values each, and a noiseless row
-        reads none. ``start`` places a lone row in the one-call table's
+        from ``stream(n_dps + i)``, ``n`` values each. A fixed DP and a
+        noiseless row read none, and their ``stream`` is not called.
+        ``start`` places a lone row in the one-call table's
         rounding (see :func:`_product`).
         Values that overflow float64 come back as inf or nan, without a
         warning, for the caller to reject.
@@ -170,7 +174,7 @@ class LinearModel:
         dps = np.empty((n_dps, n))
         with np.errstate(over="ignore", invalid="ignore"):
             for j, pdf in enumerate(self.dp_pdfs):
-                dps[j] = draw_from(pdf, stream(j), n)
+                dps[j] = draw_from(pdf, stream(j), n) if isinstance(pdf, Pdf) else pdf
             frs = _product(self.matrix, dps, start)
             for i, pdf in enumerate(self.noise_pdfs or ()):
                 if pdf is not None:

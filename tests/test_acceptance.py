@@ -23,6 +23,7 @@ from axdesign import (
     Coupled,
     Decoupled,
     DesignRange,
+    Empirical,
     LinearModel,
     McConfig,
     Normal,
@@ -33,7 +34,6 @@ from axdesign import (
     classify,
     conditional_chain_information,
     fr_information,
-    from_samples,
     estimate_design_matrix,
     simulate_tank,
     system_information_from_samples,
@@ -100,7 +100,7 @@ def test_criterion_03_independent_bits_are_additive():
         (Uniform(0.0, 1.0), (0.2, 0.9)),
         (Triangular(0.0, 1.0, 2.0), (0.4, 1.5)),
         (Normal(5.0, 2.0), (3.0, 8.0)),
-        (from_samples([float(v) for v in range(1, 11)]), (2.5, 7.5)),
+        (Empirical([float(v) for v in range(1, 11)]), (2.5, 7.5)),
     ]
     for k in range(1, 6):
         pdfs = [p for p, _ in cases[:k]]
@@ -237,7 +237,7 @@ def test_criterion_07_shrinking_tolerances_never_gain_probability():
         (Uniform(0.0, 1.0), 0.5, 0.8),
         (Normal(0.0, 1.0), 0.0, 3.0),
         (Triangular(0.0, 0.5, 1.0), 0.5, 0.8),
-        (from_samples([float(v) for v in np.linspace(-1.0, 1.0, 41)]), 0.0, 1.5),
+        (Empirical([float(v) for v in np.linspace(-1.0, 1.0, 41)]), 0.0, 1.5),
     ]
     for pdf, center, widest in sweeps:
         tols = np.linspace(widest, widest / 1000.0, 20)

@@ -1,0 +1,30 @@
+"""The benchmark recorder's summary of one workload's runs."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+_SPEC = importlib.util.spec_from_file_location("bench_record", _PATH)
+bench_record = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_record)
+
+
+def _result(ops, correct=True, failed=0):
+    return {"correct": correct, "attempted": 10, "failed": failed,
+            "metrics": {"ref_ops_per_s": {"value": ops, "unit": "ops/s"},
+                        "success_rate": {"value": 1.0, "unit": "ratio"}}}
+
+
+def test_summary_holds_each_metric_median_quartiles_and_runs():
+    summary = bench_record.summarize([_result(30.0), _result(10.0), _result(20.0)])
+    assert summary["metrics"]["ref_ops_per_s"] == {
+        "unit": "ops/s", "median": 20.0, "q1": 15.0, "q3": 25.0, "runs": [30.0, 10.0, 20.0]}
+    assert summary["metrics"]["success_rate"]["median"] == 1.0
+    assert (summary["correct"], summary["attempted"], summary["failed"]) == (True, 30, 0)
+
+
+def test_one_wrong_run_marks_the_workload_incorrect():
+    summary = bench_record.summarize([_result(1.0), _result(2.0, correct=False, failed=1)])
+    assert (summary["correct"], summary["failed"]) == (False, 1)

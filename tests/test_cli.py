@@ -303,6 +303,26 @@ def test_info_deterministic_model_warning(capsys, tmp_path):
     assert doc["info"]["system_probability"] == 1.0
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_dp_without_uncertainty_reports_as_a_one_observation_pdf(capsys, tmp_path, fmt):
+    # A DP without an uncertainty is held at its nominal: the report is the
+    # one its nominal as a one-observation empirical pdf gives.
+    spec = json.loads(Path(CASCADE).read_text())
+    dp = spec["dps"][1]
+    path = tmp_path / "cascade.json"
+    outs = []
+    for uncertainty in (None, {"kind": "empirical", "samples": [dp["nominal"]]}):
+        dp["uncertainty"] = uncertainty
+        if uncertainty is None:
+            del dp["uncertainty"]
+        path.write_text(json.dumps(spec))
+        code, out, _ = run(capsys, "info", str(path), "--samples", "20000",
+                           "--seed", "3", "--format", fmt)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_info_rejects_bad_seed_and_samples(capsys):
     code, _, err = run(capsys, "info", TANK, "--seed", "-3")
     assert code == 1 and "--seed" in err
@@ -465,6 +485,27 @@ def test_simulate_csv_bytes_are_pinned(capsys, tmp_path, spec, digest):
                      "--seed", "9", "--out", str(csv_path))
     assert code == 0
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
+
+
+def test_simulate_writes_its_csv_as_utf8_in_an_ascii_locale(tmp_path):
+    # The CSV's encoding does not follow the locale's: under the C locale,
+    # without UTF-8 mode, a non-ASCII FR id is still written as UTF-8.
+    spec = json.loads(Path(TANK).read_text())
+    name = "niveau\u00e9\u6e29"
+    spec["frs"][0]["id"] = name
+    spec["system_pdfs"][name] = spec["system_pdfs"].pop("level")
+    path, csv_path = tmp_path / "spec.json", tmp_path / "cycles.csv"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    src = str(Path(axdesign.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0")
+    result = subprocess.run(
+        [sys.executable, "-m", "axdesign", "simulate", str(path), "--cycles", "3",
+         "--out", str(csv_path)], capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == f"{name},temperature,mix_duration"
+    assert len(lines) == 4
 
 
 def test_simulate_runs_the_scenario_cycles_without_the_flag(capsys, tmp_path):
@@ -951,7 +992,11 @@ def _specs(draw):
     if draw(st.booleans()):
         spec["epsilon"] = draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, allow_infinity=False)))
     if tank:
-        low = draw(st.floats(-5.0, 5.0))
+        # Three tank specs in four start above 1.5 m, so that most drain
+        # above empty and run to exit 0; the rest start lower and keep the
+        # divergence paths (exit 5) covered.
+        above = draw(st.sampled_from([True, True, True, False]))
+        low = draw(st.floats(1.5, 5.0) if above else st.floats(-5.0, 1.5, exclude_max=True))
         channels = {"level": _READING_NOISE, "temp": _READING_NOISE,
                     "duration": _PDFS, "inlet": _PDFS}
         spec["scenario"] = {

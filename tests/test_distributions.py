@@ -31,7 +31,6 @@ from axdesign import (
     Triangular,
     Uniform,
     estimate_design_matrix,
-    from_samples,
 )
 from axdesign.coupling import checked_epsilon
 from axdesign.distributions import draw_from, is_real
@@ -94,7 +93,7 @@ def test_triangular_degenerate_edges():
 
 
 def test_empirical_cdf_counts_samples_exactly():
-    pdf = from_samples([1.0, 2.0, 2.0, 3.0])
+    pdf = Empirical([1.0, 2.0, 2.0, 3.0])
     assert pdf.cdf(0.5) == 0.0
     assert pdf.cdf(1.0) == 0.25
     assert pdf.cdf(2.0) == 0.75
@@ -103,7 +102,7 @@ def test_empirical_cdf_counts_samples_exactly():
 
 
 def test_empirical_single_atom():
-    pdf = from_samples([4.2])
+    pdf = Empirical([4.2])
     assert pdf.cdf(4.1) == 0.0
     assert pdf.cdf(4.2) == 1.0
     assert pdf.interval_probability(4.0, 5.0) == 1.0
@@ -112,8 +111,8 @@ def test_empirical_single_atom():
 def test_empirical_mass_on_a_closed_range_is_the_sample_fraction():
     # Observations at either end of the range are inside it, and the mass
     # is one count over the sample count.
-    assert from_samples([1, 2, 3]).interval_probability(1.0, 3.0) == 1.0
-    assert from_samples([1, 2, 3]).interval_probability(2.0, 2.0) == 1 / 3
+    assert Empirical([1, 2, 3]).interval_probability(1.0, 3.0) == 1.0
+    assert Empirical([1, 2, 3]).interval_probability(2.0, 2.0) == 1 / 3
     assert Empirical(tuple(range(10))).interval_probability(0.5, 2.5) == 0.2
 
 
@@ -380,9 +379,7 @@ def test_invalid_parameters_are_rejected():
     with pytest.raises(ValueError):
         Triangular(2.0, 2.0, 2.0)
     with pytest.raises(ValueError):
-        from_samples([])
-    with pytest.raises(ValueError):
-        from_samples([1.0, math.inf])
+        Empirical([1.0, math.inf])
     with pytest.raises(ValueError):
         Empirical(())
 
@@ -395,7 +392,8 @@ _FINITE_NUMBER_SLOTS = {
     "normal": (lambda v: Normal(v, 1.0), "normal parameters must be finite"),
     "triangular": (lambda v: Triangular(0.0, 0.5, v), "triangular parameters must be finite"),
     "empirical": (lambda v: Empirical((v,)), "empirical samples must all be finite"),
-    "from_samples": (lambda v: from_samples([0.0, v]), "empirical samples must all be finite"),
+    "linear_model_dp": (lambda v: LinearModel(np.eye(1), [v]),
+                        "dp_pdfs[0] is neither a Pdf nor a finite number"),
     "design_range": (lambda v: DesignRange(v, 0.1, 0.1),
                      "design range nominal must be a finite number"),
     "design_parameter": (lambda v: DesignParameter("x", v),
@@ -518,7 +516,7 @@ def test_sample_means_converge(pdf: Pdf, mean: float, sd: float):
 
 def test_empirical_resampling_uses_only_stored_atoms():
     atoms = [1.0, 2.0, 3.0, 5.0]
-    pdf = from_samples(atoms)
+    pdf = Empirical(atoms)
     values = draw_from(pdf, RngState(seed=17).generator(), 40_000)
     assert set(np.unique(values)) <= set(atoms)
     # Each atom has probability 1/4; 3-sigma binomial band at n=4e4.

@@ -3,6 +3,7 @@ finite-difference sensitivity estimation."""
 
 from __future__ import annotations
 
+import collections
 import csv
 import dataclasses
 import io
@@ -24,6 +25,7 @@ from axdesign import (
     LinearModel,
     McConfig,
     Normal,
+    Pdf,
     RngState,
     SampleSet,
     ScenarioModel,
@@ -33,7 +35,6 @@ from axdesign import (
     Uniform,
     classify,
     estimate_design_matrix,
-    from_samples,
     simulate_tank,
     system_information_from_samples,
     tank_response,
@@ -157,8 +158,8 @@ def _streams(seed):
 
 
 def test_linear_model_point_masses_propagate_exactly():
-    model = LinearModel(np.eye(3), [from_samples([7.0]), from_samples([65.0]),
-                                    from_samples([120.0])])
+    model = LinearModel(np.eye(3), [Empirical([7.0]), Empirical([65.0]),
+                                    Empirical([120.0])])
     draws = model.sample_frs(_streams(1), 5)
     assert np.array_equal(draws, np.tile([7.0, 65.0, 120.0], (5, 1)))
 
@@ -174,7 +175,7 @@ def test_linear_model_scales_and_mixes_inputs():
 
 
 def test_linear_model_adds_output_noise():
-    model = LinearModel([[0.0]], [from_samples([1.0])],
+    model = LinearModel([[0.0]], [Empirical([1.0])],
                         noise_pdfs=[Normal(5.0, 0.25)])
     draws = model.sample_frs(_streams(8), 50_000)
     assert abs(float(draws.mean()) - 5.0) < 3.0 * 0.25 / math.sqrt(50_000)
@@ -182,7 +183,7 @@ def test_linear_model_adds_output_noise():
 
 
 def test_linear_model_noise_entries_may_be_missing():
-    model = LinearModel(np.eye(2), [from_samples([1.0]), from_samples([2.0])],
+    model = LinearModel(np.eye(2), [Empirical([1.0]), Empirical([2.0])],
                         noise_pdfs=[None, Normal(0.0, 1.0)])
     draws = model.sample_frs(_streams(0), 100)
     assert np.all(draws[:, 0] == 1.0)  # no noise on the first output
@@ -245,6 +246,8 @@ def _one_call_reference(matrix, dp_pdfs, noise_pdfs, seed, n):
     def column(pdf, k):
         if pdf is None:
             return np.zeros(n)
+        if not isinstance(pdf, Pdf):  # a fixed DP
+            return np.full(n, float(pdf))
         return draw_from(pdf, RngState(seed).substream(k).generator(), n)
 
     dps = np.column_stack([column(pdf, j) for j, pdf in enumerate(dp_pdfs)])
@@ -267,7 +270,7 @@ def test_chunked_tables_and_tally_match_the_one_call_reference(n, seed, shape, d
     matrix = np.array(data.draw(st.lists(
         st.lists(finite, min_size=n_dps, max_size=n_dps),
         min_size=n_frs, max_size=n_frs)))
-    dp_pdfs = data.draw(st.lists(pdfs, min_size=n_dps, max_size=n_dps))
+    dp_pdfs = data.draw(st.lists(st.one_of(pdfs, finite), min_size=n_dps, max_size=n_dps))
     noise_pdfs = data.draw(st.one_of(st.none(), st.lists(
         st.one_of(st.none(), pdfs), min_size=n_frs, max_size=n_frs)))
     model = LinearModel(matrix, dp_pdfs, noise_pdfs)
@@ -322,6 +325,37 @@ def test_each_part_opens_each_stream_once_at_its_first_row(chunks):
     assert sorted(opened) == [((0,), first), ((1,), first), ((3,), first)]
     ref = _one_call_reference(model.matrix, model.dp_pdfs, model.noise_pdfs, 9, n)
     assert np.array_equal(table, ref[first:first + len(table)])
+
+
+@pytest.mark.parametrize("n_frs", [1, 3])
+@pytest.mark.parametrize("n", [1, C, C + 1])
+def test_a_fixed_dp_gives_the_table_of_a_one_observation_pdf(n_frs, n):
+    # The number fills its column with the value that a one-observation
+    # empirical pdf draws in every row. C + 1 rows end in a lone row at C.
+    matrix = np.random.default_rng(n_frs).normal(size=(n_frs, 2))
+    noise = [None] * (n_frs - 1) + [Normal(0.0, 0.1)]
+    mc = McConfig(seed=5, n_samples=n)
+    fixed = LinearModel(matrix, [Uniform(-1.0, 2.0), 7.0], noise)
+    atom = LinearModel(matrix, [Uniform(-1.0, 2.0), Empirical((7.0,))], noise)
+    table = np.concatenate(list(_tables(fixed, mc)))
+    assert table.shape == (n, n_frs)
+    assert np.array_equal(table, np.concatenate(list(_tables(atom, mc))))
+
+
+def test_a_fixed_dp_never_asks_for_its_stream():
+    # DPs 0-2 and noise rows 0-2 would read substreams 0-2 and 3-5.
+    model = LinearModel(np.eye(3), [Uniform(0.0, 1.0), 7.0, Normal(0.0, 1.0)],
+                        noise_pdfs=[None, None, Normal(0.0, 0.1)])
+    asked = collections.Counter()
+    streams = _streams(2)
+
+    def stream(k):
+        asked[k] += 1
+        return streams(k)
+
+    table = model.sample_frs(stream, 100)
+    assert asked == {0: 1, 2: 1, 5: 1}
+    assert np.all(table[:, 1] == 7.0)
 
 
 @pytest.mark.parametrize("n_frs", [1, 3])
