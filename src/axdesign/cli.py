@@ -19,9 +19,9 @@ Four subcommands over a JSON design-spec file:
   system range source (no system pdf, design matrix or scenario); exit 1
   if there are any. Structural errors already fail at parse.
 
-Parse and validation failures exit 1 with a message on stderr. All report
-output is deterministic: the same spec, seed, and flags produce
-byte-identical bytes on stdout.
+Parse, validation and flag failures exit 1 with a message on stderr, and
+so does a text report that stdout cannot encode. All report output is
+deterministic: the same spec, seed, and flags give byte-identical stdout.
 
 A call costs what its work needs. The argument parser is built once, when
 this module is imported, and every :func:`main` call reuses it. scipy is
@@ -42,11 +42,10 @@ from .errors import NonFiniteSamples, SimulationDivergence, SpecFormatError
 from .info import (McConfig, conditional_chain_information, fr_information,
                    system_information_from_samples,
                    system_information_independent, system_information_joint)
-from .model import DesignSpec, parse_spec, validate_spec
+from .model import DesignSpec, made_at, parse_spec, validate_spec
 from .propagation import LinearModel, ScenarioModel, simulate_tank
 from .report import (classification_doc, info_doc, render_json, render_text,
                      spec_echo)
-from .tank import MAX_CYCLES
 
 __all__ = ["main"]
 
@@ -149,18 +148,10 @@ def _load(path: str) -> DesignSpec:
     return parse_spec(text)
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SpecFormatError(message)
-
-
 def _epsilon(args, spec: DesignSpec) -> float:
     if args.epsilon is None:
         return spec.epsilon
-    try:
-        return checked_epsilon(args.epsilon)
-    except ValueError:
-        raise SpecFormatError("--epsilon must be a finite number >= 0") from None
+    return made_at("--epsilon", checked_epsilon, args.epsilon)
 
 
 def _emit(doc: dict, args, to_out_file: bool) -> None:
@@ -168,8 +159,14 @@ def _emit(doc: dict, args, to_out_file: bool) -> None:
     if to_out_file and args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload)
-    else:
+        return
+    try:
         sys.stdout.write(payload)
+    except UnicodeEncodeError as exc:
+        # A text stream encodes the whole string before it writes any of it.
+        out = "--out, which is written as UTF-8, or " if to_out_file else ""
+        raise OSError(f"stdout's encoding ({exc.encoding}) cannot write this report: "
+                      f"use {out}--format json, which is ASCII") from None
 
 
 def _cmd_classify(args) -> int:
@@ -249,8 +246,10 @@ def _route(method: str, cls, spec: DesignSpec, model) -> str:
 
 def _cmd_info(args) -> int:
     spec = _load(args.spec_path)
-    _require(args.seed >= 0, "--seed must be a non-negative integer")
-    _require(args.samples >= 1, "--samples must be a positive integer")
+    made_at("--seed", RngState, args.seed)
+    mc = made_at("--samples", McConfig, seed=args.seed, n_samples=args.samples)
+    if spec.scenario is not None:  # one simulated cycle per sample
+        made_at("--samples", replace, spec.scenario, cycles=args.samples)
     eps = _epsilon(args, spec)
     cls = classify(spec.matrix, eps) if spec.matrix is not None else None
 
@@ -260,8 +259,6 @@ def _cmd_info(args) -> int:
     warnings: list[str] = []
     ranges = [fr.design_range for fr in spec.frs]
     ids = spec.fr_ids()
-    mc = McConfig(seed=args.seed, n_samples=args.samples)
-    pdf_labels: dict[str, str] = {}
 
     if method == "analytic":
         if cls is None:
@@ -273,12 +270,7 @@ def _cmd_info(args) -> int:
         results = [fr_information(spec.system_pdfs[fr.id], fr.design_range)
                    for fr in spec.frs]
         report = system_information_independent(results, fr_ids=ids)
-        pdf_labels = {fr.id: spec.system_pdfs[fr.id].describe() for fr in spec.frs}
     else:
-        if isinstance(model, ScenarioModel):
-            _require(args.samples <= MAX_CYCLES,
-                     f"--samples must be at most {MAX_CYCLES} on a scenario "
-                     "(one simulated cycle per sample)")
         if isinstance(model, LinearModel) and \
                 all(dp.uncertainty is None for dp in spec.dps) and not spec.noise_pdfs:
             warnings.append(
@@ -305,7 +297,7 @@ def _cmd_info(args) -> int:
         "epsilon": eps,
         "classification": (classification_doc(cls, ids, spec.dp_ids())
                            if cls is not None else None),
-        "info": info_doc(report, spec, pdf_labels),
+        "info": info_doc(report, spec),
         "warnings": warnings + list(report.warnings),
     }
     _emit(doc, args, to_out_file=True)
@@ -316,14 +308,12 @@ def _cmd_simulate(args) -> int:
     spec = _load(args.spec_path)
     if spec.scenario is None:
         raise SpecFormatError("no scenario block in spec; nothing to simulate")
-    _require(args.seed >= 0, "--seed must be a non-negative integer")
+    rng = made_at("--seed", RngState, args.seed)
     config = spec.scenario
     if args.cycles is not None:
-        _require(1 <= args.cycles <= MAX_CYCLES,
-                 f"--cycles must be an integer in [1, {MAX_CYCLES}]")
-        config = replace(config, cycles=args.cycles)
+        config = made_at("--cycles", replace, config, cycles=args.cycles)
 
-    samples = simulate_tank(config, RngState(seed=args.seed), columns=spec.fr_ids())
+    samples = simulate_tank(config, rng, columns=spec.fr_ids())
     if args.out:
         samples.to_csv(args.out)
     report = system_information_from_samples(
@@ -335,7 +325,7 @@ def _cmd_simulate(args) -> int:
         "cycles": config.cycles,
         "seed": args.seed,
         "csv": args.out if args.out else None,
-        "info": info_doc(report, spec, {}),
+        "info": info_doc(report, spec),
         "warnings": list(report.warnings),
     }
     _emit(doc, args, to_out_file=False)

@@ -204,9 +204,9 @@ def _string(obj, key, where, required=True, default=""):
     return v
 
 
-def _made(where, make, *args, **kwargs):
+def made_at(where, make, *args, **kwargs):
     """``make(*args, **kwargs)``, its ValueError raised as a SpecFormatError
-    at ``where``."""
+    at ``where``: a spec field's path here, a flag's name in the CLI."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
@@ -231,14 +231,14 @@ def pdf_from_obj(obj, where: str = "pdf") -> Pdf:
     pdf_type, fields = _PDF_FIELDS[kind]
     _check_keys(obj, ("kind",) + fields, where)
     if pdf_type is not Empirical:
-        return _made(where, pdf_type, *[_number(obj, key, where) for key in fields])
+        return made_at(where, pdf_type, *[_number(obj, key, where) for key in fields])
     samples = obj.get("samples")
     if not isinstance(samples, list) or not samples:
         raise SpecFormatError("field 'samples' must be a non-empty array", where)
     for i, v in enumerate(samples):
         if not is_real(v):
             raise SpecFormatError(f"samples[{i}] {_fault(v)}", where)
-    return _made(where, Empirical, tuple(samples))
+    return made_at(where, Empirical, tuple(samples))
 
 
 _SCENARIO_NUMBERS = ("level_low", "level_high", "temp_setpoint", "mix_duration", "timestep")
@@ -265,7 +265,7 @@ def _scenario_from_obj(obj, where="scenario") -> TankConfig:
         _check_keys(block, _GAIN_KEYS, f"{where}.coupling_gains")
         for key in block:
             kwargs[key] = _number(block, key, f"{where}.coupling_gains.{key}")
-    return _made(where, TankConfig, **kwargs)
+    return made_at(where, TankConfig, **kwargs)
 
 
 _FR_KEYS = ("id", "description", "nominal", "tol_minus", "tol_plus", "unit")
@@ -277,11 +277,11 @@ def _fr_from_obj(obj, where) -> FunctionalRequirement:
     _require_object(obj, where)
     _check_keys(obj, _FR_KEYS, where)
     fr_id = _string(obj, "id", where)
-    dr = _made(where, DesignRange, _number(obj, "nominal", where),
-               _number(obj, "tol_minus", where), _number(obj, "tol_plus", where))
-    return _made(where, FunctionalRequirement, fr_id, dr,
-                 description=_string(obj, "description", where, required=False),
-                 unit=_string(obj, "unit", where, required=False))
+    dr = made_at(where, DesignRange, _number(obj, "nominal", where),
+                 _number(obj, "tol_minus", where), _number(obj, "tol_plus", where))
+    return made_at(where, FunctionalRequirement, fr_id, dr,
+                   description=_string(obj, "description", where, required=False),
+                   unit=_string(obj, "unit", where, required=False))
 
 
 def _dp_from_obj(obj, where) -> DesignParameter:
@@ -291,9 +291,9 @@ def _dp_from_obj(obj, where) -> DesignParameter:
     unc = None
     if "uncertainty" in obj:
         unc = pdf_from_obj(obj["uncertainty"], f"{where}.uncertainty")
-    return _made(where, DesignParameter, dp_id, _number(obj, "nominal", where),
-                 description=_string(obj, "description", where, required=False),
-                 uncertainty=unc)
+    return made_at(where, DesignParameter, dp_id, _number(obj, "nominal", where),
+                   description=_string(obj, "description", where, required=False),
+                   uncertainty=unc)
 
 
 def _pdf_map_from_obj(obj, where) -> dict[str, Pdf]:
@@ -357,8 +357,8 @@ def parse_spec(text: str) -> DesignSpec:
     epsilon = _number(doc, "epsilon", "epsilon", required=False, default=0.0)
     scenario = _scenario_from_obj(doc["scenario"]) if "scenario" in doc else None
 
-    return _made("document", DesignSpec, frs, dps, matrix, system_pdfs, noise_pdfs,
-                 epsilon, scenario)
+    return made_at("document", DesignSpec, frs, dps, matrix, system_pdfs, noise_pdfs,
+                   epsilon, scenario)
 
 
 def validate_spec(spec: DesignSpec) -> list[str]:

@@ -114,32 +114,38 @@ def classification_doc(cls: Classification, fr_ids, dp_ids) -> dict:
     return doc
 
 
-def info_doc(report: SystemInfoReport, spec: DesignSpec,
-             pdf_labels: dict[str, str] | None = None) -> dict:
+def info_doc(report: SystemInfoReport, spec: DesignSpec) -> dict:
     """Info block for a report document.
 
     Rows are labeled by ``report.fr_ids`` (falling back to declaration
-    order) and annotated with each FR's design range and the description of
-    the distribution its probability came from (``pdf_labels``).
+    order) and annotated with each FR's design range and the distribution
+    its probability came from: on the analytic route the FR's system pdf,
+    on any other ``"(sampled)"``. A chain report needs ``fr_ids``, since
+    its rows follow the chain order, and an analytic row's FR a system pdf;
+    ValueError otherwise.
     """
+    if report.method == "chain" and report.fr_ids is None:
+        raise ValueError("a chain report needs fr_ids to label its rows in chain order")
     fr_by_id = {fr.id: fr for fr in spec.frs}
     labels = report.fr_ids if report.fr_ids is not None else spec.fr_ids()
     rows = []
     for fr_id, res in zip(labels, report.per_fr):
         fr = fr_by_id[fr_id]
         lo, hi = range_bounds(fr.design_range)
+        if report.method == "analytic" and fr_id not in spec.system_pdfs:
+            raise ValueError(f"FR {fr_id!r} has no system pdf to label its analytic row")
         rows.append({
             "fr": fr_id,
             "probability": res.probability,
             "bits": res.bits,
             "std_error": res.std_error,
             "design_range": {"lower": lo, "upper": hi},
-            "system_pdf": (pdf_labels or {}).get(fr_id, "(sampled)"),
+            "system_pdf": (spec.system_pdfs[fr_id].describe()
+                           if report.method == "analytic" else "(sampled)"),
         })
     doc = {
         "method": report.method,
-        "order": list(report.fr_ids) if report.method == "chain"
-                 and report.fr_ids is not None else None,
+        "order": list(report.fr_ids) if report.method == "chain" else None,
         "per_fr": rows,
         "system_probability": report.system_probability,
         "system_bits": report.system_bits,

@@ -317,7 +317,8 @@ def tank_response(config: TankConfig, dps) -> np.ndarray:
     setpoint influences are still present.
 
     The map is smooth within an operating regime, which makes it suitable
-    for finite-difference influence estimation.
+    for finite-difference influence estimation. A drain that leaves less
+    than 0 m raises ValueError, as :func:`simulate` refuses it.
     """
     dps = float64_array(dps)
     if dps.shape != (3,):
@@ -336,6 +337,8 @@ def tank_response(config: TankConfig, dps) -> np.ndarray:
     def cycle(drift):
         nonlocal temp
         start = low + drift
+        if start < 0.0:
+            raise ValueError(f"the drain leaves {start:g} m, below an empty tank")
         achieved_level = high + drift
         t_blend = INLET_TEMP + start * (temp - INLET_TEMP) / achieved_level
         achieved_temp = t_blend if t_blend >= tsp else tsp

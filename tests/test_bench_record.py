@@ -28,3 +28,17 @@ def test_summary_holds_each_metric_median_quartiles_and_runs():
 def test_one_wrong_run_marks_the_workload_incorrect():
     summary = bench_record.summarize([_result(1.0), _result(2.0, correct=False, failed=1)])
     assert (summary["correct"], summary["failed"]) == (False, 1)
+
+
+def test_fresh_summary_holds_each_calls_median_and_runs():
+    summary = bench_record.fresh_summary({"floor": [0.3, 0.1, 0.2], "classify": [0.5, 0.4]})
+    assert summary["calls"] == {
+        "floor": {"median_s": 0.2, "runs_s": [0.3, 0.1, 0.2]},
+        "classify": {"median_s": 0.45, "runs_s": [0.5, 0.4]}}
+    assert summary["dont_write_bytecode"] in (0, 1)
+
+
+def test_every_fresh_call_names_a_fixture_that_exists():
+    root = _PATH.parent.parent
+    for argv in bench_record.FRESH_CALLS.values():
+        assert all((root / arg).is_file() for arg in argv if arg.startswith("fixtures/"))

@@ -107,7 +107,7 @@ def test_classify_epsilon_override(capsys, tmp_path):
 def test_classify_rejects_a_non_finite_or_negative_epsilon(capsys, epsilon):
     code, out, err = run(capsys, "classify", TANK, "--epsilon", epsilon)
     assert code == 1 and out == ""
-    assert err == "error: --epsilon must be a finite number >= 0\n"
+    assert err == "error: --epsilon: epsilon must be a finite number >= 0\n"
 
 
 def test_classify_without_matrix_exits_one(capsys):
@@ -323,13 +323,6 @@ def test_a_dp_without_uncertainty_reports_as_a_one_observation_pdf(capsys, tmp_p
     assert outs[0] == outs[1]
 
 
-def test_info_rejects_bad_seed_and_samples(capsys):
-    code, _, err = run(capsys, "info", TANK, "--seed", "-3")
-    assert code == 1 and "--seed" in err
-    code, _, err = run(capsys, "info", TANK, "--samples", "0")
-    assert code == 1 and "--samples" in err
-
-
 OVERFLOW_SPEC = {
     "frs": [{"id": "thrust", "nominal": 0, "tol_minus": 1, "tol_plus": 1},
             {"id": "trim", "nominal": 0, "tol_minus": 1, "tol_plus": 1}],
@@ -487,25 +480,55 @@ def test_simulate_csv_bytes_are_pinned(capsys, tmp_path, spec, digest):
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
 
 
-def test_simulate_writes_its_csv_as_utf8_in_an_ascii_locale(tmp_path):
-    # The CSV's encoding does not follow the locale's: under the C locale,
-    # without UTF-8 mode, a non-ASCII FR id is still written as UTF-8.
+ACCENTED = "m\u00e9lange\u6e29"
+
+
+def _accented_tank(tmp_path) -> str:
+    """tank.json with FR level renamed ACCENTED."""
     spec = json.loads(Path(TANK).read_text())
-    name = "niveau\u00e9\u6e29"
-    spec["frs"][0]["id"] = name
-    spec["system_pdfs"][name] = spec["system_pdfs"].pop("level")
-    path, csv_path = tmp_path / "spec.json", tmp_path / "cycles.csv"
+    spec["frs"][0]["id"] = ACCENTED
+    spec["system_pdfs"][ACCENTED] = spec["system_pdfs"].pop("level")
+    path = tmp_path / "accented.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
+    return str(path)
+
+
+def _run_in_ascii_locale(*argv):
+    """``python -m axdesign argv`` under the C locale without UTF-8 mode,
+    where stdout's encoding is ASCII."""
     src = str(Path(axdesign.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONUTF8="0",
                PYTHONCOERCECLOCALE="0")
-    result = subprocess.run(
-        [sys.executable, "-m", "axdesign", "simulate", str(path), "--cycles", "3",
-         "--out", str(csv_path)], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", "axdesign", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_simulate_writes_its_csv_as_utf8_in_an_ascii_locale(tmp_path):
+    # The CSV's encoding does not follow the locale's: a non-ASCII FR id is
+    # still written as UTF-8.
+    csv_path = tmp_path / "cycles.csv"
+    result = _run_in_ascii_locale("simulate", _accented_tank(tmp_path), "--cycles", "3",
+                                  "--out", str(csv_path))
     assert result.returncode == 0, result.stderr
     lines = csv_path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == f"{name},temperature,mix_duration"
+    assert lines[0] == f"{ACCENTED},temperature,mix_duration"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("command", ["classify", "info", "simulate", "validate"])
+def test_a_text_report_that_stdout_cannot_encode_exits_one(tmp_path, command):
+    # A text report holds the FR ids as they are; the JSON one escapes them.
+    path = _accented_tank(tmp_path)
+    cycles = ["--cycles", "5"] if command == "simulate" else []
+    result = _run_in_ascii_locale(command, path, *cycles, "--format", "text")
+    assert "Traceback" not in result.stderr
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith("error: stdout's encoding (ascii) cannot write this report")
+    assert result.stderr.count("\n") == 1
+    # simulate's --out is the CSV, so only the other three point to it.
+    assert ("--out" in result.stderr) == (command != "simulate")
+    result = _run_in_ascii_locale(command, path, *cycles)
+    assert result.returncode == 0 and ACCENTED not in result.stdout
 
 
 def test_simulate_runs_the_scenario_cycles_without_the_flag(capsys, tmp_path):
@@ -614,10 +637,34 @@ def test_timestep_past_the_search_size_limit_exits_five(capsys, tmp_path):
     assert "Traceback" not in err
 
 
-def test_simulate_rejects_bad_cycle_count(capsys):
-    code, _, err = run(capsys, "simulate", TANK, "--cycles", "0")
-    assert code == 1
-    assert "--cycles" in err
+_CYCLES = "cycles must be an integer in [1, 10000000]"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["info", TANK, "--seed", "-3"], "--seed: seed must be a non-negative integer"),
+    (["simulate", TANK, "--seed", "-3"], "--seed: seed must be a non-negative integer"),
+    (["info", TANK, "--samples", "0"], "--samples: n_samples must be a positive integer"),
+    (["simulate", TANK, "--cycles", "0"], f"--cycles: {_CYCLES}"),
+    (["simulate", TANK, "--cycles", "10000001"], f"--cycles: {_CYCLES}"),
+    # One simulated cycle per sample, whichever route info takes.
+    (["info", TANK, "--samples", "10000001"], f"--samples: {_CYCLES}"),
+    (["classify", TANK, "--epsilon", "-1"], "--epsilon: epsilon must be a finite number >= 0"),
+    # Faults are reported in order: in simulate a missing scenario, then
+    # --seed, then --cycles; in info --seed, then --samples, then --epsilon.
+    (["simulate", DISJOINT, "--seed", "-3", "--cycles", "0"],
+     "no scenario block in spec; nothing to simulate"),
+    (["simulate", TANK, "--seed", "-3", "--cycles", "0"],
+     "--seed: seed must be a non-negative integer"),
+    (["info", TANK, "--seed", "-3", "--samples", "0", "--epsilon", "-1"],
+     "--seed: seed must be a non-negative integer"),
+    (["info", TANK, "--samples", "10000001", "--epsilon", "-1"], f"--samples: {_CYCLES}"),
+])
+def test_a_flag_outside_its_owners_limit_exits_one_naming_it(capsys, argv, message):
+    # The object that owns the limit checks the flag, and the message names
+    # the flag and that limit.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("entry", ["simulate --cycles", "scenario cycles", "info --samples"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -15,6 +16,7 @@ from axdesign import (
     Normal,
     classification_doc,
     classify,
+    conditional_chain_information,
     fr_information,
     info_doc,
     render_json,
@@ -203,8 +205,7 @@ def test_analytic_info_doc_shape():
     results = [fr_information(spec.system_pdfs[fr.id], fr.design_range)
                for fr in spec.frs]
     report = system_information_independent(results, fr_ids=spec.fr_ids())
-    labels = {fr.id: spec.system_pdfs[fr.id].describe() for fr in spec.frs}
-    doc = info_doc(report, spec, labels)
+    doc = info_doc(report, spec)
     assert doc["method"] == "analytic"
     assert doc["order"] is None
     assert doc["mc"] is None
@@ -222,11 +223,34 @@ def test_monte_carlo_info_doc_reports_provenance():
     report = system_information_joint(
         model, [fr.design_range for fr in spec.frs],
         McConfig(seed=3, n_samples=500), fr_ids=spec.fr_ids())
-    doc = info_doc(report, spec, {})
+    doc = info_doc(report, spec)
     assert doc["method"] == "joint"
     assert doc["mc"] == {"seed": 3, "n_samples": 500,
                          "std_error": report.mc.std_error}
     assert all(row["system_pdf"] == "(sampled)" for row in doc["per_fr"])
+
+
+def test_a_chain_report_without_fr_ids_is_refused():
+    # Its rows follow the chain order [2, 1, 0], which the report does not
+    # record, so they cannot be labeled.
+    spec = load_spec("machining_cascade.json")
+    model = LinearModel(spec.matrix, [dp.uncertainty for dp in spec.dps])
+    report = conditional_chain_information(
+        model, [2, 1, 0], [fr.design_range for fr in spec.frs],
+        McConfig(n_samples=2000))
+    with pytest.raises(ValueError, match="fr_ids"):
+        info_doc(report, spec)
+
+
+def test_an_analytic_row_without_a_system_pdf_is_refused():
+    spec = load_spec("scheduling.json")
+    results = [fr_information(spec.system_pdfs[fr.id], fr.design_range)
+               for fr in spec.frs]
+    report = system_information_independent(results, fr_ids=spec.fr_ids())
+    first = spec.frs[0].id
+    pdfs = {k: v for k, v in spec.system_pdfs.items() if k != first}
+    with pytest.raises(ValueError, match=f"^FR {first!r} has no system pdf"):
+        info_doc(report, dataclasses.replace(spec, system_pdfs=pdfs))
 
 
 def test_spec_echo_lists_ids():
@@ -263,7 +287,7 @@ def test_text_view_handles_infinite_bits():
                for fr in spec.frs]
     report = system_information_independent(results, fr_ids=spec.fr_ids())
     assert report.system_bits == math.inf
-    doc = {"info": info_doc(report, spec, {})}
+    doc = {"info": info_doc(report, spec)}
     # The document form carries "inf" as a string and the text view prints it.
     assert json.loads(render_json(doc))["info"]["system_bits"] == "inf"
     assert "inf" in render_text(doc)
@@ -274,7 +298,7 @@ def test_text_view_aligns_long_fr_names():
     results = [fr_information(spec.system_pdfs[fr.id], fr.design_range)
                for fr in spec.frs]
     report = system_information_independent(results, fr_ids=spec.fr_ids())
-    text = render_text({"info": info_doc(report, spec, {})})
+    text = render_text({"info": info_doc(report, spec)})
     header = next(line for line in text.splitlines() if line.startswith("FR"))
     row = next(line for line in text.splitlines()
                if line.startswith("control_loop_period"))

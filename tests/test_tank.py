@@ -747,3 +747,17 @@ def test_response_validation():
         tank_response(cfg, [0.5, 65.0, 120.0])  # below the drain setpoint
     with pytest.raises(ValueError):
         tank_response(cfg, [7.0, 65.0, -1.0])
+
+
+@pytest.mark.parametrize("config, dps", [
+    (TankConfig(level_low=-5.0, cycles=3), [1.0, 65.0, 120.0]),
+    (TankConfig(level_low=-5.0, cycles=3), [0.0, 65.0, 120.0]),
+    # Cycle one heats 1.2 degC, which drifts the transmitter 1.2 m low, so
+    # cycle two's drain leaves 0.5 - 1.2 m.
+    (TankConfig(level_low=0.5, heater_to_level=-1.0), [7.0, 66.0, 120.0]),
+])
+def test_response_refuses_a_drain_below_empty(config, dps):
+    # simulate refuses such a drain too. Filled from it, the first case read
+    # its setpoints from a residue of -5 m and the second divided by zero.
+    with pytest.raises(ValueError, match="below an empty tank"):
+        tank_response(config, dps)
