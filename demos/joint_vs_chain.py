@@ -34,7 +34,6 @@ MC = McConfig(seed=42, n_samples=200_000)
 # 1. The two-knob faucet: both FRs ride both knobs
 # ---------------------------------------------------------------------------
 spec = parse_spec((FIXTURES / "faucet_two_knob.json").read_text())
-ranges = [fr.design_range for fr in spec.frs]
 model = LinearModel(spec.matrix, [dp.uncertainty for dp in spec.dps])
 
 # Marginals first, from the fitted per-FR output distributions.
@@ -44,7 +43,7 @@ for fr in spec.frs:
     marginal_product *= res.probability
     print(f"  {fr.id}: marginal P = {res.probability:.4f}")
 
-joint = system_information_joint(model, ranges, mc=MC, fr_ids=[fr.id for fr in spec.frs])
+joint = system_information_joint(model, spec.frs, mc=MC)
 print(f"  product of marginals : {marginal_product:.4f}")
 print(f"  joint (shared knobs) : {joint.system_probability:.4f}"
       f"  (+/- {3 * joint.mc.std_error:.4f} at 3 sigma)")
@@ -64,17 +63,15 @@ print()
 # the per-link bits tell you where the difficulty actually lives.
 
 spec = parse_spec((FIXTURES / "machining_cascade.json").read_text())
-ranges = [fr.design_range for fr in spec.frs]
 model = LinearModel(spec.matrix, [dp.uncertainty for dp in spec.dps])
 order = [fr for fr, _ in sequence(classify(spec.matrix))]
-ids = [fr.id for fr in spec.frs]
 
-joint = system_information_joint(model, ranges, mc=MC, fr_ids=ids)
-chain = conditional_chain_information(model, order, ranges, mc=MC, fr_ids=ids)
+joint = system_information_joint(model, spec.frs, mc=MC)
+chain = conditional_chain_information(model, order, spec.frs, mc=MC)
 
 print("machining cascade, conditional chain:")
-for fr_id, link in zip(chain.fr_ids, chain.per_fr):
-    print(f"  {fr_id}: P(in band | upstream ok) = {link.probability:.4f}"
+for fr, link in zip(chain.frs, chain.per_fr):
+    print(f"  {fr.id}: P(in band | upstream ok) = {link.probability:.4f}"
           f"  -> {link.bits:.4f} bits")
 print(f"  chain total : P = {chain.system_probability:.6f}, bits = {chain.system_bits:.4f}")
 print(f"  joint check : P = {joint.system_probability:.6f}, bits = {joint.system_bits:.4f}")

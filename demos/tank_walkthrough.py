@@ -37,8 +37,6 @@ FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 spec = parse_spec((FIXTURES / "tank.json").read_text())
 config = spec.scenario
-ranges = [fr.design_range for fr in spec.frs]
-ids = [fr.id for fr in spec.frs]
 
 # ---------------------------------------------------------------------------
 # 1. Sanity: where does one quiet batch land?
@@ -59,10 +57,10 @@ print()
 
 rng = RngState(seed=11)
 table = simulate_tank(config, rng)
-report = system_information_from_samples(table.values, ranges, fr_ids=ids, seed=11)
+report = system_information_from_samples(table.values, spec.frs, seed=11)
 print(f"baseline run ({table.n} cycles):")
-for fr_id, res in zip(report.fr_ids, report.per_fr):
-    print(f"  {fr_id}: P = {res.probability:.4f}, bits = {res.bits:.4f}")
+for fr, res in zip(report.frs, report.per_fr):
+    print(f"  {fr.id}: P = {res.probability:.4f}, bits = {res.bits:.4f}")
 print(f"  system: P = {report.system_probability:.4f}, "
       f"bits = {report.system_bits:.4f}")
 print()
@@ -75,7 +73,7 @@ print(f"  {'gain':>6}  {'P(all in band)':>14}  {'system bits':>11}")
 for gain in (0.0, 0.05, 0.1, 0.2):
     cfg = dataclasses.replace(config, mixer_to_temp=gain)
     table = simulate_tank(cfg, RngState(seed=11))
-    rep = system_information_from_samples(table.values, ranges, fr_ids=ids, seed=11)
+    rep = system_information_from_samples(table.values, spec.frs, seed=11)
     print(f"  {gain:>6g}  {rep.system_probability:>14.4f}  {rep.system_bits:>11.4f}")
 print()
 # At 0.1 the steady temperature creeps to ~65.8 degC -- outside the
@@ -94,6 +92,6 @@ for gain in (0.0, 0.1):
     probed = estimate_design_matrix(ScenarioModel(cfg), nominal, step=1e-3)
     kind = type(classify(probed, epsilon=1e-6)).__name__.lower()
     print(f"mixer_to_temp={gain}: probed matrix -> {kind}")
-    for fr_id, row in zip(ids, probed):
+    for fr, row in zip(spec.frs, probed):
         cells = "  ".join(f"{v:>8.4f}" for v in row)
-        print(f"  {fr_id:>12}  [{cells}]")
+        print(f"  {fr.id:>12}  [{cells}]")

@@ -257,8 +257,6 @@ def _cmd_info(args) -> int:
     method = _route(args.method, cls, spec, model)
 
     warnings: list[str] = []
-    ranges = [fr.design_range for fr in spec.frs]
-    ids = spec.fr_ids()
 
     if method == "analytic":
         if cls is None:
@@ -269,7 +267,7 @@ def _cmd_info(args) -> int:
                 "FR outcomes treated as independent")
         results = [fr_information(spec.system_pdfs[fr.id], fr.design_range)
                    for fr in spec.frs]
-        report = system_information_independent(results, fr_ids=ids)
+        report = system_information_independent(results, spec.frs)
     else:
         if isinstance(model, LinearModel) and \
                 all(dp.uncertainty is None for dp in spec.dps) and not spec.noise_pdfs:
@@ -280,22 +278,21 @@ def _cmd_info(args) -> int:
             if isinstance(cls, Decoupled):
                 order = [fr_idx for fr_idx, _ in cls.order]
             else:
-                order = list(range(len(ids)))
+                order = list(range(len(spec.frs)))
                 if isinstance(cls, Coupled):
                     warnings.append(
                         "chain decomposition of a coupled design: per-link "
                         "values depend on the chosen order; the system total "
                         "is still a valid joint estimate")
-            report = conditional_chain_information(model, order, ranges, mc,
-                                                   fr_ids=ids)
+            report = conditional_chain_information(model, order, spec.frs, mc)
         else:
-            report = system_information_joint(model, ranges, mc, fr_ids=ids)
+            report = system_information_joint(model, spec.frs, mc)
 
     doc = {
         "command": "info",
         "spec": spec_echo(spec),
         "epsilon": eps,
-        "classification": (classification_doc(cls, ids, spec.dp_ids())
+        "classification": (classification_doc(cls, spec.fr_ids(), spec.dp_ids())
                            if cls is not None else None),
         "info": info_doc(report, spec),
         "warnings": warnings + list(report.warnings),
@@ -316,9 +313,7 @@ def _cmd_simulate(args) -> int:
     samples = simulate_tank(config, rng, columns=spec.fr_ids())
     if args.out:
         samples.to_csv(args.out)
-    report = system_information_from_samples(
-        samples.values, [fr.design_range for fr in spec.frs],
-        fr_ids=spec.fr_ids(), seed=args.seed)
+    report = system_information_from_samples(samples.values, spec.frs, seed=args.seed)
     doc = {
         "command": "simulate",
         "spec": spec_echo(spec),

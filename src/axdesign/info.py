@@ -6,24 +6,28 @@ Certain success costs zero bits; impossible success costs infinitely many.
 System-level information adds across FRs exactly when their success events
 are independent; otherwise it must be estimated from joint behaviour.
 
-Estimation routes:
+Estimation routes, each taking the FRs it scores as ``frs``, a non-empty
+sequence of :class:`~axdesign.model.FunctionalRequirement` such as a
+spec's ``frs``, and returning a report that carries them in row order:
 
-* :func:`system_information_independent` — combine closed-form per-FR
-  results (from :func:`fr_information`) under independence: probabilities
-  multiply, bits add (an infinite term absorbs the sum).
-* :func:`system_information_joint` — Monte Carlo over a sampling model;
-  the system probability is the fraction of sampled outcome vectors inside
-  every design range simultaneously. Valid for any dependence structure.
-  :func:`system_information_from_samples` is the same estimator applied to
-  an already-drawn sample table.
-* :func:`conditional_chain_information` — a product of conditional success
-  probabilities along a given FR order (FR indices, as
-  :func:`~axdesign.coupling.sequence` gives them), each link estimated from the
-  samples that already satisfied every earlier link (rejection
-  conditioning on one shared sample set). The link product telescopes to
-  the joint count, so chain and joint totals agree for the same seed; the
-  chain additionally shows what each requirement costs once its
-  predecessors are met. The estimator accepts any ordering, but only
+* :func:`system_information_independent` ``(results, frs)`` — combine
+  closed-form per-FR results (from :func:`fr_information`) under
+  independence: probabilities multiply, bits add (an infinite term absorbs
+  the sum).
+* :func:`system_information_joint` ``(model, frs, mc)`` — Monte Carlo over
+  a sampling model; the system probability is the fraction of sampled
+  outcome vectors inside every design range simultaneously. Valid for any
+  dependence structure. :func:`system_information_from_samples`
+  ``(samples, frs, seed)`` is the same estimator applied to an
+  already-drawn sample table.
+* :func:`conditional_chain_information` ``(model, order, frs, mc)`` — a
+  product of conditional success probabilities along a given FR order
+  (indices into ``frs``, as :func:`~axdesign.coupling.sequence` gives
+  them), each link estimated from the samples that already satisfied every
+  earlier link (rejection conditioning on one shared sample set). The link
+  product telescopes to the joint count, so chain and joint totals agree
+  for the same seed; the chain additionally shows what each requirement
+  costs once its predecessors are met. The estimator accepts any ordering, but only
   orderings that respect the dependency structure (e.g. a decoupled
   adjustment sequence) make the per-link numbers individually meaningful.
 
@@ -64,8 +68,7 @@ way, and must read ``rows`` values from each stream it reads.
 
 Every route scores samples with one streaming tally: per-FR hits, and for
 each link of an FR order the rows inside every range so far (the joint
-route uses declaration order, so its last link is the joint count). The
-tally is also the one place that checks for at least one design range. A
+route uses declaration order, so its last link is the joint count). A
 sample value that is not finite, for instance a linear model whose finite
 entries overflow float64, raises :class:`~axdesign.errors.NonFiniteSamples`
 naming the FR.
@@ -82,9 +85,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import Pdf, RngState, float64_array, is_count, is_real
+from .distributions import Pdf, RngState, float64_array, is_count
 from .errors import NonFiniteSamples
-from .model import DesignRange, range_bounds
+from .model import DesignRange, FunctionalRequirement, range_bounds
 
 __all__ = [
     "InfoResult",
@@ -158,71 +161,62 @@ class SystemInfoReport:
     ``method`` is the route as ``--method`` names it: analytic, chain or joint.
     ``per_fr`` rows follow FR declaration order for the analytic and joint
     routes; for the conditional chain they follow the chain order and each
-    row is conditional on its predecessors. ``fr_ids`` labels the rows when
-    the caller supplied names. ``mc`` is ``None`` for closed-form results.
+    row is conditional on its predecessors. ``frs`` holds the FR of each
+    row, in row order, one per row; ValueError otherwise. ``mc`` is ``None``
+    for closed-form results.
     """
 
     method: str
     per_fr: tuple[InfoResult, ...]
+    frs: tuple[FunctionalRequirement, ...]
     system_probability: float
     system_bits: float
     mc: McStats | None = None
-    fr_ids: tuple[str, ...] | None = None
     warnings: tuple[str, ...] = ()
 
-
-def _bounds(design_range) -> tuple[float, float]:
-    """The bounds of a DesignRange, or of a ``(lo, hi)`` pair of finite
-    numbers with ``lo <= hi``; ValueError for any other pair."""
-    if isinstance(design_range, DesignRange):
-        return range_bounds(design_range)
-    lo, hi = design_range
-    if not (is_real(lo) and is_real(hi) and lo <= hi):
-        raise ValueError("design range bounds must be finite numbers with lo <= hi")
-    return float(lo), float(hi)
+    def __post_init__(self):
+        if len(self.frs) != len(self.per_fr):
+            raise ValueError(f"{len(self.frs)} FRs for {len(self.per_fr)} rows")
 
 
-def fr_information(pdf: Pdf, design_range) -> InfoResult:
-    """Closed-form information for one FR.
-
-    ``design_range`` is a :class:`~axdesign.model.DesignRange` or a
-    ``(lo, hi)`` pair; the probability is the pdf's mass over it.
-    """
-    lo, hi = _bounds(design_range)
+def fr_information(pdf: Pdf, design_range: DesignRange) -> InfoResult:
+    """Closed-form information for one FR: the pdf's mass over its
+    :class:`~axdesign.model.DesignRange`; ValueError for any other range."""
+    if not isinstance(design_range, DesignRange):
+        raise ValueError("design_range must be a DesignRange")
+    lo, hi = range_bounds(design_range)
     p = min(max(pdf.interval_probability(lo, hi), 0.0), 1.0)
     return InfoResult(probability=p, bits=bits_from_probability(p))
 
 
-def _labels(fr_ids: Sequence[str] | None, m: int) -> tuple[str, ...] | None:
-    """``fr_ids`` as a tuple of one id per FR, ``m`` of them, or None."""
-    labels = None if fr_ids is None else tuple(fr_ids)
-    if labels is not None and len(labels) != m:
-        raise ValueError(f"fr_ids has {len(labels)} ids for {m} FRs")
-    return labels
+def _checked_frs(frs) -> tuple[FunctionalRequirement, ...]:
+    """``frs`` as a tuple; ValueError unless it is a non-empty sequence of
+    FunctionalRequirements."""
+    frs = tuple(frs)
+    if not frs or not all(isinstance(fr, FunctionalRequirement) for fr in frs):
+        raise ValueError("frs must be a non-empty sequence of FunctionalRequirements")
+    return frs
 
 
 def system_information_independent(
     results: Sequence[InfoResult],
-    fr_ids: Sequence[str] | None = None,
+    frs: Sequence[FunctionalRequirement],
 ) -> SystemInfoReport:
-    """Combine per-FR results under independence.
+    """Combine per-FR results, one for each FR of ``frs``, under independence.
 
     The system probability is the product of the per-FR probabilities and
     the system bits are their sum (the same number up to float rounding;
     an infinite term makes both degenerate consistently).
     """
-    results = tuple(results)
-    if not results:
-        raise ValueError("at least one per-FR result is required")
-    labels = _labels(fr_ids, len(results))
+    results, frs = tuple(results), _checked_frs(frs)
     total_p = 1.0
     total_bits = 0.0
     for res in results:
         total_p *= res.probability
         total_bits += res.bits
     return SystemInfoReport(
-        method="analytic", per_fr=results,
-        system_probability=total_p, system_bits=total_bits, fr_ids=labels)
+        method="analytic", per_fr=results, frs=frs,
+        system_probability=total_p, system_bits=total_bits)
 
 
 def _mc_result(hits: int, n: int) -> InfoResult:
@@ -238,8 +232,8 @@ def _mc_result(hits: int, n: int) -> InfoResult:
     return InfoResult(probability=p, bits=bits, std_error=se_bits)
 
 
-def _tally(tables, ranges, order, labels=None) -> tuple[int, list[int], list[int]]:
-    """Score sample tables chunk by chunk against the design ranges.
+def _tally(tables, frs, order) -> tuple[int, list[int], list[int]]:
+    """Score sample tables chunk by chunk against the FRs' design ranges.
 
     ``tables`` is an iterable of (rows, m) arrays, the chunks of one sample
     table. Returns ``(n, hits, links)``: the row count, the rows inside
@@ -248,9 +242,7 @@ def _tally(tables, ranges, order, labels=None) -> tuple[int, list[int], list[int
     links are the chain's survivors after each link, so ``links[-1]`` is the
     joint count. Only one chunk's worth of masks is held at a time.
     """
-    bounds = [_bounds(r) for r in ranges]
-    if not bounds:
-        raise ValueError("at least one design range is required")
+    bounds = [range_bounds(fr.design_range) for fr in frs]
     m = len(bounds)
     n = 0
     hits = [0] * m
@@ -264,8 +256,7 @@ def _tally(tables, ranges, order, labels=None) -> tuple[int, list[int], list[int
         for k, j in enumerate(order):
             col = arr[:, j]
             if not np.isfinite(col).all():
-                label = f"FR {labels[j]}" if labels else f"column {j}"
-                raise NonFiniteSamples(f"sample values of {label} are not all finite")
+                raise NonFiniteSamples(f"sample values of FR {frs[j].id} are not all finite")
             lo, hi = bounds[j]
             inside = col >= lo
             inside &= col <= hi
@@ -313,14 +304,14 @@ def _executor(pid: int, threads: int):
     return ThreadPoolExecutor(threads)
 
 
-def _draw_tally(model, ranges, order, mc: McConfig, labels):
+def _draw_tally(model, frs, order, mc: McConfig):
     n_chunks = -(-mc.n_samples // (model.chunk_rows or mc.n_samples))
     parts = min(_CPUS, n_chunks)
     cuts = [n_chunks * i // parts for i in range(parts + 1)]
 
     def score(i):
         chunks = range(cuts[i], cuts[i + 1])
-        return _tally(_tables(model, mc, chunks), ranges, order, labels)
+        return _tally(_tables(model, mc, chunks), frs, order)
 
     futures = [_executor(os.getpid(), _CPUS - 1).submit(score, i)
                for i in range(1, parts)]
@@ -338,27 +329,26 @@ def _draw_tally(model, ranges, order, mc: McConfig, labels):
     return hits, links
 
 
+def _unbounded(n: int, joint_hits: int) -> list[str]:
+    """The warning of a run in which no sample met every range at once."""
+    return [] if joint_hits else [f"no samples landed inside all design ranges ({n} drawn); "
+                                  "system bits are unbounded at this sample size"]
+
+
 def _joint_report(n: int, hits, joint_hits: int, seed: int | None,
-                  labels: tuple[str, ...] | None) -> SystemInfoReport:
-    per = tuple(_mc_result(h, n) for h in hits)
+                  frs: tuple[FunctionalRequirement, ...]) -> SystemInfoReport:
     system = _mc_result(joint_hits, n)
-    warnings = []
-    if joint_hits == 0:
-        warnings.append(
-            f"no samples landed inside all design ranges ({n} drawn); "
-            "system bits are unbounded at this sample size")
     return SystemInfoReport(
-        method="joint", per_fr=per,
+        method="joint", per_fr=tuple(_mc_result(h, n) for h in hits), frs=frs,
         system_probability=system.probability, system_bits=system.bits,
         mc=McStats(seed=seed, n_samples=n, std_error=system.std_error),
-        fr_ids=labels, warnings=tuple(warnings))
+        warnings=tuple(_unbounded(n, joint_hits)))
 
 
 def system_information_joint(
     model,
-    ranges: Sequence,
+    frs: Sequence[FunctionalRequirement],
     mc: McConfig = McConfig(),
-    fr_ids: Sequence[str] | None = None,
 ) -> SystemInfoReport:
     """Monte Carlo joint information.
 
@@ -367,37 +357,33 @@ def system_information_joint(
     marginal fractions. No independence assumption. A model with
     ``chunk_rows`` set is sampled from several threads at once, out of row
     order (see the module docstring)."""
-    ranges = tuple(ranges)
-    labels = _labels(fr_ids, len(ranges))
-    hits, links = _draw_tally(model, ranges, range(len(ranges)), mc, labels)
-    return _joint_report(mc.n_samples, hits, links[-1], mc.seed, labels)
+    frs = _checked_frs(frs)
+    hits, links = _draw_tally(model, frs, range(len(frs)), mc)
+    return _joint_report(mc.n_samples, hits, links[-1], mc.seed, frs)
 
 
 def system_information_from_samples(
     samples,
-    ranges: Sequence,
-    fr_ids: Sequence[str] | None = None,
+    frs: Sequence[FunctionalRequirement],
     seed: int | None = None,
 ) -> SystemInfoReport:
     """Joint information computed from an existing (n, m) sample table
-    (for example the output of a simulation run). ``seed`` is recorded for
-    provenance when known."""
-    ranges = tuple(ranges)
-    labels = _labels(fr_ids, len(ranges))
-    n, hits, links = _tally([samples], ranges, range(len(ranges)), labels)
-    return _joint_report(n, hits, links[-1], seed, labels)
+    (for example the output of a simulation run), one column per FR of
+    ``frs``. ``seed`` is recorded for provenance when known."""
+    frs = _checked_frs(frs)
+    n, hits, links = _tally([samples], frs, range(len(frs)))
+    return _joint_report(n, hits, links[-1], seed, frs)
 
 
 def conditional_chain_information(
     model,
     order: Sequence,
-    ranges: Sequence,
+    frs: Sequence[FunctionalRequirement],
     mc: McConfig = McConfig(),
-    fr_ids: Sequence[str] | None = None,
 ) -> SystemInfoReport:
     """Chained conditional information along ``order``.
 
-    ``order`` is a permutation of the FR columns, given as integer indices
+    ``order`` is a permutation of the indices of ``frs``, given as integers
     (anything ``operator.index`` takes but a bool), as
     :func:`~axdesign.coupling.sequence` gives them. Each link's probability is
     estimated from the samples that satisfied every earlier link, so the
@@ -405,13 +391,12 @@ def conditional_chain_information(
     sample count; the system bits are the sum of the per-link bits. A link
     that leaves zero surviving samples starves the links after it: those
     are reported as zero probability with infinite error, and a warning is
-    attached. The model is sampled as :func:`system_information_joint`
-    samples it.
+    attached. The report's ``frs`` follow the chain order. The model is
+    sampled as :func:`system_information_joint` samples it.
     """
-    ranges = tuple(ranges)
-    labels = _labels(fr_ids, len(ranges))
-    idx_order = _resolve_order(order, len(ranges))
-    _, links = _draw_tally(model, ranges, idx_order, mc, labels)
+    frs = _checked_frs(frs)
+    idx_order = _resolve_order(order, len(frs))
+    _, links = _draw_tally(model, frs, idx_order, mc)
     n = mc.n_samples
 
     # Each link is scored on the rows that survived the links before it;
@@ -420,21 +405,19 @@ def conditional_chain_information(
     per = [_mc_result(hits, survivors) if survivors else InfoResult(0.0, math.inf, math.inf)
            for hits, survivors in zip(links, before)]
     total_bits = sum(res.bits for res in per)
-    warnings = []
+    warnings = _unbounded(n, links[-1])
     if 0 in before:
-        prev = idx_order[before.index(0) - 1]
-        starved_after = labels[prev] if labels else f"column {prev}"
+        starved_after = frs[idx_order[before.index(0) - 1]].id
         warnings.append(
             f"sample starvation: no samples survived past {starved_after}; "
             "later links are reported as zero probability with infinite error")
 
     system = _mc_result(links[-1], n)
-    chain_ids = tuple(labels[i] for i in idx_order) if labels else None
     return SystemInfoReport(
-        method="chain", per_fr=tuple(per),
+        method="chain", per_fr=tuple(per), frs=tuple(frs[i] for i in idx_order),
         system_probability=system.probability, system_bits=total_bits,
         mc=McStats(seed=mc.seed, n_samples=n, std_error=system.std_error),
-        fr_ids=chain_ids, warnings=tuple(warnings))
+        warnings=tuple(warnings))
 
 
 def _resolve_order(order, n_frs: int) -> list[int]:

@@ -207,9 +207,12 @@ def estimate_design_matrix(model, dp_nominals, step: float) -> np.ndarray:
     """Influence matrix by central finite differences around ``dp_nominals``,
     as a float64 array with one row per FR and one column per DP.
 
-    Entry (i, j) is ``(FR_i(dp + step*e_j) - FR_i(dp - step*e_j)) / (2*step)``
-    using the model's ``evaluate``. Exact for linear maps at any positive
-    step; non-finite model output raises with the offending DP named.
+    Entry (i, j) is ``(FR_i(plus) - FR_i(minus)) / (plus[j] - minus[j])``
+    using the model's ``evaluate``, where ``plus`` and ``minus`` move DP j
+    by ``step`` either way: the divisor is the step taken after rounding.
+    Exact for linear maps at any positive step, up to the rounding of the
+    model's outputs. A step lost in that rounding, and non-finite model
+    output, raise ValueError naming the DP.
     """
     x0 = float64_array(dp_nominals)
     if x0.ndim != 1 or x0.size == 0 or not np.all(np.isfinite(x0)):
@@ -218,11 +221,13 @@ def estimate_design_matrix(model, dp_nominals, step: float) -> np.ndarray:
         raise ValueError("step must be a positive finite number")
     columns = []
     for j in range(x0.size):
-        shift = np.zeros_like(x0)
-        shift[j] = step
-        f_plus = np.asarray(model.evaluate(x0 + shift), dtype=np.float64)
-        f_minus = np.asarray(model.evaluate(x0 - shift), dtype=np.float64)
-        col = (f_plus - f_minus) / (2.0 * step)
+        plus, minus = x0.copy(), x0.copy()
+        plus[j], minus[j] = x0[j] + step, x0[j] - step
+        if plus[j] == minus[j]:
+            raise ValueError(f"step {step!r} is lost in the rounding of DP {j}'s nominal")
+        f_plus = np.asarray(model.evaluate(plus), dtype=np.float64)
+        f_minus = np.asarray(model.evaluate(minus), dtype=np.float64)
+        col = (f_plus - f_minus) / (plus[j] - minus[j])
         if not np.all(np.isfinite(col)):
             raise ValueError(f"non-finite model output while probing DP {j}")
         columns.append(col)

@@ -117,35 +117,29 @@ def classification_doc(cls: Classification, fr_ids, dp_ids) -> dict:
 def info_doc(report: SystemInfoReport, spec: DesignSpec) -> dict:
     """Info block for a report document.
 
-    Rows are labeled by ``report.fr_ids`` (falling back to declaration
-    order) and annotated with each FR's design range and the distribution
-    its probability came from: on the analytic route the FR's system pdf,
-    on any other ``"(sampled)"``. A chain report needs ``fr_ids``, since
-    its rows follow the chain order, and an analytic row's FR a system pdf;
-    ValueError otherwise.
+    Rows are the report's own FRs, in its row order, each labeled with
+    its id and design range and the distribution its probability came
+    from: on the analytic route the FR's system pdf in ``spec``, on any
+    other ``"(sampled)"``. An analytic row whose FR has no system pdf in
+    ``spec`` raises ValueError.
     """
-    if report.method == "chain" and report.fr_ids is None:
-        raise ValueError("a chain report needs fr_ids to label its rows in chain order")
-    fr_by_id = {fr.id: fr for fr in spec.frs}
-    labels = report.fr_ids if report.fr_ids is not None else spec.fr_ids()
     rows = []
-    for fr_id, res in zip(labels, report.per_fr):
-        fr = fr_by_id[fr_id]
+    for fr, res in zip(report.frs, report.per_fr):
         lo, hi = range_bounds(fr.design_range)
-        if report.method == "analytic" and fr_id not in spec.system_pdfs:
-            raise ValueError(f"FR {fr_id!r} has no system pdf to label its analytic row")
+        if report.method == "analytic" and fr.id not in spec.system_pdfs:
+            raise ValueError(f"FR {fr.id!r} has no system pdf to label its analytic row")
         rows.append({
-            "fr": fr_id,
+            "fr": fr.id,
             "probability": res.probability,
             "bits": res.bits,
             "std_error": res.std_error,
             "design_range": {"lower": lo, "upper": hi},
-            "system_pdf": (spec.system_pdfs[fr_id].describe()
+            "system_pdf": (spec.system_pdfs[fr.id].describe()
                            if report.method == "analytic" else "(sampled)"),
         })
     doc = {
         "method": report.method,
-        "order": list(report.fr_ids) if report.method == "chain" else None,
+        "order": [fr.id for fr in report.frs] if report.method == "chain" else None,
         "per_fr": rows,
         "system_probability": report.system_probability,
         "system_bits": report.system_bits,

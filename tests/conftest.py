@@ -1,6 +1,6 @@
-"""Shared test helpers: fixture-file locations and loaders, the hypothesis
-profile for CI runs, and a fixture that sets the CPU count of the Monte
-Carlo routes."""
+"""Shared test helpers: fixture-file locations and loaders, FRs built from
+plain bounds, the hypothesis profile for CI runs, and a fixture that sets
+the CPU count of the Monte Carlo routes."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from axdesign import DesignSpec, info, parse_spec
+from axdesign import DesignRange, DesignSpec, info, parse_spec
+from axdesign.model import FunctionalRequirement, range_bounds
 
 # Under CI a failing property prints the @reproduce_failure blob that
 # replays it locally, and no example fails for running slow on a busy runner.
@@ -30,6 +31,19 @@ def fixture_path(name: str) -> Path:
 
 def load_spec(name: str) -> DesignSpec:
     return parse_spec(fixture_path(name).read_text())
+
+
+def make_frs(*bounds, ids=None) -> tuple[FunctionalRequirement, ...]:
+    """One FR per ``(lo, hi)`` pair, with ids ``ids`` or x0, x1, ...; each
+    range is centred between its bounds, which must come out exactly."""
+    ids = ids or [f"x{i}" for i in range(len(bounds))]
+    frs = []
+    for fr_id, (lo, hi) in zip(ids, bounds, strict=True):
+        half = (hi - lo) / 2
+        design_range = DesignRange(lo + half, half, half)
+        assert range_bounds(design_range) == (lo, hi), (lo, hi)
+        frs.append(FunctionalRequirement(fr_id, design_range))
+    return tuple(frs)
 
 
 @pytest.fixture

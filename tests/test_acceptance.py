@@ -40,6 +40,7 @@ from axdesign import (
     system_information_independent,
     system_information_joint,
 )
+from axdesign.model import FunctionalRequirement
 
 from conftest import fixture_path, load_spec
 from test_coupling import brute_force_kind
@@ -68,8 +69,8 @@ def test_criterion_01_zero_and_infinite_bit_regimes():
     assert math.isinf(disjoint.bits)
 
     # The same regimes hold for an unbounded pdf at extreme ranges.
-    assert fr_information(Normal(0.0, 1.0), (-100.0, 100.0)).bits == 0.0
-    assert math.isinf(fr_information(Normal(0.0, 1.0), (60.0, 61.0)).bits)
+    assert fr_information(Normal(0.0, 1.0), DesignRange(0.0, 100.0, 100.0)).bits == 0.0
+    assert math.isinf(fr_information(Normal(0.0, 1.0), DesignRange(60.5, 0.5, 0.5)).bits)
     done()
 
 
@@ -96,20 +97,20 @@ def test_criterion_03_independent_bits_are_additive():
     the sum of the closed-form per-FR bits within 3 standard errors."""
     done = _timer(5.0)
     cases = [
-        (Normal(0.0, 1.0), (-1.0, 1.0)),
-        (Uniform(0.0, 1.0), (0.2, 0.9)),
-        (Triangular(0.0, 1.0, 2.0), (0.4, 1.5)),
-        (Normal(5.0, 2.0), (3.0, 8.0)),
-        (Empirical([float(v) for v in range(1, 11)]), (2.5, 7.5)),
+        (Normal(0.0, 1.0), DesignRange(0.0, 1.0, 1.0)),
+        (Uniform(0.0, 1.0), DesignRange(0.55, 0.35, 0.35)),
+        (Triangular(0.0, 1.0, 2.0), DesignRange(0.95, 0.55, 0.55)),
+        (Normal(5.0, 2.0), DesignRange(5.5, 2.5, 2.5)),
+        (Empirical([float(v) for v in range(1, 11)]), DesignRange(5.0, 2.5, 2.5)),
     ]
     for k in range(1, 6):
         pdfs = [p for p, _ in cases[:k]]
-        ranges = [r for _, r in cases[:k]]
+        frs = [FunctionalRequirement(f"x{i}", r) for i, (_, r) in enumerate(cases[:k])]
         analytic = system_information_independent(
-            [fr_information(p, r) for p, r in zip(pdfs, ranges)])
+            [fr_information(p, fr.design_range) for p, fr in zip(pdfs, frs)], frs)
         model = LinearModel(np.eye(k), pdfs)
         joint = system_information_joint(
-            model, ranges, McConfig(seed=314, n_samples=100_000))
+            model, frs, McConfig(seed=314, n_samples=100_000))
         se = joint.mc.std_error
         assert se > 0.0
         assert abs(joint.system_bits - analytic.system_bits) < 3.0 * se, \
@@ -130,7 +131,6 @@ def test_criterion_04_chain_and_joint_estimates_agree():
     for name in ("faucet_two_knob.json", "machining_cascade.json"):
         spec = load_spec(name)
         model = LinearModel(spec.matrix, [dp.uncertainty for dp in spec.dps])
-        ranges = [fr.design_range for fr in spec.frs]
         cls = classify(spec.matrix)
         if isinstance(cls, Decoupled):
             order = [fr for fr, _ in cls.order]
@@ -138,8 +138,8 @@ def test_criterion_04_chain_and_joint_estimates_agree():
             assert isinstance(cls, Coupled)
             order = list(range(len(spec.frs)))
         mc = McConfig(seed=2718, n_samples=100_000)
-        joint = system_information_joint(model, ranges, mc)
-        chain = conditional_chain_information(model, order, ranges, mc)
+        joint = system_information_joint(model, spec.frs, mc)
+        chain = conditional_chain_information(model, order, spec.frs, mc)
         combined = math.sqrt(se_p(joint) ** 2 + se_p(chain) ** 2)
         assert combined > 0.0
         assert abs(chain.system_probability - joint.system_probability) \
@@ -241,7 +241,7 @@ def test_criterion_07_shrinking_tolerances_never_gain_probability():
     ]
     for pdf, center, widest in sweeps:
         tols = np.linspace(widest, widest / 1000.0, 20)
-        results = [fr_information(pdf, (center - t, center + t)) for t in tols]
+        results = [fr_information(pdf, DesignRange(center, t, t)) for t in tols]
         probs = [r.probability for r in results]
         bits = [r.bits for r in results]
         for i in range(19):
@@ -273,13 +273,11 @@ def test_criterion_09_tank_pipeline_bits_grow_with_coupling_gain():
     never decreases the bits and leaves them strictly positive at the top."""
     done = _timer(30.0)
     spec = load_spec("tank.json")
-    ranges = [fr.design_range for fr in spec.frs]
     bits = []
     for gain in (0.0, 0.05, 0.1, 0.2):
         cfg = replace(spec.scenario, mixer_to_temp=gain, cycles=10_000)
         rows = simulate_tank(cfg, RngState(seed=11)).values
-        report = system_information_from_samples(rows, ranges,
-                                                 fr_ids=spec.fr_ids())
+        report = system_information_from_samples(rows, spec.frs)
         bits.append(report.system_bits)
     assert bits[0] <= 0.02, bits
     for lo, hi in zip(bits, bits[1:]):

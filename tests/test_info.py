@@ -39,10 +39,11 @@ from axdesign import (
 from axdesign import propagation
 from axdesign.errors import NonFiniteSamples
 from axdesign.info import InfoResult
+from axdesign.model import FunctionalRequirement
 from axdesign.propagation import _CHUNK_ROWS as C
 from axdesign.tank import MAX_CYCLES
 
-from conftest import load_spec
+from conftest import load_spec, make_frs
 
 # oracle: mpmath, P = ncdf(1) - ncdf(-1)
 P_1SIGMA = 0.6826894921370859
@@ -103,21 +104,15 @@ def test_normal_one_sigma_annotated_example():
 
 
 def test_range_fully_inside_support_costs_zero_bits():
-    res = fr_information(Uniform(2.0, 3.0), (0.0, 10.0))
+    res = fr_information(Uniform(2.0, 3.0), DesignRange(5.0, 5.0, 5.0))
     assert res.probability == 1.0
     assert res.bits == 0.0
 
 
 def test_disjoint_range_costs_infinite_bits():
-    res = fr_information(Uniform(2.0, 3.0), (5.0, 6.0))
+    res = fr_information(Uniform(2.0, 3.0), DesignRange(5.5, 0.5, 0.5))
     assert res.probability == 0.0
     assert res.bits == math.inf
-
-
-def test_design_range_and_plain_bounds_agree():
-    via_range = fr_information(Normal(0.0, 1.0), DesignRange(0.0, 1.0, 1.0))
-    via_tuple = fr_information(Normal(0.0, 1.0), (-1.0, 1.0))
-    assert via_range == via_tuple
 
 
 # ---------------------------------------------------------------------------
@@ -125,41 +120,44 @@ def test_design_range_and_plain_bounds_agree():
 
 
 def test_independent_bits_add():
-    frs = [
-        fr_information(Uniform(0.9, 1.1), (0.95, 1.15)),
-        fr_information(Normal(65.0, 0.5), (64.5, 65.5)),
+    frs = (FunctionalRequirement("a", DesignRange(1.05, 0.1, 0.1)),
+           FunctionalRequirement("b", DesignRange(65.0, 0.5, 0.5)))
+    results = [
+        fr_information(Uniform(0.9, 1.1), frs[0].design_range),
+        fr_information(Normal(65.0, 0.5), frs[1].design_range),
     ]
-    report = system_information_independent(frs, fr_ids=("a", "b"))
+    report = system_information_independent(results, frs)
     assert report.method == "analytic"
     assert report.system_bits == pytest.approx(SUM_BITS, rel=1e-12)
     assert report.system_probability == pytest.approx(0.75 * P_1SIGMA, rel=1e-12)
     assert report.mc is None
-    assert report.fr_ids == ("a", "b")
+    assert report.frs == frs
 
 
 def test_all_certain_system_costs_zero_bits():
-    report = system_information_independent([InfoResult(1.0, 0.0)] * 3)
+    report = system_information_independent([InfoResult(1.0, 0.0)] * 3,
+                                            make_frs(*[(0.0, 1.0)] * 3))
     assert report.system_probability == 1.0
     assert report.system_bits == 0.0
 
 
 def test_two_coin_flips_cost_two_bits():
     half = InfoResult(0.5, bits_from_probability(0.5))
-    report = system_information_independent([half, half])
+    report = system_information_independent([half, half], make_frs((0.0, 1.0), (0.0, 1.0)))
     assert report.system_probability == 0.25
     assert report.system_bits == 2.0
 
 
 def test_one_impossible_requirement_dooms_the_system():
     report = system_information_independent(
-        [InfoResult(1.0, 0.0), InfoResult(0.0, math.inf)])
+        [InfoResult(1.0, 0.0), InfoResult(0.0, math.inf)], make_frs((0.0, 1.0), (0.0, 1.0)))
     assert report.system_probability == 0.0
     assert report.system_bits == math.inf
 
 
 def test_empty_result_list_is_rejected():
     with pytest.raises(ValueError):
-        system_information_independent([])
+        system_information_independent([], [])
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +182,15 @@ def test_mc_config_validation():
 # Joint Monte Carlo
 
 
-def _one_sigma_pair() -> tuple[LinearModel, list]:
+def _one_sigma_pair() -> tuple[LinearModel, tuple]:
     model = LinearModel(np.eye(2), [Normal(65.0, 0.5), Normal(65.0, 0.5)])
-    ranges = [(64.5, 65.5), (64.5, 65.5)]
-    return model, ranges
+    return model, make_frs((64.5, 65.5), (64.5, 65.5), ids=("t1", "t2"))
 
 
 def test_joint_estimate_matches_independent_product():
-    model, ranges = _one_sigma_pair()
+    model, frs = _one_sigma_pair()
     mc = McConfig(seed=0, n_samples=100_000)
-    report = system_information_joint(model, ranges, mc, fr_ids=("t1", "t2"))
+    report = system_information_joint(model, frs, mc)
     assert report.method == "joint"
     assert report.mc.seed == 0
     assert report.mc.n_samples == 100_000
@@ -209,17 +206,17 @@ def test_joint_estimate_matches_independent_product():
 
 
 def test_joint_is_reproducible_for_a_seed():
-    model, ranges = _one_sigma_pair()
-    a = system_information_joint(model, ranges, McConfig(seed=11, n_samples=2000))
-    b = system_information_joint(model, ranges, McConfig(seed=11, n_samples=2000))
+    model, frs = _one_sigma_pair()
+    a = system_information_joint(model, frs, McConfig(seed=11, n_samples=2000))
+    b = system_information_joint(model, frs, McConfig(seed=11, n_samples=2000))
     assert a == b
-    c = system_information_joint(model, ranges, McConfig(seed=12, n_samples=2000))
+    c = system_information_joint(model, frs, McConfig(seed=12, n_samples=2000))
     assert c.system_probability != a.system_probability
 
 
 def test_joint_with_no_inside_samples_warns_and_reports_infinite_bits():
     model = LinearModel(np.eye(1), [Uniform(0.0, 1.0)])
-    report = system_information_joint(model, [(5.0, 6.0)],
+    report = system_information_joint(model, make_frs((5.0, 6.0)),
                                       McConfig(seed=1, n_samples=500))
     assert report.system_probability == 0.0
     assert report.system_bits == math.inf
@@ -249,7 +246,6 @@ def test_shared_knob_joint_probability_matches_grid_quadrature():
     """
     spec = load_spec("faucet_two_knob.json")
     model = LinearModel(spec.matrix, [dp.uncertainty for dp in spec.dps])
-    ranges = [fr.design_range for fr in spec.frs]
 
     # Independent quadrature oracle over the knob square.
     grid = (np.arange(2000) + 0.5) / 2000.0 * 0.5 + 1.25
@@ -260,8 +256,7 @@ def test_shared_knob_joint_probability_matches_grid_quadrature():
     assert quad == pytest.approx(0.5, abs=1e-3)
 
     mc = McConfig(seed=42, n_samples=100_000)
-    report = system_information_joint(model, ranges, mc,
-                                      fr_ids=spec.fr_ids())
+    report = system_information_joint(model, spec.frs, mc)
     se_p = math.sqrt(0.5 * 0.5 / mc.n_samples)
     assert abs(report.system_probability - 0.5) < 3.0 * se_p
 
@@ -279,18 +274,17 @@ def test_shared_knob_joint_probability_matches_grid_quadrature():
 # Conditional chain
 
 
-def _cascade_model() -> tuple[LinearModel, list]:
+def _cascade_model() -> tuple[LinearModel, tuple]:
     matrix = [[1.0, 0.0], [0.8, 1.0]]
     model = LinearModel(matrix, [Normal(0.0, 1.0), Normal(0.0, 1.0)])
-    ranges = [(-1.0, 1.0), (-2.0, 2.0)]
-    return model, ranges
+    return model, make_frs((-1.0, 1.0), (-2.0, 2.0), ids=("up", "down"))
 
 
 def test_chain_total_equals_joint_for_the_same_seed():
-    model, ranges = _cascade_model()
+    model, frs = _cascade_model()
     mc = McConfig(seed=5, n_samples=50_000)
-    joint = system_information_joint(model, ranges, mc)
-    chain = conditional_chain_information(model, [0, 1], ranges, mc)
+    joint = system_information_joint(model, frs, mc)
+    chain = conditional_chain_information(model, [0, 1], frs, mc)
     assert chain.method == "chain"
     # Same sample stream, so survival of every link IS the joint event.
     assert chain.system_probability == joint.system_probability
@@ -302,9 +296,9 @@ def test_chain_total_equals_joint_for_the_same_seed():
 
 
 def test_chain_link_probabilities_telescope_exactly():
-    model, ranges = _cascade_model()
+    model, frs = _cascade_model()
     chain = conditional_chain_information(
-        model, [0, 1], ranges, McConfig(seed=9, n_samples=20_000))
+        model, [0, 1], frs, McConfig(seed=9, n_samples=20_000))
     product = 1.0
     for link in chain.per_fr:
         product *= link.probability
@@ -312,10 +306,10 @@ def test_chain_link_probabilities_telescope_exactly():
 
 
 def test_chain_total_is_order_invariant():
-    model, ranges = _cascade_model()
+    model, frs = _cascade_model()
     mc = McConfig(seed=7, n_samples=30_000)
-    forward = conditional_chain_information(model, [0, 1], ranges, mc)
-    backward = conditional_chain_information(model, [1, 0], ranges, mc)
+    forward = conditional_chain_information(model, [0, 1], frs, mc)
+    backward = conditional_chain_information(model, [1, 0], frs, mc)
     assert forward.system_probability == backward.system_probability
     assert forward.system_bits == pytest.approx(backward.system_bits, rel=1e-9)
     # But the per-link decomposition legitimately differs.
@@ -323,41 +317,54 @@ def test_chain_total_is_order_invariant():
 
 
 def test_chain_rows_follow_the_chain_order():
-    model, ranges = _cascade_model()
+    model, frs = _cascade_model()
     mc = McConfig(seed=3, n_samples=5_000)
-    report = conditional_chain_information(model, [1, 0], ranges, mc,
-                                           fr_ids=("up", "down"))
-    assert report.fr_ids == ("down", "up")  # chain rows follow chain order
+    report = conditional_chain_information(model, [1, 0], frs, mc)
+    assert report.frs == frs[::-1]  # chain rows follow chain order
 
 
 def test_chain_accepts_numpy_integer_order():
-    model, ranges = _cascade_model()
+    model, frs = _cascade_model()
     mc = McConfig(seed=3, n_samples=5_000)
     order = np.argsort([2.0, 1.0])  # int64 entries: [1, 0]
-    assert conditional_chain_information(model, order, ranges, mc) == \
-        conditional_chain_information(model, [1, 0], ranges, mc)
+    assert conditional_chain_information(model, order, frs, mc) == \
+        conditional_chain_information(model, [1, 0], frs, mc)
 
 
 def test_chain_order_validation():
-    model, ranges = _cascade_model()
+    model, frs = _cascade_model()
     with pytest.raises(ValueError, match="permutation"):
-        conditional_chain_information(model, [0, 0], ranges)
+        conditional_chain_information(model, [0, 0], frs)
     for bad in (["a", "b"], [True, False], [np.True_, np.False_], [1.0, 0.0]):
         with pytest.raises(ValueError, match="order entries must be FR indices"):
-            conditional_chain_information(model, bad, ranges, fr_ids=("a", "b"))
+            conditional_chain_information(model, bad, frs)
 
 
 def test_chain_starvation_reports_downstream_links_as_unbounded():
     model = LinearModel(np.eye(2), [Uniform(0.0, 1.0), Uniform(0.0, 1.0)])
-    ranges = [(5.0, 6.0), (0.0, 1.0)]  # first link is impossible
-    report = conditional_chain_information(
-        model, [0, 1], ranges, McConfig(seed=2, n_samples=1000),
-        fr_ids=("impossible", "easy"))
+    frs = make_frs((5.0, 6.0), (0.0, 1.0), ids=("impossible", "easy"))
+    report = conditional_chain_information(  # the first link is impossible
+        model, [0, 1], frs, McConfig(seed=2, n_samples=1000))
     assert report.per_fr[0].probability == 0.0
     assert report.per_fr[1] == InfoResult(0.0, math.inf, math.inf)
     assert report.system_bits == math.inf
     assert report.system_probability == 0.0
     assert any("starvation" in w and "impossible" in w for w in report.warnings)
+
+
+def test_chain_with_no_sample_in_every_range_warns_as_the_joint_route_does():
+    # Every link keeps survivors but the last, so nothing starves: the
+    # chain still says why its system bits are unbounded.
+    model = LinearModel(np.eye(2), [Normal(0.0, 1.0), Normal(0.0, 1.0)])
+    frs = make_frs((-1.0, 1.0), (49.5, 50.5))
+    mc = McConfig(seed=4, n_samples=2000)
+    joint = system_information_joint(model, frs, mc)
+    chain = conditional_chain_information(model, [0, 1], frs, mc)
+    assert chain.system_bits == joint.system_bits == math.inf
+    assert chain.per_fr[0].probability > 0.0
+    assert chain.warnings == joint.warnings == (
+        "no samples landed inside all design ranges (2000 drawn); "
+        "system bits are unbounded at this sample size",)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +401,8 @@ def test_a_failing_run_raises_the_earliest_failure_once_every_part_stops(set_cpu
     set_cpus(cpus)
     model = _Faulty(slow)
     with pytest.raises(NonFiniteSamples, match="FR b"):
-        system_information_joint(model, [(-1.0, 1.0)] * 2, McConfig(n_samples=13 * C),
-                                 fr_ids=("a", "b"))
+        system_information_joint(model, make_frs(*[(-1.0, 1.0)] * 2, ids=("a", "b")),
+                                 McConfig(n_samples=13 * C))
     # The last part fails in chunk 9, after the slow chunks.
     assert (9 in model.drawn) == (cpus > 1)
 
@@ -404,13 +411,15 @@ _FORKED_RUN = """
 import os
 import signal
 import numpy as np
-from axdesign import LinearModel, McConfig, Uniform, info, system_information_joint
+from axdesign import DesignRange, LinearModel, McConfig, Uniform, info, system_information_joint
+from axdesign.model import FunctionalRequirement
 
 info._CPUS = 2
 model = LinearModel(np.eye(2), [Uniform(0.0, 1.0)] * 2)
+frs = [FunctionalRequirement(i, DesignRange(0.25, 0.25, 0.25)) for i in "ab"]
 
 def report():
-    return system_information_joint(model, [(0.0, 0.5)] * 2, McConfig(n_samples=3 * 8192))
+    return system_information_joint(model, frs, McConfig(n_samples=3 * 8192))
 
 parent = report()  # leaves a pool whose thread the child does not inherit
 pid = os.fork()
@@ -437,7 +446,7 @@ def test_a_forked_child_scores_parts_on_a_pool_of_its_own():
 
 def test_sample_table_counts_exactly():
     samples = np.array([[0.0, 0.0], [0.0, 5.0], [5.0, 0.0], [5.0, 5.0]])
-    report = system_information_from_samples(samples, [(-1.0, 1.0), (-1.0, 1.0)])
+    report = system_information_from_samples(samples, make_frs((-1.0, 1.0), (-1.0, 1.0)))
     assert report.per_fr[0].probability == 0.5
     assert report.per_fr[1].probability == 0.5
     assert report.system_probability == 0.25
@@ -453,7 +462,7 @@ def test_sample_table_counts_exactly():
 
 def test_sample_table_certain_rows_have_zero_error():
     samples = np.zeros((10, 1))
-    report = system_information_from_samples(samples, [(-1.0, 1.0)])
+    report = system_information_from_samples(samples, make_frs((-1.0, 1.0)))
     assert report.system_probability == 1.0
     assert report.system_bits == 0.0
     assert report.mc.std_error == 0.0
@@ -469,38 +478,54 @@ _ROUTES = {
 }
 
 
+# A range is a DesignRange, carried by an FR: a (lo, hi) pair is refused
+# whatever its bounds.
 @pytest.mark.parametrize("pair", [(0.5, -0.5), (0, 10**400), (math.nan, 1.0), (True, 2)],
                          ids=["reversed", "big_int", "nan", "bool"])
 @pytest.mark.parametrize("route", sorted(_ROUTES))
 def test_every_route_rejects_a_bad_range_pair(route, pair):
-    with pytest.raises(ValueError,
-                       match="^design range bounds must be finite numbers with lo <= hi$"):
+    with pytest.raises(ValueError, match="^(design_range must be a DesignRange|frs must be)"):
         _ROUTES[route](pair)
 
 
-def _label_routes():
-    """Each route on two FRs, taking ``fr_ids`` as its one argument."""
-    model, ranges = _one_sigma_pair()
+def _fr_routes():
+    """Each route on two FRs' worth of results or samples, taking ``frs``
+    as its one argument."""
+    model, frs = _one_sigma_pair()
     mc = McConfig(n_samples=10)
-    results = [fr_information(Uniform(-1.0, 1.0), r) for r in ranges]
+    results = [fr_information(Uniform(-1.0, 1.0), fr.design_range) for fr in frs]
     return {
-        "analytic": lambda ids: system_information_independent(results, fr_ids=ids),
-        "joint": lambda ids: system_information_joint(model, ranges, mc, fr_ids=ids),
-        "chain": lambda ids: conditional_chain_information(model, [1, 0], ranges, mc,
-                                                           fr_ids=ids),
-        "samples": lambda ids: system_information_from_samples(np.zeros((4, 2)), ranges,
-                                                               fr_ids=ids),
+        "analytic": lambda frs: system_information_independent(results, frs),
+        "joint": lambda frs: system_information_joint(model, frs, mc),
+        "chain": lambda frs: conditional_chain_information(model, [1, 0], frs, mc),
+        "samples": lambda frs: system_information_from_samples(np.zeros((4, 2)), frs),
     }
 
 
-@pytest.mark.parametrize("ids", [("a",), ("a", "b", "c")], ids=["too_few", "too_many"])
-@pytest.mark.parametrize("route", sorted(_label_routes()))
-def test_every_route_wants_one_fr_id_per_fr(route, ids):
-    run = _label_routes()[route]
-    with pytest.raises(ValueError, match=f"^fr_ids has {len(ids)} ids for 2 FRs$"):
-        run(ids)
-    assert run(["a", "b"]).fr_ids in {("a", "b"), ("b", "a")}
-    assert run(None).fr_ids is None
+@pytest.mark.parametrize("count", [1, 3], ids=["too_few", "too_many"])
+@pytest.mark.parametrize("route", sorted(_fr_routes()))
+def test_every_route_wants_one_fr_per_column(route, count):
+    run = _fr_routes()[route]
+    with pytest.raises(ValueError):
+        run(make_frs(*[(-1.0, 1.0)] * count))
+    frs = make_frs((-1.0, 1.0), (-2.0, 2.0))
+    assert run(frs).frs in {frs, frs[::-1]}
+
+
+_NOT_FRS = {
+    "empty": [],
+    "ids": ["x0", "x1"],
+    "ranges": [DesignRange(0.0, 1.0, 1.0)] * 2,
+    "one_none": [FunctionalRequirement("x0", DesignRange(0.0, 1.0, 1.0)), None],
+}
+
+
+@pytest.mark.parametrize("frs", sorted(_NOT_FRS))
+@pytest.mark.parametrize("route", sorted(_fr_routes()))
+def test_every_route_refuses_frs_that_are_not_functional_requirements(route, frs):
+    with pytest.raises(ValueError,
+                       match="^frs must be a non-empty sequence of FunctionalRequirements$"):
+        _fr_routes()[route](_NOT_FRS[frs])
 
 
 @pytest.mark.parametrize("route", ["joint", "chain"])
@@ -509,10 +534,10 @@ def test_a_scenario_run_past_the_cycle_cap_fails_at_once(route):
     # simulated: a chunk of MAX_CYCLES rows would first simulate 10**7
     # cycles, about two minutes.
     model = ScenarioModel(TankConfig())
-    ranges = [(0.0, 10.0), (60.0, 70.0), (100.0, 140.0)]
+    frs = make_frs((0.0, 10.0), (60.0, 70.0), (100.0, 140.0))
     mc = McConfig(n_samples=MAX_CYCLES + 1)
-    run = {"joint": lambda: system_information_joint(model, ranges, mc),
-           "chain": lambda: conditional_chain_information(model, [0, 1, 2], ranges, mc)}
+    run = {"joint": lambda: system_information_joint(model, frs, mc),
+           "chain": lambda: conditional_chain_information(model, [0, 1, 2], frs, mc)}
     began = time.perf_counter()
     with mock.patch.object(propagation, "simulate", side_effect=AssertionError("simulated")), \
             pytest.raises(ValueError, match=f"^cycles must be an integer in \\[1, {MAX_CYCLES}\\]$"):
@@ -522,8 +547,8 @@ def test_a_scenario_run_past_the_cycle_cap_fails_at_once(route):
 
 def test_sample_table_validation():
     with pytest.raises(ValueError, match="shape"):
-        system_information_from_samples(np.zeros((4, 3)), [(-1.0, 1.0)])
-    with pytest.raises(ValueError, match="finite"):
-        system_information_from_samples(np.array([[math.inf]]), [(-1.0, 1.0)])
+        system_information_from_samples(np.zeros((4, 3)), make_frs((-1.0, 1.0)))
+    with pytest.raises(ValueError, match="^sample values of FR x0 are not all finite$"):
+        system_information_from_samples(np.array([[math.inf]]), make_frs((-1.0, 1.0)))
     with pytest.raises(ValueError, match="at least one sample"):
-        system_information_from_samples(np.zeros((0, 1)), [(-1.0, 1.0)])
+        system_information_from_samples(np.zeros((0, 1)), make_frs((-1.0, 1.0)))

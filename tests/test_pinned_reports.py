@@ -1,5 +1,5 @@
 """Pinned report bytes: sha256 of stdout, with the exit code, for every
-fixture under each CLI subcommand and format.
+fixture under each CLI subcommand and format, and for every demo script.
 
 The determinism tests elsewhere compare two runs of one build. This table
 compares against bytes produced by an earlier build, so a change that alters
@@ -10,7 +10,14 @@ to alter report bytes re-pins the affected rows and says why.
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import axdesign
 from axdesign.cli import main
 
 from conftest import FIXTURES
@@ -34,7 +41,7 @@ PINNED = {
     ("disjoint.json", "validate"): (0, "cb6e9a6e67d6203fecea7f8defee8c609775c7f56e92b8f93010c41c11328273"),
     ("disjoint.json", "info"): (0, "76e5bf6f7c7c8c0cda3eda42fea10a3d66e008c1e147f07c7f958338dccea0b5"),
     ("disjoint.json", "info-joint"): (0, "f161cce5940540b8aa9d916f9c1b5cb0547c8620a0395efdd56116ede2d44a66"),
-    ("disjoint.json", "info-chain-text"): (0, "9380bb891393e15547b8ebdbd3538d11c6a070325894c4455ace3d0a8450d018"),
+    ("disjoint.json", "info-chain-text"): (0, "c68173f3836ac55cbfb494f973da52db96643b1d17aac2ec50600080671eb4fa"),
     ("disjoint.json", "simulate"): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("faucet_mixer_tap.json", "classify"): (0, "379e214e4abda84cd2bfe8586fbfb678f8a4330fc7913247275bf966d622faa5"),
     ("faucet_mixer_tap.json", "classify-text"): (0, "d6e4880f97896c6fb4de4d27cbc91366f7a301422b687223c7e71a37706adc1b"),
@@ -62,7 +69,7 @@ PINNED = {
     ("nonsquare.json", "validate"): (0, "2d7c9f10687cf562e9f0a6abfa351977259b873bc8f6ca3fb1dd884728bed6a1"),
     ("nonsquare.json", "info"): (0, "cceac6cc47f44024df1567109197bdd365179ed97b80842b4164eaf006811047"),
     ("nonsquare.json", "info-joint"): (0, "cceac6cc47f44024df1567109197bdd365179ed97b80842b4164eaf006811047"),
-    ("nonsquare.json", "info-chain-text"): (0, "5b058f4b01d2fd196d92fce0cc30e701da358aa75cb55be8298a60ac361dc447"),
+    ("nonsquare.json", "info-chain-text"): (0, "9400d25dc2af9da630e68ed6843242d68f53881859a3d93b6d96726853e36304"),
     ("nonsquare.json", "simulate"): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("rod_cutting.json", "classify"): (0, "974819c11c04c85372716389ed37527939722ebc8b33e699ea60e27e292729b5"),
     ("rod_cutting.json", "classify-text"): (0, "e5071812d459d3abb0af0c33317e08721b89cae985301e94211ffcfaca5377ba"),
@@ -76,7 +83,7 @@ PINNED = {
     ("scheduling.json", "validate"): (0, "6b7abf4db8aa23ca4b70b2b569823c432cd655b3ccaa7f3044e742ef3d87897e"),
     ("scheduling.json", "info"): (0, "b1548ad9b9ddcc04bee44b12608ea29f150e02c843e45321ac60f3f00166c415"),
     ("scheduling.json", "info-joint"): (0, "17df66f60761789b9379046d3ba957eabec7322d590e66506a062702ffdbcb68"),
-    ("scheduling.json", "info-chain-text"): (0, "d97e8c8ad45d281ecffcd612a590600b3fb150978d74be215a127ebdcfe6c8ac"),
+    ("scheduling.json", "info-chain-text"): (0, "e4956d6834e69e407a81ac971673c266f2658e902c3c8711890a88ef103cf4ff"),
     ("scheduling.json", "simulate"): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("tank.json", "classify"): (0, "b1ba60a3fb449a7212757ff3dae9f35914888f5aa393c4805316ab8146e62d3c"),
     ("tank.json", "classify-text"): (0, "323048fd0cacc6bebe04a37ca993dd9c18bb03ffa9a3599d5826e4f2af4e482c"),
@@ -107,3 +114,28 @@ def test_reports_match_pinned_digests(capsys):
         if got != expected:
             changed.append((name, run, got))
     assert changed == []
+
+
+DEMOS = FIXTURES.parent / "demos"
+
+# demo script -> sha256 of its stdout.
+PINNED_DEMOS = {
+    "classify_designs.py": "da3c041b9935d01fdedd2ca67a15af0ae15f0bad8edc0ff5533c24347bdfda42",
+    "joint_vs_chain.py": "b739d87610648dad3ddebb26a801552d3a6f44f303d654a20d42a966063c2dcf",
+    "tank_walkthrough.py": "05ba1bfb66f79b5ec948b52e25aad9ea66d7c99aa6430d709ac5bdc9f5c086b4",
+    "tolerance_bits.py": "3db5db5a412db3adc66ae0fcc46183a7e0713903f49273bd8c67132d76313a2b",
+}
+
+
+def test_every_demo_is_pinned():
+    assert set(PINNED_DEMOS) == {path.name for path in DEMOS.glob("*.py")}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DEMOS))
+def test_demo_stdout_matches_pinned_digest(name):
+    src = str(Path(axdesign.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, str(DEMOS / name)], capture_output=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr.decode()
+    assert hashlib.sha256(result.stdout).hexdigest() == PINNED_DEMOS[name]

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from axdesign import (
     Coupled,
+    DesignRange,
     Empirical,
     LinearModel,
     McConfig,
@@ -43,9 +44,10 @@ from axdesign import propagation
 from axdesign.distributions import draw_from
 from axdesign.errors import NonFiniteSamples
 from axdesign.info import _tables, _tally
+from axdesign.model import FunctionalRequirement, range_bounds
 from axdesign.propagation import _CHUNK_ROWS
 
-from conftest import load_spec
+from conftest import load_spec, make_frs
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +87,8 @@ def test_sample_set_keeps_a_read_only_view_of_a_float64_array():
                                     [10**400], 1e-3), ValueError),
     (lambda: SampleSet(("a",), [[10**400]]), ValueError),
     (lambda: tank_response(TankConfig(), [10**400, 65, 120]), ValueError),
-    (lambda: system_information_from_samples([[-10**400]], [(0, 1)]), NonFiniteSamples),
+    (lambda: system_information_from_samples([[-10**400]], make_frs((0.0, 1.0))),
+     NonFiniteSamples),
 ], ids=["estimate_design_matrix", "SampleSet", "tank_response",
         "system_information_from_samples"])
 def test_array_inputs_beyond_float64_fail_their_finite_check(call, error):
@@ -282,13 +285,17 @@ def test_chunked_tables_and_tally_match_the_one_call_reference(n, seed, shape, d
     assert np.array_equal(model.sample_frs(_streams(seed), n), ref)
 
     # Ranges between two sample quantiles of each column, and any order.
+    # The expected counts read the bounds back, as the tally does.
     quantiles = data.draw(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
                                    min_size=n_frs, max_size=n_frs))
-    ranges = [tuple(np.quantile(ref[:, j], sorted(q))) for j, q in enumerate(quantiles)]
+    frs = []
+    for j, q in enumerate(quantiles):
+        lo, hi = np.quantile(ref[:, j], sorted(q))
+        frs.append(FunctionalRequirement(f"x{j}", DesignRange(lo, 0.0, hi - lo)))
     order = data.draw(st.permutations(range(n_frs)))
-    inside = np.column_stack([(ref[:, j] >= lo) & (ref[:, j] <= hi)
-                              for j, (lo, hi) in enumerate(ranges)])
-    rows, hits, links = _tally(chunks, ranges, order)
+    inside = np.column_stack([(ref[:, j] >= lo) & (ref[:, j] <= hi) for j, (lo, hi)
+                              in enumerate(range_bounds(fr.design_range) for fr in frs)])
+    rows, hits, links = _tally(chunks, frs, order)
     assert rows == n
     assert hits == inside.sum(axis=0).tolist()
     assert links == [int(inside[:, order[:k + 1]].all(axis=1).sum())
@@ -299,7 +306,7 @@ def test_chunked_tables_and_tally_match_the_one_call_reference(n, seed, shape, d
     cuts = sorted(data.draw(st.lists(st.integers(1, len(chunks) - 1), unique=True))
                   if len(chunks) > 1 else [])
     parts = [_tally(_tables(model, McConfig(seed=seed, n_samples=n), range(a, b)),
-                    ranges, order)
+                    frs, order)
              for a, b in zip([0] + cuts, cuts + [len(chunks)])]
     assert sum(part[0] for part in parts) == n
     assert [sum(col) for col in zip(*(part[1] for part in parts))] == hits
@@ -391,6 +398,16 @@ def test_estimated_slope_of_square_at_three_is_six():
     model = SimpleNamespace(evaluate=lambda d: np.array([d[0] ** 2]))
     est = estimate_design_matrix(model, [3.0], step=1e-4)
     assert est[0, 0] == pytest.approx(6.0, abs=1e-6)
+
+
+def test_each_column_divides_by_the_step_taken_at_its_nominal():
+    # At 1e17 the float64 spacing is 16: a step of 10 moves the DP by 16
+    # each way, and a step of 1 does not move it at all.
+    model = LinearModel([[2.0, 1.0], [0.0, 3.0]], [Uniform(0.0, 1.0)] * 2)
+    est = estimate_design_matrix(model, [1e17, 1.0], step=10.0)
+    assert est[:, 0].tolist() == [2.0, 0.0]
+    with pytest.raises(ValueError, match="^step 1.0 is lost in the rounding of DP 0's nominal$"):
+        estimate_design_matrix(model, [1e17, 1.0], step=1.0)
 
 
 def test_estimation_validates_step_and_outputs():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from axdesign import (
     McConfig,
     Normal,
+    SystemInfoReport,
     classification_doc,
     classify,
     conditional_chain_information,
@@ -22,12 +23,14 @@ from axdesign import (
     render_json,
     render_text,
     spec_echo,
+    system_information_from_samples,
     system_information_independent,
     system_information_joint,
     LinearModel,
 )
+from axdesign.info import InfoResult
 
-from conftest import load_spec
+from conftest import load_spec, make_frs
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +207,7 @@ def test_analytic_info_doc_shape():
     spec = load_spec("scheduling.json")
     results = [fr_information(spec.system_pdfs[fr.id], fr.design_range)
                for fr in spec.frs]
-    report = system_information_independent(results, fr_ids=spec.fr_ids())
+    report = system_information_independent(results, spec.frs)
     doc = info_doc(report, spec)
     assert doc["method"] == "analytic"
     assert doc["order"] is None
@@ -220,9 +223,7 @@ def test_analytic_info_doc_shape():
 def test_monte_carlo_info_doc_reports_provenance():
     spec = load_spec("faucet_two_knob.json")
     model = LinearModel(spec.matrix, [dp.uncertainty for dp in spec.dps])
-    report = system_information_joint(
-        model, [fr.design_range for fr in spec.frs],
-        McConfig(seed=3, n_samples=500), fr_ids=spec.fr_ids())
+    report = system_information_joint(model, spec.frs, McConfig(seed=3, n_samples=500))
     doc = info_doc(report, spec)
     assert doc["method"] == "joint"
     assert doc["mc"] == {"seed": 3, "n_samples": 500,
@@ -230,23 +231,44 @@ def test_monte_carlo_info_doc_reports_provenance():
     assert all(row["system_pdf"] == "(sampled)" for row in doc["per_fr"])
 
 
-def test_a_chain_report_without_fr_ids_is_refused():
-    # Its rows follow the chain order [2, 1, 0], which the report does not
-    # record, so they cannot be labeled.
+def test_a_report_wants_one_fr_per_row():
+    frs = make_frs((0.0, 1.0), (0.0, 2.0))
+    rows = (InfoResult(1.0, 0.0),)
+    for kept in (frs[:0], frs):
+        with pytest.raises(ValueError, match=f"^{len(kept)} FRs for 1 rows$"):
+            SystemInfoReport(method="analytic", per_fr=rows, frs=kept,
+                             system_probability=1.0, system_bits=0.0)
+
+
+def test_a_chain_doc_is_labeled_in_chain_order_from_the_report():
     spec = load_spec("machining_cascade.json")
     model = LinearModel(spec.matrix, [dp.uncertainty for dp in spec.dps])
-    report = conditional_chain_information(
-        model, [2, 1, 0], [fr.design_range for fr in spec.frs],
-        McConfig(n_samples=2000))
-    with pytest.raises(ValueError, match="fr_ids"):
-        info_doc(report, spec)
+    report = conditional_chain_information(model, [2, 1, 0], spec.frs,
+                                           McConfig(n_samples=2000))
+    doc = info_doc(report, spec)
+    ids = [spec.frs[i].id for i in (2, 1, 0)]
+    assert doc["order"] == [row["fr"] for row in doc["per_fr"]] == ids
+
+
+def test_rows_are_labeled_from_the_report_not_the_spec():
+    # FRs x0 and x1 are not scheduling.json's: a sampled row needs nothing
+    # of the spec, and an analytic row names the FR that lacks a pdf.
+    spec = load_spec("scheduling.json")
+    frs = make_frs((-1.0, 1.0), (-2.0, 2.0))
+    joint = system_information_from_samples(np.zeros((4, 2)), frs)
+    doc = info_doc(joint, spec)
+    assert [row["fr"] for row in doc["per_fr"]] == ["x0", "x1"]
+    assert doc["per_fr"][1]["design_range"] == {"lower": -2.0, "upper": 2.0}
+    analytic = system_information_independent([InfoResult(1.0, 0.0)] * 2, frs)
+    with pytest.raises(ValueError, match="^FR 'x0' has no system pdf"):
+        info_doc(analytic, spec)
 
 
 def test_an_analytic_row_without_a_system_pdf_is_refused():
     spec = load_spec("scheduling.json")
     results = [fr_information(spec.system_pdfs[fr.id], fr.design_range)
                for fr in spec.frs]
-    report = system_information_independent(results, fr_ids=spec.fr_ids())
+    report = system_information_independent(results, spec.frs)
     first = spec.frs[0].id
     pdfs = {k: v for k, v in spec.system_pdfs.items() if k != first}
     with pytest.raises(ValueError, match=f"^FR {first!r} has no system pdf"):
@@ -285,7 +307,7 @@ def test_text_view_handles_infinite_bits():
     spec = load_spec("disjoint.json")
     results = [fr_information(spec.system_pdfs[fr.id], fr.design_range)
                for fr in spec.frs]
-    report = system_information_independent(results, fr_ids=spec.fr_ids())
+    report = system_information_independent(results, spec.frs)
     assert report.system_bits == math.inf
     doc = {"info": info_doc(report, spec)}
     # The document form carries "inf" as a string and the text view prints it.
@@ -297,7 +319,7 @@ def test_text_view_aligns_long_fr_names():
     spec = load_spec("scheduling.json")
     results = [fr_information(spec.system_pdfs[fr.id], fr.design_range)
                for fr in spec.frs]
-    report = system_information_independent(results, fr_ids=spec.fr_ids())
+    report = system_information_independent(results, spec.frs)
     text = render_text({"info": info_doc(report, spec)})
     header = next(line for line in text.splitlines() if line.startswith("FR"))
     row = next(line for line in text.splitlines()
