@@ -18,10 +18,12 @@ Classification steps: binarize entries against a magnitude threshold
 ``epsilon`` (strictly greater-than) in one pass over the matrix, a
 cache-sized block of rows at a time, which also checks every entry finite
 (a wrong shape is reported first, then a non-finite entry, then a bad
-``epsilon``). Then peel forced pairs (Steward 1965):
-an FR left with exactly one untaken DP must take it in every perfect
-matching, so the smallest such FR is paired with it, again and again. A
-peel that pairs every FR has found the only perfect matching and an
+``epsilon``). Then peel forced pairs (Steward 1965): an FR left with
+exactly one untaken DP must take it in every perfect matching, so the
+smallest such FR is paired with it, again and again. Each FR's count of
+untaken DPs is one entry of an integer vector, and a taken DP's column is
+subtracted from it, so a peel is at most n steps of O(n) numpy work each.
+A peel that pairs every FR has found the only perfect matching and an
 adjustment order at once: the design is uncoupled or decoupled. An FR left
 with no DP means no perfect matching exists. Only when the peel stalls
 does the whole pattern go on: find a perfect FR-DP matching (MC21, Duff
@@ -208,48 +210,26 @@ def _peel(dep, rows, width):
     taken before it, and taking the smallest ready FR at every step is the
     dependency order with ties broken by FR index.
 
-    ``rows`` and ``width`` are from :func:`_packed_rows`. A set of FRs is
-    an int with bit 8i for FR i, the bytes of a numpy bool vector, so a
-    DP's column converts to one directly. Each FR's count of untaken DPs is
-    kept bit sliced: bit 8i of ``planes[p]`` is bit p of FR i's count.
-    Taking a DP lowers the count of every FR in its column with a borrow
-    that ripples through the planes, a few int operations however full the
-    column is.
+    ``rows`` and ``width`` are from :func:`_packed_rows`. Each FR's count
+    of untaken DPs is one entry of an integer vector, seeded from the
+    popcounts of ``rows``; its first minimum is the FR to look at: a 1 is
+    the smallest ready FR, a 0 an FR with no DP, and 2 or more a stall.
+    Taking a DP subtracts its column from the counts, and the paired FR is
+    parked at n + 1, which the at most n - 1 later subtractions never bring
+    down to 1. So a peel is at most n steps, each O(n) in numpy.
     """
-    counts = [row.bit_count() for row in rows]
-    if 0 in counts:
-        return None
-    if 1 not in counts:
-        return []
     n = len(rows)
-    alive = int.from_bytes(b"\x01" * n, "little")  # every FR
-    # Bits 8d to 8d + 7 of the counts, one byte per FR, give planes 8d on.
-    digits = [int.from_bytes(bytes(c >> s & 255 for c in counts), "little")
-              for s in range(0, n.bit_length(), 8)]
-    planes = [digits[p >> 3] >> (p & 7) & alive for p in range(n.bit_length())]
+    counts = np.array([row.bit_count() for row in rows], dtype=np.intp)
     free, pairs = (1 << width) - 1, []
-    while alive:
-        higher = 0  # FRs with two or more untaken DPs
-        for plane in planes[1:]:
-            higher |= plane
-        if alive & ~(planes[0] | higher):  # an FR with none
-            return None
-        ready = alive & planes[0] & ~higher
-        if not ready:
-            break
-        at = (ready & -ready).bit_length() - 1  # the lowest set bit
-        fr = at >> 3
+    for _ in range(n):
+        fr = int(counts.argmin())
+        if counts[fr] != 1:
+            return None if counts[fr] == 0 else pairs
         b = (rows[fr] & free).bit_length()  # its DP is width - b
         free ^= 1 << (b - 1)
-        alive ^= 1 << at
         pairs.append((fr, width - b))
-        # Subtract 1 from the count of each unpaired FR in the DP's column.
-        borrow = int.from_bytes(dep[:, width - b].tobytes(), "little") & alive
-        for p, plane in enumerate(planes):
-            if not borrow:
-                break
-            planes[p] = plane ^ borrow
-            borrow &= ~plane
+        counts -= dep[:, width - b]
+        counts[fr] = n + 1
     return pairs
 
 
@@ -368,7 +348,7 @@ def classify(matrix, epsilon: float = 0.0) -> Classification:
     ``matrix`` is a 2-D array-like of finite numbers, one row per FR and one
     column per DP; a float64 array is read in place, not copied.
 
-    ``epsilon`` is the magnitude below which entries count as zero
+    Entries whose magnitude is at or below ``epsilon`` count as zero
     (strict comparison, so the default 0.0 keeps every nonzero entry).
     """
     dep = binarize(matrix, epsilon)

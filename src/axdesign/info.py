@@ -180,8 +180,11 @@ class SystemInfoReport:
 
 
 def fr_information(pdf: Pdf, design_range: DesignRange) -> InfoResult:
-    """Closed-form information for one FR: the pdf's mass over its
-    :class:`~axdesign.model.DesignRange`; ValueError for any other range."""
+    """Closed-form information for one FR: the :class:`Pdf`'s mass over its
+    :class:`~axdesign.model.DesignRange`; ValueError for any other pdf or
+    range."""
+    if not isinstance(pdf, Pdf):
+        raise ValueError("pdf must be a Pdf")
     if not isinstance(design_range, DesignRange):
         raise ValueError("design_range must be a DesignRange")
     lo, hi = range_bounds(design_range)
@@ -206,9 +209,12 @@ def system_information_independent(
 
     The system probability is the product of the per-FR probabilities and
     the system bits are their sum (the same number up to float rounding;
-    an infinite term makes both degenerate consistently).
+    an infinite term makes both degenerate consistently). ValueError unless
+    every result is an :class:`InfoResult`.
     """
     results, frs = tuple(results), _checked_frs(frs)
+    if not all(isinstance(res, InfoResult) for res in results):
+        raise ValueError("results must be a sequence of InfoResults")
     total_p = 1.0
     total_bits = 0.0
     for res in results:

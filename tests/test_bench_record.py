@@ -30,6 +30,15 @@ def test_one_wrong_run_marks_the_workload_incorrect():
     assert (summary["correct"], summary["failed"]) == (False, 1)
 
 
+def test_op_medians_take_each_ops_median_over_the_runs():
+    records = [{"op_median_ms": {"dense": 9.0, "ring": 2.0}},
+               {"op_median_ms": {"dense": 3.0, "ring": 4.0}},
+               {"op_median_ms": {"dense": 5.0, "ring": 1.0, "block": 7.0}}]
+    medians = bench_record.op_medians(records)
+    assert medians == {"dense": 5.0, "ring": 2.0, "block": 7.0}
+    assert list(medians) == ["dense", "ring", "block"]
+
+
 def test_fresh_summary_holds_each_calls_median_and_runs():
     summary = bench_record.fresh_summary({"floor": [0.3, 0.1, 0.2], "classify": [0.5, 0.4]})
     assert summary["calls"] == {

@@ -731,6 +731,96 @@ def test_coupled_and_stalled_patterns_reach_the_matcher(no_matcher, matrix):
         classify(matrix)
 
 
+def _staircase(n):
+    """The diagonal and the sub-diagonal: FR i depends on DPs i - 1 and i."""
+    return np.eye(n, dtype=bool) | np.eye(n, k=-1, dtype=bool)
+
+
+def test_permuted_two_thousand_step_staircase_skips_the_matcher(no_matcher):
+    mask = _permuted(_staircase(2000), 13)
+    cls = classify(mask.astype(float))
+    assert isinstance(cls, Decoupled)
+    assert _sequence_is_valid(mask, cls.order)
+    rows, width = coupling._packed_rows(mask)
+    assert list(cls.order) == _bit_sliced_peel(mask, rows, width)
+
+
+# ---------------------------------------------------------------------------
+# Property: the peel against its bit-sliced reference
+
+
+def _bit_sliced_peel(dep, rows, width):
+    """Reference: the forced-pair peel with each FR's count of untaken DPs
+    bit sliced across ints, bit 8i of ``planes[p]`` being bit p of FR i's
+    count. A set of FRs is an int with bit 8i for FR i, the bytes of a numpy
+    bool vector, so a DP's column converts to one directly, and taking a DP
+    lowers the counts of its column with a borrow that ripples through the
+    planes. ``coupling._peel`` must return exactly what this returns."""
+    counts = [row.bit_count() for row in rows]
+    if 0 in counts:
+        return None
+    if 1 not in counts:
+        return []
+    n = len(rows)
+    alive = int.from_bytes(b"\x01" * n, "little")  # every FR
+    # Bits 8d to 8d + 7 of the counts, one byte per FR, give planes 8d on.
+    digits = [int.from_bytes(bytes(c >> s & 255 for c in counts), "little")
+              for s in range(0, n.bit_length(), 8)]
+    planes = [digits[p >> 3] >> (p & 7) & alive for p in range(n.bit_length())]
+    free, pairs = (1 << width) - 1, []
+    while alive:
+        higher = 0  # FRs with two or more untaken DPs
+        for plane in planes[1:]:
+            higher |= plane
+        if alive & ~(planes[0] | higher):  # an FR with none
+            return None
+        ready = alive & planes[0] & ~higher
+        if not ready:
+            break
+        at = (ready & -ready).bit_length() - 1  # the lowest set bit
+        fr = at >> 3
+        b = (rows[fr] & free).bit_length()  # its DP is width - b
+        free ^= 1 << (b - 1)
+        alive ^= 1 << at
+        pairs.append((fr, width - b))
+        # Subtract 1 from the count of each unpaired FR in the DP's column.
+        borrow = int.from_bytes(dep[:, width - b].tobytes(), "little") & alive
+        for p, plane in enumerate(planes):
+            if not borrow:
+                break
+            planes[p] = plane ^ borrow
+            borrow &= ~plane
+    return pairs
+
+
+@st.composite
+def _peel_patterns(draw):
+    """A square pattern up to 40 x 40 of random density; or a lower
+    triangle with a full diagonal and random zeros below it; or such a
+    triangle with one entry, maybe a diagonal one, moved above the
+    diagonal. Rows and columns are permuted."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((n, n)) < draw(st.floats(0.0, 1.0))
+    shape = draw(st.sampled_from(["random", "triangle", "moved"]))
+    if shape != "random":
+        mask = np.tril(mask)
+        mask[np.arange(n), np.arange(n)] = True
+    if shape == "moved" and n > 1:
+        below = np.argwhere(mask)
+        mask[tuple(below[rng.integers(len(below))])] = False
+        above = np.argwhere(np.triu(np.ones((n, n), dtype=bool), k=1))
+        mask[tuple(above[rng.integers(len(above))])] = True
+    return mask[np.ix_(rng.permutation(n), rng.permutation(n))]
+
+
+@settings(max_examples=500, deadline=None)
+@given(mask=_peel_patterns())
+def test_peel_returns_what_the_bit_sliced_reference_returns(mask):
+    rows, width = coupling._packed_rows(mask)
+    assert coupling._peel(mask, rows, width) == _bit_sliced_peel(mask, rows, width)
+
+
 # ---------------------------------------------------------------------------
 # Property: permuted triangles with extra entries, against scipy
 

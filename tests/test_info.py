@@ -528,6 +528,26 @@ def test_every_route_refuses_frs_that_are_not_functional_requirements(route, frs
         _fr_routes()[route](_NOT_FRS[frs])
 
 
+_BAD_ANALYTIC_INPUTS = {
+    "pdf_none": (lambda: fr_information(None, DesignRange(0.0, 1.0, 1.0)),
+                 "^pdf must be a Pdf$"),
+    "pdf_float": (lambda: fr_information(0.5, DesignRange(0.0, 1.0, 1.0)),
+                  "^pdf must be a Pdf$"),
+    "result_float": (lambda: system_information_independent([0.5], make_frs((0.0, 1.0))),
+                     "^results must be a sequence of InfoResults$"),
+    "result_none": (lambda: system_information_independent(
+        [InfoResult(1.0, 0.0), None], make_frs((0.0, 1.0), (0.0, 1.0))),
+        "^results must be a sequence of InfoResults$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ANALYTIC_INPUTS))
+def test_the_analytic_route_names_a_bad_pdf_or_result(case):
+    call, message = _BAD_ANALYTIC_INPUTS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("route", ["joint", "chain"])
 def test_a_scenario_run_past_the_cycle_cap_fails_at_once(route):
     # The tank run is one chunk, so the cap is checked before any cycle is

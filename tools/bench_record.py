@@ -10,12 +10,13 @@ it left in ``.bench_results/<workload>-seed<seed>-trace0.json``. It then
 writes ``BENCH_<pr>.json`` at the checkout's root: per workload, each
 end-to-end metric's runs, median and quartiles, and the provenance that
 every run shares (versions, CPU count, BLAS threads, git commit and the
-line count of ``src/axdesign``). Under ``fresh_process`` it also records the
-median wall time of ``FRESH_RUNS`` fresh ``python -m axdesign`` calls of
-each of ``FRESH_CALLS``, with a bare ``python -c pass`` as the floor, and
-whether those interpreters skipped writing bytecode. Runs are sequential,
-so that no run shares the CPUs with another; the defaults take about 6
-minutes.
+line count of ``src/axdesign``), and each op's median latency over the
+seeds (``op_median_ms``), so a change that moves one op shows. Under
+``fresh_process`` it also records the median wall time of ``FRESH_RUNS``
+fresh ``python -m axdesign`` calls of each of ``FRESH_CALLS``, with a bare
+``python -c pass`` as the floor, and whether those interpreters skipped
+writing bytecode. Runs are sequential, so that no run shares the CPUs with
+another; the defaults take about 6 minutes.
 """
 
 from __future__ import annotations
@@ -64,6 +65,16 @@ def summarize(results: list[dict]) -> dict:
             "metrics": metrics}
 
 
+def op_medians(records: list[dict]) -> dict[str, float]:
+    """For each op of ``records``, the records of runs of one workload, the
+    median over the runs of its ``op_median_ms``, in first-seen order."""
+    runs = {}
+    for record in records:
+        for label, ms in record["op_median_ms"].items():
+            runs.setdefault(label, []).append(ms)
+    return {label: statistics.median(values) for label, values in runs.items()}
+
+
 def fresh_summary(walls: dict[str, list[float]]) -> dict:
     """The ``fresh_process`` block: for each call in ``walls``, its wall
     times in seconds, in run order, and their median."""
@@ -110,6 +121,7 @@ def main(argv=None) -> int:
                          f"and {record['provenance']}")
             provenance = record["provenance"]
         workloads[workload] = summarize([record["result"] for record in records])
+        workloads[workload]["op_median_ms"] = op_medians(records)
     print(f"fresh python -m axdesign calls, {FRESH_RUNS} each", file=sys.stderr, flush=True)
     fresh = fresh_summary({name: _fresh_walls(argv) for name, argv in FRESH_CALLS.items()})
 
