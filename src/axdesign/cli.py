@@ -24,9 +24,11 @@ so does a text report that stdout cannot encode. All report output is
 deterministic: the same spec, seed, and flags give byte-identical stdout.
 
 A call costs what its work needs. The argument parser is built once, when
-this module is imported, and every :func:`main` call reuses it. scipy is
-not imported until a Normal pdf needs its CDF or a draw, so ``classify``,
-``validate`` and specs without Normal pdfs never load it.
+this module is imported, and every :func:`main` call reuses it; an argv
+that starts with a command reaches that command's parser in one pass. scipy
+is not imported until a Normal pdf needs its CDF or a draw, so ``classify``,
+``validate`` and specs without Normal pdfs never load it, and
+``numpy.random`` loads on the first draw.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(
         prog="axdesign",
         description="Coupling classification and information-content "
@@ -104,15 +106,29 @@ def _build_parser() -> _Parser:
     p.add_argument("spec_path", help="design spec JSON file")
     add_format(p, "write the report to PATH instead of stdout")
 
-    return parser
+    return parser, sub.choices
 
 
 # parse_args keeps no state between calls, so one parser serves them all.
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
+
+
+def _parse_args(argv):
+    """``_PARSER.parse_args(argv)``: an argv that starts with a command goes
+    to that command's parser alone, as the top level would hand it on."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return _PARSER.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse_args(argv)
     handlers = {
         "classify": _cmd_classify,
         "info": _cmd_info,
@@ -121,7 +137,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except SpecFormatError as exc:
+    except (SpecFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _Inapplicable as exc:
@@ -133,9 +149,6 @@ def main(argv=None) -> int:
     except SimulationDivergence as exc:
         print(f"error: simulation diverged at {exc}", file=sys.stderr)
         return 5
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def _load(path: str) -> DesignSpec:

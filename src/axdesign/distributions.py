@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
 
 __all__ = [
     "RngState",
@@ -122,8 +121,10 @@ def is_real(value) -> bool:
     """Whether ``value`` is an int or float, not a bool, within
     +-``_FLOAT_MAX``: a finite float64 number. Python compares an int with a
     float exactly, so an int beyond float64's range fails, as do nan and the
-    infinities; ``np.float64`` passes, as it subclasses float."""
-    return (type(value) is not bool and isinstance(value, (int, float))
+    infinities; ``np.float64`` passes, as it subclasses float. The exact
+    types that ``json.loads`` gives numbers skip the isinstance test."""
+    return ((type(value) in (float, int)
+             or type(value) is not bool and isinstance(value, (int, float)))
             and -_FLOAT_MAX <= value <= _FLOAT_MAX)
 
 
@@ -173,6 +174,8 @@ class RngState:
         after ``start`` values."""
         if not isinstance(start, int) or isinstance(start, bool) or start < 0:
             raise ValueError("generator start must be a non-negative integer")
+        # Loaded at the first draw: classify, validate and analytic info never draw.
+        from numpy.random import Generator, Philox, SeedSequence
         bitgen = Philox(SeedSequence(self.seed, spawn_key=self.stream))
         if start:
             # Philox gives 4 values per counter step, so value start is

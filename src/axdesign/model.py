@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -72,9 +73,10 @@ class DesignRange:
     tol_plus: float
 
     def __post_init__(self):
-        for name in ("nominal", "tol_minus", "tol_plus"):
-            if not is_real(getattr(self, name)):
-                raise ValueError(f"design range {name} must be a finite number")
+        if not (is_real(self.nominal) and is_real(self.tol_minus) and is_real(self.tol_plus)):
+            name = next(name for name in ("nominal", "tol_minus", "tol_plus")
+                        if not is_real(getattr(self, name)))
+            raise ValueError(f"design range {name} must be a finite number")
         if self.tol_minus < 0 or self.tol_plus < 0:
             raise ValueError("design range tolerances must be non-negative")
 
@@ -126,12 +128,11 @@ class DesignSpec:
     def __post_init__(self):
         if not self.frs:
             raise ValueError("a spec needs at least one FR")
-        for kind, ids in (("FR", self.fr_ids()), ("DP", self.dp_ids())):
-            seen = set()
-            for item_id in ids:
-                if item_id in seen:
-                    raise ValueError(f"duplicate {kind} id {item_id!r}")
-                seen.add(item_id)
+        fr_ids = self.fr_ids()
+        for kind, ids in (("FR", fr_ids), ("DP", self.dp_ids())):
+            if len(set(ids)) < len(ids):
+                item_id = next(item_id for k, item_id in enumerate(ids) if item_id in ids[:k])
+                raise ValueError(f"duplicate {kind} id {item_id!r}")
         if self.matrix is not None:
             if len(self.matrix) != len(self.frs):
                 raise ValueError(f"matrix must have one row per FR ({len(self.frs)})")
@@ -142,11 +143,10 @@ class DesignSpec:
                     raise ValueError(
                         f"matrix row {i} must have one entry per DP ({len(self.dps)})")
             object.__setattr__(self, "matrix", frozen_matrix(self.matrix))
-        fr_ids = set(self.fr_ids())
-        for name, pdfs in (("system_pdfs", self.system_pdfs),
-                           ("noise_pdfs", self.noise_pdfs)):
+        known = set(fr_ids)
+        for name, pdfs in (("system_pdfs", self.system_pdfs), ("noise_pdfs", self.noise_pdfs)):
             for key in pdfs:
-                if key not in fr_ids:
+                if key not in known:
                     raise ValueError(f"{name} names unknown FR id {key!r}")
         object.__setattr__(self, "epsilon", checked_epsilon(self.epsilon))
         if self.scenario is not None and len(self.frs) != 3:
@@ -165,15 +165,14 @@ class DesignSpec:
 # JSON codec
 
 
-def _require_object(obj, where):
+def _object(obj, where, allowed: frozenset | None = None):
+    """Check that ``obj`` is a JSON object and, given ``allowed``, that it
+    has no other keys: the first one that is not allowed is named."""
     if not isinstance(obj, dict):
         raise SpecFormatError("expected an object", where)
-
-
-def _check_keys(obj, allowed, where):
-    for key in obj:
-        if key not in allowed:
-            raise SpecFormatError(f"unknown field {key!r}", where)
+    if allowed is not None and not obj.keys() <= allowed:
+        key = next(key for key in obj if key not in allowed)
+        raise SpecFormatError(f"unknown field {key!r}", where)
 
 
 def _fault(v) -> str:
@@ -188,6 +187,8 @@ def _number(obj, key, where, required=True, default=None):
             raise SpecFormatError(f"missing required field {key!r}", where)
         return default
     v = obj[key]
+    if type(v) is float and isfinite(v):
+        return v
     if not is_real(v):
         raise SpecFormatError(f"field {key!r} {_fault(v)}", where)
     return float(v)
@@ -220,34 +221,35 @@ _PDF_FIELDS = {
     "triangular": (Triangular, ("lo", "mode", "hi")),
     "empirical": (Empirical, ("samples",)),
 }
+_PDF_KEYS = {kind: frozenset(("kind",) + fields) for kind, (_, fields) in _PDF_FIELDS.items()}
 
 
 def pdf_from_obj(obj, where: str = "pdf") -> Pdf:
     """Decode one pdf object; raises SpecFormatError naming the field."""
-    _require_object(obj, where)
+    _object(obj, where)
     kind = _string(obj, "kind", where)
     if kind not in _PDF_FIELDS:
         raise SpecFormatError(f"unknown pdf kind {kind!r}", where)
     pdf_type, fields = _PDF_FIELDS[kind]
-    _check_keys(obj, ("kind",) + fields, where)
+    _object(obj, where, _PDF_KEYS[kind])
     if pdf_type is not Empirical:
         return made_at(where, pdf_type, *[_number(obj, key, where) for key in fields])
     samples = obj.get("samples")
     if not isinstance(samples, list) or not samples:
         raise SpecFormatError("field 'samples' must be a non-empty array", where)
-    for i, v in enumerate(samples):
-        if not is_real(v):
-            raise SpecFormatError(f"samples[{i}] {_fault(v)}", where)
+    if not all(map(is_real, samples)):
+        i, v = next((i, v) for i, v in enumerate(samples) if not is_real(v))
+        raise SpecFormatError(f"samples[{i}] {_fault(v)}", where)
     return made_at(where, Empirical, tuple(samples))
 
 
 _SCENARIO_NUMBERS = ("level_low", "level_high", "temp_setpoint", "mix_duration", "timestep")
-_GAIN_KEYS = ("mixer_to_temp", "heater_to_level", "mixer_to_level")
+_SCENARIO_KEYS = frozenset(_SCENARIO_NUMBERS + ("sensor_noise", "coupling_gains", "cycles"))
+_GAIN_KEYS = frozenset(("mixer_to_temp", "heater_to_level", "mixer_to_level"))
 
 
 def _scenario_from_obj(obj, where="scenario") -> TankConfig:
-    _require_object(obj, where)
-    _check_keys(obj, _SCENARIO_NUMBERS + ("sensor_noise", "coupling_gains", "cycles"), where)
+    _object(obj, where, _SCENARIO_KEYS)
     kwargs = {"cycles": obj["cycles"]} if "cycles" in obj else {}
     for key in _SCENARIO_NUMBERS:
         v = _number(obj, key, f"{where}.{key}", required=False)
@@ -255,27 +257,26 @@ def _scenario_from_obj(obj, where="scenario") -> TankConfig:
             kwargs[key] = v
     if "sensor_noise" in obj:
         block = obj["sensor_noise"]
-        _require_object(block, f"{where}.sensor_noise")
+        _object(block, f"{where}.sensor_noise")
         kwargs["sensor_noise"] = {
             ch: pdf_from_obj(block[ch], f"{where}.sensor_noise.{ch}") for ch in block
         }
     if "coupling_gains" in obj:
         block = obj["coupling_gains"]
-        _require_object(block, f"{where}.coupling_gains")
-        _check_keys(block, _GAIN_KEYS, f"{where}.coupling_gains")
+        _object(block, f"{where}.coupling_gains", _GAIN_KEYS)
         for key in block:
             kwargs[key] = _number(block, key, f"{where}.coupling_gains.{key}")
     return made_at(where, TankConfig, **kwargs)
 
 
-_FR_KEYS = ("id", "description", "nominal", "tol_minus", "tol_plus", "unit")
-_DP_KEYS = ("id", "description", "nominal", "uncertainty")
-_TOP_KEYS = ("frs", "dps", "matrix", "system_pdfs", "noise_pdfs", "epsilon", "scenario")
+_FR_KEYS = frozenset(("id", "description", "nominal", "tol_minus", "tol_plus", "unit"))
+_DP_KEYS = frozenset(("id", "description", "nominal", "uncertainty"))
+_TOP_KEYS = frozenset(("frs", "dps", "matrix", "system_pdfs", "noise_pdfs", "epsilon",
+                       "scenario"))
 
 
 def _fr_from_obj(obj, where) -> FunctionalRequirement:
-    _require_object(obj, where)
-    _check_keys(obj, _FR_KEYS, where)
+    _object(obj, where, _FR_KEYS)
     fr_id = _string(obj, "id", where)
     dr = made_at(where, DesignRange, _number(obj, "nominal", where),
                  _number(obj, "tol_minus", where), _number(obj, "tol_plus", where))
@@ -285,8 +286,7 @@ def _fr_from_obj(obj, where) -> FunctionalRequirement:
 
 
 def _dp_from_obj(obj, where) -> DesignParameter:
-    _require_object(obj, where)
-    _check_keys(obj, _DP_KEYS, where)
+    _object(obj, where, _DP_KEYS)
     dp_id = _string(obj, "id", where)
     unc = None
     if "uncertainty" in obj:
@@ -297,7 +297,7 @@ def _dp_from_obj(obj, where) -> DesignParameter:
 
 
 def _pdf_map_from_obj(obj, where) -> dict[str, Pdf]:
-    _require_object(obj, where)
+    _object(obj, where)
     return {key: pdf_from_obj(val, f"{where}.{key}") for key, val in obj.items()}
 
 
@@ -309,9 +309,9 @@ def _matrix_from_obj(raw) -> list:
     for i, row in enumerate(raw):
         if not isinstance(row, list):
             raise SpecFormatError(f"row {i} must be an array", "matrix")
-        for j, v in enumerate(row):
-            if not is_real(v):
-                raise SpecFormatError(f"entry [{i}][{j}] must be a finite number", "matrix")
+        if not all(map(is_real, row)):
+            j = next(j for j, v in enumerate(row) if not is_real(v))
+            raise SpecFormatError(f"entry [{i}][{j}] must be a finite number", "matrix")
     return raw
 
 
@@ -337,8 +337,7 @@ def parse_spec(text: str) -> DesignSpec:
         # sys.set_int_max_str_digits(), which a spec author cannot act on.
         reason = str(exc).partition("; use sys.set_int_max_str_digits()")[0]
         raise SpecFormatError(f"cannot decode JSON: {reason}", "document") from exc
-    _require_object(doc, "document")
-    _check_keys(doc, _TOP_KEYS, "document")
+    _object(doc, "document", _TOP_KEYS)
 
     for key in ("frs", "dps"):
         if key not in doc or not isinstance(doc[key], list):

@@ -51,3 +51,12 @@ def test_every_fresh_call_names_a_fixture_that_exists():
     root = _PATH.parent.parent
     for argv in bench_record.FRESH_CALLS.values():
         assert all((root / arg).is_file() for arg in argv if arg.startswith("fixtures/"))
+
+
+def test_the_import_floor_is_the_command_the_benchmark_times():
+    # setup_s times a fresh python -c "import axdesign.cli"; the recorder
+    # times the same command, next to the bare interpreter.
+    harness = (_PATH.parent.parent / "perfbench" / "harness.py").read_text(encoding="utf-8")
+    assert '[sys.executable, "-c", "import axdesign.cli"]' in harness
+    assert bench_record.FRESH_CALLS["floor"] == ["-c", "pass"]
+    assert bench_record.FRESH_CALLS["import axdesign.cli"] == ["-c", "import axdesign.cli"]

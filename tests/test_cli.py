@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import axdesign
+from axdesign import cli
 from axdesign.cli import main
 from axdesign.propagation import _CHUNK_ROWS as C
 
@@ -908,18 +909,19 @@ def test_reports_are_byte_identical_across_runs(capsys):
 # One parser per process, and the import floor
 
 
-def _fresh(argv, env) -> tuple[int, str]:
+def _fresh(argv, env) -> tuple[int, str, str]:
     result = subprocess.run([sys.executable, "-m", "axdesign", *argv],
                             capture_output=True, text=True, env=env, timeout=120)
-    return result.returncode, result.stdout
+    return result.returncode, result.stdout, result.stderr
 
 
-def _in_process(capsys, argv) -> tuple[int, str]:
+def _in_process(capsys, argv) -> tuple[int, str, str]:
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
-    return code, capsys.readouterr().out
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 @pytest.mark.parametrize("first,second", [
@@ -927,7 +929,12 @@ def _in_process(capsys, argv) -> tuple[int, str]:
     (["no-such-command"], ["classify", TWO_KNOB]),
     (["--help"], ["info", CASCADE, "--samples", "2000"]),
     (["info", "--help"], ["info", CASCADE, "--samples", "2000"]),
-], ids=["bad-format", "unknown-command", "help", "info-help"])
+    (["classify", CASCADE, "--bogus"], ["classify", TWO_KNOB]),
+    (["--bogus", "classify", CASCADE], ["classify", TWO_KNOB]),
+    ([], ["validate", CASCADE]),
+    (["info", CASCADE, "--samples", "1e5"], ["info", CASCADE, "--samples", "2000"]),
+], ids=["bad-format", "unknown-command", "help", "info-help", "option-after-command",
+        "option-before-command", "no-arguments", "float-samples"])
 def test_the_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch, first, second):
     # The help text wraps at the terminal width, so both sides get the same.
     monkeypatch.setenv("COLUMNS", "80")
@@ -937,25 +944,74 @@ def test_the_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch, fir
         assert _in_process(capsys, argv) == _fresh(argv, env), argv
 
 
+_USAGE = "usage: axdesign [-h] command ...\n"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["classify", CASCADE, "--bogus"], "unrecognized arguments: --bogus"),
+    (["--bogus", "classify", CASCADE], "unrecognized arguments: --bogus"),
+    (["validate", CASCADE, "x", "--bogus", "y"], "unrecognized arguments: x --bogus y"),
+    ([], "the following arguments are required: command"),
+], ids=["after-command", "before-command", "several", "no-arguments"])
+def test_usage_errors_print_the_top_level_usage(capsys, argv, error):
+    assert _in_process(capsys, argv) == (1, "", f"{_USAGE}axdesign: error: {error}\n")
+
+
+def _parse_outcome(parse, argv) -> tuple:
+    """The namespace ``parse(argv)`` returns, or its exit code, with what it
+    wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+_ARGV_TOKENS = st.sampled_from([
+    "classify", "info", "simulate", "validate", "bogus", CASCADE, "--bogus", "-x",
+    "--format", "text", "yaml", "--format=text", "--samples", "--sa", "1e5", "2000",
+    "--seed", "-3", "--method", "chain", "--epsilon", "--cycles", "--out", "-h", "--help",
+    "--"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=st.one_of(
+    st.lists(_ARGV_TOKENS, max_size=6),
+    st.tuples(st.sampled_from(["classify", "info", "simulate", "validate"]),
+              st.lists(_ARGV_TOKENS, max_size=6)).map(lambda t: [t[0], *t[1]])))
+def test_one_pass_parse_matches_the_top_level_parse(argv):
+    # Help wraps at the terminal width, which both sides read alike.
+    assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(cli._PARSER.parse_args, argv)
+
+
 _IMPORT_FLOOR = """
 import contextlib, hashlib, io, json, sys
 from pathlib import Path
 import axdesign.cli
 
-def scipy_loaded():
-    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+def lazy_loaded():
+    return sorted(name for name in sys.modules
+                  if name.split(".")[0] == "scipy" or name.startswith("numpy.random"))
 
-seen = {"import": scipy_loaded()}
+seen = {"import": lazy_loaded()}
 for path in sorted(Path(sys.argv[1]).glob("*.json")):
     for command in ("classify", "validate"):
         with contextlib.redirect_stdout(io.StringIO()):
             axdesign.cli.main([command, str(path)])
-        seen[f"{command} {path.name}"] = scipy_loaded()
+        seen[f"{command} {path.name}"] = lazy_loaded()
+# The analytic route on specs without a Normal pdf neither draws nor
+# evaluates a Normal CDF.
+for name in ("tank.json", "faucet_mixer_tap.json", "disjoint.json"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        axdesign.cli.main(["info", str(Path(sys.argv[1]) / name)])
+    seen[f"info {name}"] = lazy_loaded()
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = axdesign.cli.main(["info", sys.argv[2], *sys.argv[3:]])
 seen["info"] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest(),
-                "scipy.special" in sys.modules]
+                "scipy.special" in sys.modules, "numpy.random" in sys.modules]
 print(json.dumps(seen))
 """
 
@@ -972,10 +1028,11 @@ def test_classify_and_validate_never_import_scipy():
     assert result.returncode == 0, result.stderr
     seen = json.loads(result.stdout)
     info = seen.pop("info")
-    assert len(seen) == 1 + 2 * len(list(fixtures.glob("*.json")))
+    assert len(seen) == 4 + 2 * len(list(fixtures.glob("*.json")))
     assert all(loaded == [] for loaded in seen.values()), seen
-    # A Normal pdf loads scipy.special on first use, with the pinned bytes.
-    assert info == [*PINNED[("machining_cascade.json", "info")], True]
+    # A Normal pdf loads scipy.special on first use and the chain's draws
+    # load numpy.random, with the pinned bytes.
+    assert info == [*PINNED[("machining_cascade.json", "info")], True, True]
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,18 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axdesign import (
     DesignParameter,
     DesignRange,
     DesignSpec,
+    Empirical,
     Normal,
     SpecFormatError,
     TankConfig,
+    Triangular,
     Uniform,
     parse_spec,
     validate_spec,
@@ -405,3 +409,313 @@ def test_nonsquare_fixture_parses_but_is_structurally_degenerate():
     # Parsing succeeds; the shape mismatch is a classification concern,
     # not a document error, so validation stays quiet about squareness.
     assert len(spec.frs) != len(spec.dps)
+
+
+# ---------------------------------------------------------------------------
+# Property: the codec against its reference
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _ref_is_real(value) -> bool:
+    return (type(value) is not bool and isinstance(value, (int, float))
+            and -_FLOAT_MAX <= value <= _FLOAT_MAX)
+
+
+def _ref_require_object(obj, where):
+    if not isinstance(obj, dict):
+        raise SpecFormatError("expected an object", where)
+
+
+def _ref_check_keys(obj, allowed, where):
+    for key in obj:
+        if key not in allowed:
+            raise SpecFormatError(f"unknown field {key!r}", where)
+
+
+def _ref_fault(v) -> str:
+    return "must be a finite number" if type(v) in (int, float) else "must be a number"
+
+
+def _ref_number(obj, key, where, required=True, default=None):
+    if key not in obj:
+        if required:
+            raise SpecFormatError(f"missing required field {key!r}", where)
+        return default
+    v = obj[key]
+    if not _ref_is_real(v):
+        raise SpecFormatError(f"field {key!r} {_ref_fault(v)}", where)
+    return float(v)
+
+
+def _ref_string(obj, key, where, required=True, default=""):
+    if key not in obj:
+        if required:
+            raise SpecFormatError(f"missing required field {key!r}", where)
+        return default
+    v = obj[key]
+    if not isinstance(v, str):
+        raise SpecFormatError(f"field {key!r} must be a string", where)
+    return v
+
+
+def _ref_made_at(where, make, *args, **kwargs):
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise SpecFormatError(str(exc), where) from exc
+
+
+_REF_PDF_FIELDS = {
+    "uniform": (Uniform, ("lo", "hi")),
+    "normal": (Normal, ("mu", "sigma")),
+    "triangular": (Triangular, ("lo", "mode", "hi")),
+    "empirical": (Empirical, ("samples",)),
+}
+
+
+def _ref_pdf_from_obj(obj, where="pdf"):
+    _ref_require_object(obj, where)
+    kind = _ref_string(obj, "kind", where)
+    if kind not in _REF_PDF_FIELDS:
+        raise SpecFormatError(f"unknown pdf kind {kind!r}", where)
+    pdf_type, fields = _REF_PDF_FIELDS[kind]
+    _ref_check_keys(obj, ("kind",) + fields, where)
+    if pdf_type is not Empirical:
+        return _ref_made_at(where, pdf_type, *[_ref_number(obj, key, where) for key in fields])
+    samples = obj.get("samples")
+    if not isinstance(samples, list) or not samples:
+        raise SpecFormatError("field 'samples' must be a non-empty array", where)
+    for i, v in enumerate(samples):
+        if not _ref_is_real(v):
+            raise SpecFormatError(f"samples[{i}] {_ref_fault(v)}", where)
+    return _ref_made_at(where, Empirical, tuple(samples))
+
+
+_REF_SCENARIO_NUMBERS = ("level_low", "level_high", "temp_setpoint", "mix_duration", "timestep")
+_REF_GAIN_KEYS = ("mixer_to_temp", "heater_to_level", "mixer_to_level")
+
+
+def _ref_scenario_from_obj(obj, where="scenario"):
+    _ref_require_object(obj, where)
+    _ref_check_keys(obj, _REF_SCENARIO_NUMBERS + ("sensor_noise", "coupling_gains", "cycles"),
+                    where)
+    kwargs = {"cycles": obj["cycles"]} if "cycles" in obj else {}
+    for key in _REF_SCENARIO_NUMBERS:
+        v = _ref_number(obj, key, f"{where}.{key}", required=False)
+        if v is not None:
+            kwargs[key] = v
+    if "sensor_noise" in obj:
+        block = obj["sensor_noise"]
+        _ref_require_object(block, f"{where}.sensor_noise")
+        kwargs["sensor_noise"] = {
+            ch: _ref_pdf_from_obj(block[ch], f"{where}.sensor_noise.{ch}") for ch in block
+        }
+    if "coupling_gains" in obj:
+        block = obj["coupling_gains"]
+        _ref_require_object(block, f"{where}.coupling_gains")
+        _ref_check_keys(block, _REF_GAIN_KEYS, f"{where}.coupling_gains")
+        for key in block:
+            kwargs[key] = _ref_number(block, key, f"{where}.coupling_gains.{key}")
+    return _ref_made_at(where, TankConfig, **kwargs)
+
+
+_REF_FR_KEYS = ("id", "description", "nominal", "tol_minus", "tol_plus", "unit")
+_REF_DP_KEYS = ("id", "description", "nominal", "uncertainty")
+_REF_TOP_KEYS = ("frs", "dps", "matrix", "system_pdfs", "noise_pdfs", "epsilon", "scenario")
+
+
+def _ref_fr_from_obj(obj, where):
+    _ref_require_object(obj, where)
+    _ref_check_keys(obj, _REF_FR_KEYS, where)
+    fr_id = _ref_string(obj, "id", where)
+    dr = _ref_made_at(where, DesignRange, _ref_number(obj, "nominal", where),
+                      _ref_number(obj, "tol_minus", where), _ref_number(obj, "tol_plus", where))
+    return _ref_made_at(where, FunctionalRequirement, fr_id, dr,
+                        description=_ref_string(obj, "description", where, required=False),
+                        unit=_ref_string(obj, "unit", where, required=False))
+
+
+def _ref_dp_from_obj(obj, where):
+    _ref_require_object(obj, where)
+    _ref_check_keys(obj, _REF_DP_KEYS, where)
+    dp_id = _ref_string(obj, "id", where)
+    unc = None
+    if "uncertainty" in obj:
+        unc = _ref_pdf_from_obj(obj["uncertainty"], f"{where}.uncertainty")
+    return _ref_made_at(where, DesignParameter, dp_id, _ref_number(obj, "nominal", where),
+                        description=_ref_string(obj, "description", where, required=False),
+                        uncertainty=unc)
+
+
+def _ref_pdf_map_from_obj(obj, where):
+    _ref_require_object(obj, where)
+    return {key: _ref_pdf_from_obj(val, f"{where}.{key}") for key, val in obj.items()}
+
+
+def _ref_matrix_from_obj(raw):
+    if not isinstance(raw, list):
+        raise SpecFormatError("matrix must be an array of rows", "matrix")
+    for i, row in enumerate(raw):
+        if not isinstance(row, list):
+            raise SpecFormatError(f"row {i} must be an array", "matrix")
+        for j, v in enumerate(row):
+            if not _ref_is_real(v):
+                raise SpecFormatError(f"entry [{i}][{j}] must be a finite number", "matrix")
+    return raw
+
+
+def _ref_parse_spec(text):
+    """Reference: the spec codec as it was before its fast paths, a check
+    and a helper call per value, on the same types and invariants."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecFormatError(
+            f"syntax error: {exc.msg}", f"line {exc.lineno} column {exc.colno}"
+        ) from exc
+    except (ValueError, RecursionError) as exc:
+        reason = str(exc).partition("; use sys.set_int_max_str_digits()")[0]
+        raise SpecFormatError(f"cannot decode JSON: {reason}", "document") from exc
+    _ref_require_object(doc, "document")
+    _ref_check_keys(doc, _REF_TOP_KEYS, "document")
+    for key in ("frs", "dps"):
+        if key not in doc or not isinstance(doc[key], list):
+            raise SpecFormatError(f"missing or non-array field {key!r}", "document")
+    frs = tuple(_ref_fr_from_obj(o, f"frs[{i}]") for i, o in enumerate(doc["frs"]))
+    dps = tuple(_ref_dp_from_obj(o, f"dps[{i}]") for i, o in enumerate(doc["dps"]))
+    matrix = _ref_matrix_from_obj(doc["matrix"]) if "matrix" in doc else None
+    system_pdfs = _ref_pdf_map_from_obj(doc["system_pdfs"], "system_pdfs") \
+        if "system_pdfs" in doc else {}
+    noise_pdfs = _ref_pdf_map_from_obj(doc["noise_pdfs"], "noise_pdfs") \
+        if "noise_pdfs" in doc else {}
+    epsilon = _ref_number(doc, "epsilon", "epsilon", required=False, default=0.0)
+    scenario = _ref_scenario_from_obj(doc["scenario"]) if "scenario" in doc else None
+    return _ref_made_at("document", DesignSpec, frs, dps, matrix, system_pdfs, noise_pdfs,
+                        epsilon, scenario)
+
+
+# JSON numbers as json.loads gives them: ints and floats, near 0 or anywhere
+# in float64's finite range.
+_JSON_REALS = st.one_of(st.integers(-5, 5), st.floats(-10.0, 10.0),
+                        st.floats(allow_nan=False, allow_infinity=False))
+_JSON_SPREADS = st.one_of(st.integers(1, 5), st.floats(1e-3, 10.0))
+
+
+def _json_pdfs():
+    ends = st.lists(_JSON_REALS, min_size=2, max_size=2, unique=True).map(sorted)
+    return st.one_of(
+        ends.map(lambda v: {"kind": "uniform", "lo": v[0], "hi": v[1]}),
+        st.builds(lambda mu, sigma: {"kind": "normal", "mu": mu, "sigma": sigma},
+                  _JSON_REALS, _JSON_SPREADS),
+        st.lists(_JSON_REALS, min_size=3, max_size=3).map(sorted).filter(lambda v: v[0] < v[2])
+        .map(lambda v: {"kind": "triangular", "lo": v[0], "mode": v[1], "hi": v[2]}),
+        st.lists(_JSON_REALS, min_size=1, max_size=4).map(
+            lambda v: {"kind": "empirical", "samples": v}))
+
+
+def _with_optional(draw, obj, optional):
+    """``obj`` with each of the ``optional`` entries drawn in or out."""
+    for key, strategy in optional.items():
+        if draw(st.booleans()):
+            obj[key] = draw(strategy)
+    return obj
+
+
+@st.composite
+def _spec_docs(draw):
+    """JSON spec documents that parse, with every optional block drawn in or
+    out, numbers as ints or floats, and fields in either order."""
+    scenario = draw(st.booleans())
+    n_frs = 3 if scenario else draw(st.integers(1, 4))
+    n_dps = draw(st.integers(0 if scenario else 1, 4))
+    text = st.text(max_size=3)
+    frs = [_with_optional(draw, {"id": f"f{i}", "nominal": draw(_JSON_REALS),
+                                 "tol_minus": draw(st.integers(0, 3) | st.floats(0.0, 10.0)),
+                                 "tol_plus": draw(st.integers(0, 3) | st.floats(0.0, 10.0))},
+                          {"description": text, "unit": text}) for i in range(n_frs)]
+    dps = [_with_optional(draw, {"id": f"d{i}", "nominal": draw(_JSON_REALS)},
+                          {"description": text, "uncertainty": _json_pdfs()})
+           for i in range(n_dps)]
+    fr_ids = [fr["id"] for fr in frs]
+    pdf_maps = st.lists(st.sampled_from(fr_ids), unique=True).flatmap(
+        lambda ids: st.fixed_dictionaries({fr_id: _json_pdfs() for fr_id in ids}))
+    optional = {"system_pdfs": pdf_maps, "noise_pdfs": pdf_maps,
+                "epsilon": st.integers(0, 2) | st.floats(0.0, 1.0)}
+    if n_dps:
+        optional["matrix"] = st.lists(st.lists(_JSON_REALS, min_size=n_dps, max_size=n_dps),
+                                      min_size=n_frs, max_size=n_frs)
+    if scenario:
+        optional["scenario"] = st.fixed_dictionaries({}, optional={
+            "cycles": st.integers(1, 50), "timestep": st.sampled_from([0.1, 1]),
+            "sensor_noise": st.fixed_dictionaries({}, optional={
+                "level": _json_pdfs(), "temp": _json_pdfs()}),
+            "coupling_gains": st.fixed_dictionaries({}, optional={
+                "mixer_to_temp": st.floats(0.0, 0.2), "heater_to_level": st.just(0)})})
+    doc = _with_optional(draw, {"frs": frs, "dps": dps}, optional)
+    items = list(doc.items())
+    return dict(draw(st.permutations(items))) if draw(st.booleans()) else doc
+
+
+def _nodes(node):
+    """``node`` and every array and object below it."""
+    yield node
+    children = node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()
+    for child in children:
+        if isinstance(child, (dict, list)):
+            yield from _nodes(child)
+
+
+_REPLACEMENTS = {
+    "wrong type": ["x", [], {}, None, 1.5, [1.0]],
+    "non-finite": [math.nan, math.inf, -math.inf],
+    "bool": [True, False],
+    "big int": [10**400, -(10**400)],
+}
+
+
+def _decoded(parse, text):
+    """What ``parse(text)`` gives, in a form that compares exactly: the
+    exception's type and text, or every decoded field's repr (int and float
+    apart) and the matrix's bytes."""
+    try:
+        spec = parse(text)
+    except Exception as exc:  # noqa: BLE001 - the type is part of the result
+        return type(exc), str(exc)
+    matrix = None if spec.matrix is None else (spec.matrix.dtype, spec.matrix.shape,
+                                               spec.matrix.tobytes())
+    return (repr(spec.frs), repr(spec.dps), matrix, repr(spec.system_pdfs),
+            repr(spec.noise_pdfs), repr(spec.epsilon), repr(spec.scenario))
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=_spec_docs(), data=st.data())
+def test_parse_spec_decodes_what_the_reference_decodes(doc, data):
+    # One field at most is changed: a value of the wrong type, nan or an
+    # infinity, a bool, an int beyond float64, a missing key, or one or two
+    # unknown keys at any place in an object, where the first must be named.
+    mutation = data.draw(st.sampled_from([None, "unknown key", "missing key",
+                                          *_REPLACEMENTS]))
+    nodes = list(_nodes(doc))
+    if mutation == "unknown key":
+        obj = data.draw(st.sampled_from([node for node in nodes if isinstance(node, dict)]))
+        items = list(obj.items())
+        for name in data.draw(st.sampled_from([["bogus"], ["bogus", "zz"]])):
+            items.insert(data.draw(st.integers(0, len(items))), (name, 1))
+        obj.clear()
+        obj.update(items)
+    elif mutation == "missing key":
+        obj = data.draw(st.sampled_from([node for node in nodes if isinstance(node, dict)]))
+        if obj:
+            del obj[data.draw(st.sampled_from(list(obj)))]
+    elif mutation is not None:
+        container = data.draw(st.sampled_from([node for node in nodes if node]))
+        key = data.draw(st.sampled_from(list(container.keys() if isinstance(container, dict)
+                                             else range(len(container)))))
+        container[key] = data.draw(st.sampled_from(_REPLACEMENTS[mutation]))
+    text = json.dumps(doc)
+    expected = _decoded(_ref_parse_spec, text)
+    assert _decoded(parse_spec, text) == expected
+    if mutation is None:
+        assert not isinstance(expected[0], type), expected

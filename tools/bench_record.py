@@ -14,8 +14,9 @@ line count of ``src/axdesign``), and each op's median latency over the
 seeds (``op_median_ms``), so a change that moves one op shows. Under
 ``fresh_process`` it also records the median wall time of ``FRESH_RUNS``
 fresh ``python -m axdesign`` calls of each of ``FRESH_CALLS``, with a bare
-``python -c pass`` as the floor, and whether those interpreters skipped
-writing bytecode. Runs are sequential, so that no run shares the CPUs with
+``python -c pass`` as the floor, ``python -c "import axdesign.cli"`` as the
+import floor that the benchmark's ``setup_s`` times, and whether those
+interpreters skipped writing bytecode. Runs are sequential, so that no run shares the CPUs with
 another; the defaults take about 6 minutes.
 """
 
@@ -36,6 +37,7 @@ FRESH_RUNS = 5
 # A spec with a Normal pdf pays the scipy.special import; one without does not.
 FRESH_CALLS = {
     "floor": ["-c", "pass"],
+    "import axdesign.cli": ["-c", "import axdesign.cli"],
     "classify machining_cascade": ["-m", "axdesign", "classify",
                                    "fixtures/machining_cascade.json"],
     "validate machining_cascade": ["-m", "axdesign", "validate",
@@ -122,7 +124,7 @@ def main(argv=None) -> int:
             provenance = record["provenance"]
         workloads[workload] = summarize([record["result"] for record in records])
         workloads[workload]["op_median_ms"] = op_medians(records)
-    print(f"fresh python -m axdesign calls, {FRESH_RUNS} each", file=sys.stderr, flush=True)
+    print(f"fresh interpreter calls, {FRESH_RUNS} each", file=sys.stderr, flush=True)
     fresh = fresh_summary({name: _fresh_walls(argv) for name, argv in FRESH_CALLS.items()})
 
     doc = {"pr": args.pr, "command": bench["command"], "trace": 0, "seeds": list(SEEDS),
