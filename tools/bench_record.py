@@ -16,8 +16,8 @@ seeds (``op_median_ms``), so a change that moves one op shows. Under
 fresh ``python -m axdesign`` calls of each of ``FRESH_CALLS``, with a bare
 ``python -c pass`` as the floor, ``python -c "import axdesign.cli"`` as the
 import floor that the benchmark's ``setup_s`` times, and whether those
-interpreters skipped writing bytecode. Runs are sequential, so that no run shares the CPUs with
-another; the defaults take about 6 minutes.
+interpreters skipped writing bytecode. Runs are sequential, so that no run
+shares the CPUs with another; the defaults take about 6 minutes.
 """
 
 from __future__ import annotations
